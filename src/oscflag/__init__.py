@@ -4,7 +4,7 @@ from .errors import OscflagError
 from .geometry import (Box, ImmersionChart, PointGeometry, box, eval_jet,
                        point_geometry, relative_nullity, ricci, s_nullity,
                        sectional_curvature)
-from .jets import (DerivativeTensor, Jet, VectorJet, jet_arith, jet_constant,
+from .jets import (DerivativeTensor, Jet, VectorJet, jet_constant,
                    jet_variable, variables)
 from .nonparallel import (NonparallelData, PhiTensor, classify_case,
                           nonparallel_data, phi_frame_fd, phi_pairing)
@@ -22,8 +22,8 @@ __all__ = [
     "NonparallelData", "OscflagError", "PhiTensor", "PointGeometry",
     "Report", "RuledExtension", "RunConfig", "SplittingSpec", "Subspace",
     "VectorJet", "box", "build_extension", "classify_case",
-    "complement_within", "eval_jet", "gamma_tensor", "jet_arith",
-    "jet_constant", "jet_variable", "kernel_of", "lambda_delta",
+    "complement_within", "eval_jet", "gamma_tensor", "jet_constant",
+    "jet_variable", "kernel_of", "lambda_delta",
     "moore_check", "nonparallel_data", "phi_frame_fd", "phi_pairing",
     "point_geometry", "principal_angles", "project", "regular_element",
     "relative_nullity", "ricci", "run_verification", "s_nullity",

@@ -17,8 +17,8 @@ import numpy as np
 from . import subspaces as sub
 from .errors import DataError, DegenerateExtensionError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, compose_series, jet_constant, jet_cos,
-                   jet_reciprocal, jet_rsqrt, jet_sin)
+from .jets import (Jet, jet_constant, jet_cos, jet_reciprocal, jet_rsqrt,
+                   jet_sin, product, series_powers)
 
 # ---------------------------------------------------------------------------
 # Complex helpers over pairs of jets
@@ -228,9 +228,10 @@ class CurveSystem:
     The parallel transport equation for a normal field along the curve keeps
     only the tangential part of the ambient derivative; it is integrated with
     fixed-step RK4 over the window, with a joint re-orthonormalization every
-    ``renorm_every`` steps to control drift.  Taylor jets of the fields at
-    arbitrary parameters are reconstructed exactly from the ODE by Picard
-    iteration in jet space, seeded with the integrated value.
+    ``renorm_every`` steps to control drift.  Taylor coefficients of the
+    fields at arbitrary parameters follow exactly from the ODE by the
+    Taylor-coefficient recurrence of the linear equation, seeded with the
+    integrated value.
     """
 
     FREQS = (1, 2, 3)
@@ -259,7 +260,6 @@ class CurveSystem:
                             "curvature on the window")
         self._init_fields(rng)
         self._integrate_grid()
-        self._jet_cache: dict[tuple[float, int], np.ndarray] = {}
 
     # -- curve evaluation -------------------------------------------------
 
@@ -273,11 +273,19 @@ class CurveSystem:
             out += self.sin_coef[:, i] * kn * math.sin(k * t + phase)
         return out
 
-    def curve_taylor(self, t0: float, order: int) -> np.ndarray:
-        """Taylor coefficients of the curve components at t0, shape (N, K+1)."""
-        cols = [self.curve_derivative(t0, m) / math.factorial(m)
-                for m in range(order + 1)]
-        return np.column_stack(cols)
+    def curve_taylor(self, t0: float, order: int,
+                     shift: int = 0) -> np.ndarray:
+        """Taylor coefficients at t0 of the shift-th derivative of the curve.
+
+        Column m holds d^(m+shift) c / dt^(m+shift) / m!, shape (N, order+1).
+        """
+        m = np.arange(shift, shift + order + 1)
+        freqs = np.array(self.FREQS, dtype=float)[:, None]
+        arg = freqs * t0 + m * math.pi / 2.0
+        scale = freqs ** m / np.array([math.factorial(j)
+                                       for j in range(order + 1)])
+        return (self.cos_coef @ (scale * np.cos(arg))
+                + self.sin_coef @ (scale * np.sin(arg)))
 
     def _generic_enough(self) -> bool:
         ts = np.linspace(*self.window, 101)
@@ -369,70 +377,46 @@ class CurveSystem:
     def field_taylor(self, t0: float, order: int) -> np.ndarray:
         """Exact Taylor coefficients of the transported fields at t0.
 
-        Picard iteration in single-variable jets: each sweep of
-        xi <- xi(t0) + antiderivative(rhs(xi, t)) fixes one more coefficient,
-        so order+1 sweeps reproduce the full truncated expansion.  Shape
-        (num_fields, N, order+1).
+        Writing a, b and w for the Taylor coefficients of c', c'' and
+        1/|c'|^2 at t0, the transport equation xi' = -<xi, c''> c' / |c'|^2
+        gives, for k = 0..order-1,
+
+            p_k = sum_i <xi_i, b_(k-i)>,   q_k = sum_i p_i w_(k-i),
+            xi_(k+1) = -(1/(k+1)) sum_i q_i a_(k-i),
+
+        seeded with xi_0 = fields_at(t0); all fields advance together.
+        Shape (num_fields, N, order+1).
         """
-        key = (round(float(t0), 15), order)
-        hit = self._jet_cache.get(key)
-        if hit is not None:
-            return hit
-        from .jets import antiderivative, variables
-
-        values = self.fields_at(t0)
-        (t_jet,) = variables([t0], order)
-        c1 = [compose_series(t_jet, row) for row in
-              self.curve_taylor_shifted(t0, order, 1)]
-        c2 = [compose_series(t_jet, row) for row in
-              self.curve_taylor_shifted(t0, order, 2)]
-        speed2 = None
-        for comp in c1:
-            speed2 = comp * comp if speed2 is None else speed2 + comp * comp
-        inv_speed2 = jet_reciprocal(speed2)
-
-        out = np.empty((self.num_fields, self.ambient_dim, order + 1))
-        for fidx in range(self.num_fields):
-            xi = [jet_constant(1, order, values[fidx, j])
-                  for j in range(self.ambient_dim)]
-            for _ in range(order + 1):
-                pairing = None
-                for j in range(self.ambient_dim):
-                    term = xi[j] * c2[j]
-                    pairing = term if pairing is None else pairing + term
-                factor = pairing * inv_speed2 * (-1.0)
-                xi = [antiderivative(factor * c1[j], values[fidx, j])
-                      for j in range(self.ambient_dim)]
-            for j in range(self.ambient_dim):
-                out[fidx, j] = xi[j].coeffs
-        if len(self._jet_cache) > 256:
-            self._jet_cache.clear()
-        self._jet_cache[key] = out
-        return out
-
-    def curve_taylor_shifted(self, t0: float, order: int,
-                             shift: int) -> np.ndarray:
-        """Taylor coefficients of the shift-th derivative of the curve."""
-        cols = [self.curve_derivative(t0, m + shift) / math.factorial(m)
-                for m in range(order + 1)]
-        return np.column_stack(cols)
+        a = self.curve_taylor(t0, order, 1)
+        b = self.curve_taylor(t0, order, 2)
+        speed2 = np.array([float(np.sum(a[:, :k + 1] * a[:, k::-1]))
+                           for k in range(order + 1)])
+        w = np.empty(order + 1)
+        w[0] = 1.0 / speed2[0]
+        for k in range(1, order + 1):
+            w[k] = -w[0] * float(speed2[1:k + 1] @ w[k - 1::-1])
+        xi = np.empty((self.num_fields, self.ambient_dim, order + 1))
+        xi[:, :, 0] = self.fields_at(t0)
+        p = np.empty((self.num_fields, order))
+        q = np.empty((self.num_fields, order))
+        for k in range(order):
+            p[:, k] = np.einsum("fni,ni->f", xi[:, :, :k + 1], b[:, k::-1])
+            q[:, k] = p[:, :k + 1] @ w[k::-1]
+            xi[:, :, k + 1] = -(q[:, :k + 1] @ a[:, k::-1].T) / (k + 1)
+        return xi
 
 
 def _curve_chart_fn(system: CurveSystem, n: int):
     def fn(vars_: list[Jet]) -> list[Jet]:
         t_jet = vars_[0]
-        s_jets = vars_[1:n]
         order = t_jet.order
-        t0 = t_jet.value
-        ccoef = system.curve_taylor(t0, order)
-        fcoef = system.field_taylor(t0, order)
-        comps = []
-        for j in range(system.ambient_dim):
-            acc = compose_series(t_jet, ccoef[j])
-            for i, s_jet in enumerate(s_jets):
-                acc = acc + s_jet * compose_series(t_jet, fcoef[i, j])
-            comps.append(acc)
-        return comps
+        powers = series_powers(t_jet)
+        comps = system.curve_taylor(t_jet.value, order) @ powers
+        fields = system.field_taylor(t_jet.value, order) @ powers
+        for i, s_jet in enumerate(vars_[1:n]):
+            for j in range(system.ambient_dim):
+                comps[j] += product(t_jet.sig, s_jet.coeffs, fields[i, j])
+        return [Jet(t_jet.num_vars, order, row) for row in comps]
     return fn
 
 

@@ -551,7 +551,6 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
     for rec in ctx.records[:points]:
         ruling = ctx.ruling_space(rec)
         if ruling.dim == 0:
-            ctx.extras["d_ruled"] = False
             return CheckResult("d_ruled_leaves", False,
                                details={"reason": "no ruling directions"})
         d_ambient = sub.Subspace(rec.geom.ambient_dim,
@@ -591,7 +590,6 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
                 else:
                     worst_s = np.pi / 2
     ok = worst_leaf < tol and worst_s < tol
-    ctx.extras["d_ruled"] = ok
     return CheckResult("d_ruled_leaves", ok, float(max(worst_leaf, worst_s)),
                        tol,
                        description="leaves of D map into affine subspaces "

@@ -143,10 +143,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_same(other)
-            ii, jj, kk = self.sig.mul_table
-            out = np.zeros_like(self.coeffs)
-            np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
-            return Jet(self.num_vars, self.order, out)
+            return Jet(self.num_vars, self.order,
+                       product(self.sig, self.coeffs, other.coeffs))
         return Jet(self.num_vars, self.order, self.coeffs * float(other))
 
     __rmul__ = __mul__
@@ -184,19 +182,32 @@ def variables(x, order: int) -> list[Jet]:
     return [jet_variable(n, order, i, x[i]) for i in range(n)]
 
 
+def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient table of the truncated product of two tables of ``sig``."""
+    ii, jj, kk = sig.mul_table
+    return np.bincount(kk, weights=a[ii] * b[jj], minlength=sig.size)
+
+
+def series_powers(a: Jet) -> np.ndarray:
+    """The (order+1, size) table of (a - a0)^j for j = 0..order."""
+    sig = a.sig
+    out = np.zeros((a.order + 1, sig.size))
+    out[0, 0] = 1.0
+    if a.order >= 1:
+        out[1] = a.coeffs
+        out[1, 0] = 0.0
+    for j in range(2, a.order + 1):
+        out[j] = product(sig, out[1], out[j - 1])
+    return out
+
+
 def compose_series(a: Jet, outer_coeffs: np.ndarray) -> Jet:
-    """Evaluate sum_j outer_coeffs[j] * (a - a0)^j by Horner on the nilpotent part.
+    """Evaluate sum_j outer_coeffs[j] * (a - a0)^j over the power table.
 
     With outer_coeffs the Taylor coefficients of g at a's value, this is the
     jet of the composition g(a); every analytic primitive routes through it.
     """
-    tilde_c = a.coeffs.copy()
-    tilde_c[0] = 0.0
-    tilde = Jet(a.num_vars, a.order, tilde_c)
-    result = jet_constant(a.num_vars, a.order, float(outer_coeffs[a.order]))
-    for j in range(a.order - 1, -1, -1):
-        result = result * tilde + float(outer_coeffs[j])
-    return result
+    return Jet(a.num_vars, a.order, outer_coeffs @ series_powers(a))
 
 
 def jet_sin(a: Jet) -> Jet:
@@ -244,35 +255,6 @@ def jet_rsqrt(a: Jet) -> Jet:
     return jet_reciprocal(jet_sqrt(a))
 
 
-_UNARY = {
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "exp": jet_exp,
-    "reciprocal": jet_reciprocal,
-    "sqrt": jet_sqrt,
-    "rsqrt": jet_rsqrt,
-}
-
-
-def jet_arith(a: Jet, b: Jet | float | None, op: str) -> Jet:
-    """Uniform dispatcher over jet arithmetic.
-
-    Binary ops (add, sub, mul) take two jets of equal signature; ``scale``
-    takes a jet and a float; the analytic ops ignore ``b``.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a * float(b)
-    if op in _UNARY:
-        return _UNARY[op](a)
-    raise ShapeError(f"unknown jet operation {op!r}")
-
-
 def antiderivative(a: Jet, constant: float = 0.0) -> Jet:
     """Formal antiderivative of a single-variable jet (degree shifts up by one).
 
@@ -286,30 +268,6 @@ def antiderivative(a: Jet, constant: float = 0.0) -> Jet:
     degrees = np.arange(1, a.order + 1, dtype=float)
     c[1:] = a.coeffs[:-1] / degrees
     return Jet(1, a.order, c)
-
-
-@lru_cache(maxsize=None)
-def _lift_map(num_vars_in: int, order: int, num_vars_out: int,
-              positions: tuple[int, ...]) -> np.ndarray:
-    sig_in = signature(num_vars_in, order)
-    sig_out = signature(num_vars_out, order)
-    idx = np.empty(sig_in.size, dtype=np.intp)
-    for i, m in enumerate(sig_in.monomials):
-        target = [0] * num_vars_out
-        for p, e in zip(positions, m):
-            target[p] = e
-        idx[i] = sig_out.index[tuple(target)]
-    return idx
-
-
-def lift(a: Jet, num_vars_out: int, positions: tuple[int, ...]) -> Jet:
-    """Re-embed a jet into a larger variable set; positions[i] hosts old var i."""
-    if len(positions) != a.num_vars or max(positions) >= num_vars_out:
-        raise ShapeError("invalid variable placement for lift")
-    idx = _lift_map(a.num_vars, a.order, num_vars_out, tuple(positions))
-    c = np.zeros(signature(num_vars_out, a.order).size)
-    c[idx] = a.coeffs
-    return Jet(num_vars_out, a.order, c)
 
 
 def substitute_affine(a: Jet, matrix, new_point) -> Jet:

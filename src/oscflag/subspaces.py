@@ -153,14 +153,6 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(angles)[:k]
 
 
-def subspaces_equal(a: Subspace, b: Subspace, angle_tol: float = 1e-6) -> bool:
-    if a.dim != b.dim:
-        return False
-    if a.dim == 0:
-        return True
-    return float(np.max(principal_angles(a, b))) < angle_tol
-
-
 def smallest_angle_between(a: Subspace, b: Subspace) -> float:
     """Smallest principal angle; pi/2 when either space is trivial."""
     if min(a.dim, b.dim) == 0:

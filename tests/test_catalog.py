@@ -1,5 +1,7 @@
 """Catalog entries: construction, determinism, declared structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
                              make_section4_example)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
+from oscflag.jets import Jet, antiderivative, jet_constant, jet_reciprocal
 from oscflag.nonparallel import nonparallel_data, phi_pairing
 
 
@@ -56,6 +59,48 @@ def test_curve_transport_inner_products_constant():
         np.testing.assert_allclose(fields @ fields.T, eye, atol=1e-9)
         d1 = system.curve_derivative(t, 1)
         assert np.max(np.abs(fields @ d1)) < 1e-9
+
+
+def loop_curve_taylor(system, t0, order, shift):
+    """Reference: column m is d^(m+shift) c / dt^(m+shift) at t0, over m!."""
+    return np.column_stack([system.curve_derivative(t0, m + shift)
+                            / math.factorial(m) for m in range(order + 1)])
+
+
+def picard_field_taylor(system, t0, order):
+    """Reference: Picard sweeps xi <- xi(t0) + int -<xi, c''> c' / |c'|^2
+    in one-variable jets; each sweep fixes one more coefficient."""
+    c1 = [Jet(1, order, r) for r in loop_curve_taylor(system, t0, order, 1)]
+    c2 = [Jet(1, order, r) for r in loop_curve_taylor(system, t0, order, 2)]
+    inv_speed2 = jet_reciprocal(sum(c * c for c in c1))
+    out = np.empty((system.num_fields, system.ambient_dim, order + 1))
+    for f, start in enumerate(system.fields_at(t0)):
+        xi = [jet_constant(1, order, v) for v in start]
+        for _ in range(order + 1):
+            factor = sum(x * c for x, c in zip(xi, c2)) * inv_speed2 * -1.0
+            xi = [antiderivative(factor * c, v) for c, v in zip(c1, start)]
+        out[f] = [x.coeffs for x in xi]
+    return out
+
+
+def test_curve_taylor_matches_derivative_loop():
+    system = CurveSystem(8, 5, seed=11)
+    for t in np.linspace(0.0, 1.0, 5):
+        for shift in (0, 1, 2):
+            want = loop_curve_taylor(system, t, 7, shift)
+            got = system.curve_taylor(t, 7, shift)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_field_taylor_matches_picard_oracle():
+    # the recurrence and Picard sum in different orders: float64 rounding
+    for ambient, fields, seed, order in ((8, 5, 11, 7), (4, 1, 23, 6)):
+        system = CurveSystem(ambient, fields, seed)
+        for t in np.linspace(0.05, 0.95, 5):
+            want = picard_field_taylor(system, t, order)
+            got = system.field_taylor(t, order)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_curve_fields_smooth_across_grid_nodes():

@@ -12,9 +12,9 @@ from oscflag.errors import CapabilityError, DomainError, ShapeError, \
     SingularityError
 from oscflag.geometry import ImmersionChart, box, eval_jet
 from oscflag.jets import (Jet, VectorJet, antiderivative,
-                          compose_series, jet_arith, jet_constant, jet_cos,
+                          compose_series, jet_constant, jet_cos,
                           jet_exp, jet_reciprocal, jet_sin, jet_sqrt,
-                          jet_variable, lift, signature, substitute_affine,
+                          jet_variable, signature, substitute_affine,
                           variables)
 
 
@@ -28,7 +28,7 @@ def poly_jet(coeffs, order):
 def test_monomial_product():
     u2 = poly_jet([0, 0, 1], 5)
     u3 = poly_jet([0, 0, 0, 1], 5)
-    prod = jet_arith(u2, u3, "mul")
+    prod = u2 * u3
     expect = np.zeros(6)
     expect[5] = 1.0
     np.testing.assert_array_equal(prod.coeffs, expect)
@@ -37,12 +37,12 @@ def test_monomial_product():
 def test_add_zero_identity():
     x = jet_variable(2, 3, 0, 1.7)
     zero = jet_constant(2, 3, 0.0)
-    np.testing.assert_array_equal(jet_arith(x, zero, "add").coeffs, x.coeffs)
+    np.testing.assert_array_equal((x + zero).coeffs, x.coeffs)
 
 
 def test_sin_maclaurin():
     u = jet_variable(1, 3, 0, 0.0)
-    s = jet_arith(u, None, "sin")
+    s = jet_sin(u)
     np.testing.assert_allclose(s.coeffs, [0.0, 1.0, 0.0, -1.0 / 6.0],
                                atol=1e-16)
 
@@ -82,9 +82,7 @@ def test_shape_mismatch_raises():
     a = jet_constant(1, 3, 1.0)
     b = jet_constant(2, 3, 1.0)
     with pytest.raises(ShapeError):
-        jet_arith(a, b, "add")
-    with pytest.raises(ShapeError):
-        jet_arith(a, None, "nonsense")
+        a + b
 
 
 def test_leibniz_sin_cos_identity():
@@ -142,21 +140,47 @@ def test_antiderivative_picard_exponential():
     np.testing.assert_allclose(y.coeffs, expect, atol=1e-14)
 
 
+def horner_compose(a, outer):
+    """Reference: sum_j outer[j] (a - a0)^j by Horner in jet arithmetic."""
+    tilde = a - a.value
+    result = jet_constant(a.num_vars, a.order, float(outer[a.order]))
+    for j in range(a.order - 1, -1, -1):
+        result = result * tilde + float(outer[j])
+    return result
+
+
 def test_compose_series_matches_analytic():
     u = jet_variable(2, 4, 0, 0.3) * jet_variable(2, 4, 1, -0.2)
-    coeffs = np.array([math.sin(u.value)] + [0.0] * 4)
     cyc = [math.sin(u.value), math.cos(u.value), -math.sin(u.value),
            -math.cos(u.value)]
     coeffs = np.array([cyc[m % 4] / math.factorial(m) for m in range(5)])
-    np.testing.assert_allclose(compose_series(u, coeffs).coeffs,
-                               jet_sin(u).coeffs, atol=1e-15)
+    # d^2 sin(xy) / dx dy = cos(xy) - xy sin(xy)
+    got = compose_series(u, coeffs)
+    assert abs(got.coefficient((1, 1)) - (math.cos(u.value)
+               - u.value * math.sin(u.value))) < 1e-15
+    np.testing.assert_allclose(got.coeffs, jet_sin(u).coeffs, atol=1e-15)
+    # the power table against Horner at the benchmark's signatures; the
+    # summation order differs, so agreement is to float64 rounding
+    rng = np.random.default_rng(5)
+    for num_vars, order in ((1, 7), (2, 7), (3, 7), (4, 6), (8, 3)):
+        sig = signature(num_vars, order)
+        a = Jet(num_vars, order, rng.uniform(-1.0, 1.0, sig.size))
+        outer = rng.uniform(-1.0, 1.0, order + 1)
+        want = horner_compose(a, outer).coeffs
+        got = compose_series(a, outer).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
+            (num_vars, order)
 
 
 def test_lift_places_variables():
-    a = jet_variable(1, 3, 0, 0.5)
-    lifted = lift(jet_sin(a), 3, (2,))
+    # a function of the last of three variables carries the one-variable
+    # series on the pure powers of that variable and nothing elsewhere
+    single = jet_sin(jet_variable(1, 3, 0, 0.5))
     direct = jet_sin(jet_variable(3, 3, 2, 0.5))
-    np.testing.assert_allclose(lifted.coeffs, direct.coeffs, atol=1e-16)
+    want = np.zeros(signature(3, 3).size)
+    for m in range(4):
+        want[signature(3, 3).index[(0, 0, m)]] = single.coeffs[m]
+    np.testing.assert_allclose(direct.coeffs, want, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------
