@@ -11,8 +11,8 @@ from .nonparallel import (NonparallelData, PhiTensor, classify_case,
 from .ruled_extension import (RuledExtension, SplittingSpec, build_extension,
                               gamma_tensor, lambda_delta, verify_extension)
 from .subspaces import (BilinearForm, Subspace, complement_within, kernel_of,
-                        moore_check, principal_angles, project,
-                        regular_element, span_of)
+                        moore_check, principal_angles, regular_element,
+                        span_of)
 from .verify import Report, RunConfig, run_verification
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "complement_within", "eval_jet", "gamma_tensor", "jet_constant",
     "jet_variable", "kernel_of", "lambda_delta",
     "moore_check", "nonparallel_data", "phi_frame_fd", "phi_pairing",
-    "point_geometry", "principal_angles", "project", "regular_element",
+    "point_geometry", "principal_angles", "regular_element",
     "relative_nullity", "ricci", "run_verification", "s_nullity",
     "sectional_curvature", "span_of", "variables", "verify_extension",
 ]

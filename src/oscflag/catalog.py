@@ -801,11 +801,11 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
 
 
 def _build_sphere(params: dict) -> CatalogEntry:
-    return make_calibration("sphere", n=int(params.get("n", 2)))
+    return make_calibration("sphere", n=params["n"])
 
 
 def _build_flat(params: dict) -> CatalogEntry:
-    return make_calibration("flat", seed=int(params.get("seed", 0)))
+    return make_calibration("flat", seed=params["seed"])
 
 
 def _build_torus(params: dict) -> CatalogEntry:
@@ -813,25 +813,24 @@ def _build_torus(params: dict) -> CatalogEntry:
 
 
 def _build_curve(params: dict) -> CatalogEntry:
-    return make_curve_parallel_subbundle(
-        n=int(params.get("n", 3)), big_n=int(params.get("N", 8)),
-        seed=int(params.get("seed", 11)))
+    return make_curve_parallel_subbundle(n=params["n"], big_n=params["N"],
+                                         seed=params["seed"])
 
 
 def _build_holo(params: dict) -> CatalogEntry:
-    return make_holomorphic_curve_surface(m=int(params.get("m", 2)))
+    return make_holomorphic_curve_surface(m=params["m"])
 
 
 def _build_section4(params: dict) -> CatalogEntry:
-    return make_section4_example(m=int(params.get("m", 2)),
-                                 t_radius=float(params.get("t_radius", 0.25)))
+    return make_section4_example(m=params["m"], t_radius=params["t_radius"])
 
 
 def _build_product(params: dict) -> CatalogEntry:
-    return make_curve_product(factors=int(params.get("factors", 4)),
-                              seed=int(params.get("seed", 23)))
+    return make_curve_product(factors=params["factors"], seed=params["seed"])
 
 
+# Each builder receives every key of its schema string "k=default, ...",
+# cast to the type of the default.
 BUILDERS: dict[str, tuple[Callable[[dict], CatalogEntry], str, str]] = {
     "sphere": (_build_sphere, "n=2",
                "unit sphere calibration (umbilic, no complement)"),
@@ -857,8 +856,36 @@ def entry_names() -> list[str]:
     return sorted(BUILDERS)
 
 
+def _typed_params(name: str, params: dict) -> dict:
+    """The schema defaults of an entry overridden by ``params``, each cast to
+    its default's type; unknown keys and values that do not cast exactly are
+    rejected."""
+    schema = BUILDERS[name][1]
+    defaults = dict(item.strip().split("=") for item in schema.split(",")
+                    if item.strip())
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"entry {name!r} has no parameter {', '.join(unknown)}; "
+            f"accepted: ({schema})")
+    typed = {}
+    for key, default in defaults.items():
+        cast = float if "." in default else int
+        value = params.get(key, default)
+        try:
+            typed[key] = cast(value)
+            exact = typed[key] == float(value)  # no truncation, no NaN
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ParameterError(
+                f"entry {name!r}: parameter {key}={value!r} is not "
+                f"{'a number' if cast is float else 'an integer'}")
+    return typed
+
+
 def get_entry(name: str, params: dict | None = None) -> CatalogEntry:
     if name not in BUILDERS:
         raise ParameterError(f"unknown catalog entry {name!r}; "
                              f"known: {', '.join(entry_names())}")
-    return BUILDERS[name][0](params or {})
+    return BUILDERS[name][0](_typed_params(name, params or {}))

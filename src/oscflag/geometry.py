@@ -20,8 +20,6 @@ from .errors import (CapabilityError, DataError, DomainError, FrameError,
                      NotImmersionError, ParameterError, RegularityError)
 from .jets import DerivativeTensor, Jet, VectorJet, variables
 
-EINSUM_LETTERS = "abcdefgh"
-
 
 @dataclass(frozen=True)
 class Box:
@@ -223,13 +221,15 @@ class PointGeometry:
         return self.alpha @ np.asarray(normal_vec, dtype=float)
 
 
-def _flag_dims(ordered_values: list[np.ndarray], n: int, tol: float) -> list[int]:
-    dims = []
-    stacked = None
-    for vals in ordered_values:
-        stacked = vals if stacked is None else np.vstack([stacked, vals])
-        dims.append(sub.span_of(stacked, tol).dim)
-    return dims
+def to_frame(t: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Express every chart slot of a tensor (n,)*k + (N,) on the frame.
+
+    out[a, b, ..., :] = sum coeff[a, i] coeff[b, j] ... t[i, j, ..., :], as
+    k successive matrix contractions, innermost chart slot first.
+    """
+    for _ in range(t.ndim - 1):
+        t = np.tensordot(coeff, t, axes=(1, t.ndim - 2))
+    return t
 
 
 def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
@@ -247,9 +247,12 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     derivs = eval_jet(chart, x, max_normal_order + 1)
     n, big_n = chart.intrinsic_dim, chart.ambient_dim
 
+    # One SVD per osculating prefix (partials of order <= k) serves the
+    # immersion check, the rank audit at all three thresholds and the
+    # osculating spaces.
     d1 = derivs.tensor(1)
-    svals = np.linalg.svd(d1, compute_uv=False)
-    if svals[-1] <= tol * svals[0]:
+    svds = [sub.row_svd(d1)]
+    if sub.numerical_rank(svds[0][0], tol) < n:
         raise NotImmersionError(
             f"chart {chart.name}: Jacobian rank < {n} at {np.asarray(x)}")
     frame, coeff = _gram_schmidt_rows(d1)
@@ -257,13 +260,15 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     tangent = sub.Subspace(big_n, frame, tol)
     normal_space = sub.kernel_of(frame, tol)
 
-    # Osculating flag with rank-stability audit across the tolerance band.
-    order_values = [d1]
+    stacked = d1
     for k in range(2, max_normal_order + 2):
-        order_values.append(derivs.partials_of_order(k)[1])
-    dims = _flag_dims(order_values, n, tol)
+        stacked = np.vstack([stacked, derivs.partials_of_order(k)[1]])
+        svds.append(sub.row_svd(stacked))
+
+    # Rank-stability audit across the tolerance band.
+    dims = [sub.numerical_rank(svals, tol) for svals, _ in svds]
     for band_tol in (tol / 10.0, tol * 10.0):
-        band_dims = _flag_dims(order_values, n, band_tol)
+        band_dims = [sub.numerical_rank(svals, band_tol) for svals, _ in svds]
         if band_dims != dims:
             level = next(i for i, (a, b) in enumerate(zip(dims, band_dims))
                          if a != b)
@@ -273,10 +278,8 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
 
     osculating = [tangent]
     normal_flag: list[sub.Subspace] = []
-    stacked = d1
-    for k in range(2, max_normal_order + 2):
-        stacked = np.vstack([stacked, order_values[k - 1]])
-        nxt = sub.span_of(stacked, tol)
+    for svd in svds[1:]:
+        nxt = sub.span_from_svd(svd, tol)
         stage = sub.complement_within(osculating[-1], nxt)
         if stage.dim == 0:
             break
@@ -287,6 +290,8 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     # expressed on the orthonormal tangent frame.
     t2 = derivs.tensor(2)
     alpha_chart = t2 - np.einsum("ijN,nN,nM->ijM", t2, frame, frame)
+    # alpha keeps the einsum summation order: to_frame would move every
+    # residual built on alpha by rounding
     alpha = np.einsum("ai,bj,ijN->abN", coeff, coeff, alpha_chart)
 
     higher: list[np.ndarray] = []
@@ -294,10 +299,7 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
         stage = normal_flag[ell - 2]
         t_ell = derivs.tensor(ell)
         proj = np.einsum("...N,kN,kM->...M", t_ell, stage.basis, stage.basis)
-        letters = EINSUM_LETTERS[:ell]
-        spec = ",".join(f"{o}{i}" for o, i in zip(letters, "ijklmnop")) \
-            + f",{'ijklmnop'[:ell]}N->{letters}N"
-        higher.append(np.einsum(spec, *([coeff] * ell), proj))
+        higher.append(to_frame(proj, coeff))
 
     return PointGeometry(
         chart=chart, x=np.asarray(x, dtype=float), tangent=tangent,

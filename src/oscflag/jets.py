@@ -79,25 +79,36 @@ def signature(num_vars: int, order: int) -> JetSignature:
     return JetSignature(num_vars, order, monos, index, degrees, facts, table)
 
 
-@dataclass(frozen=True)
 class Jet:
-    """Truncated Taylor expansion of a scalar function of ``num_vars`` variables."""
+    """Truncated Taylor expansion of a scalar function of ``num_vars`` variables.
 
-    num_vars: int
-    order: int
-    coeffs: np.ndarray
+    ``coeffs`` is read-only.  The jet holds its ``JetSignature``; since
+    ``signature`` is cached, operands built in one cache lifetime share it
+    and the operand check is an identity test.
+    """
 
-    def __post_init__(self):
-        sig = signature(self.num_vars, self.order)
-        if self.coeffs.shape != (sig.size,):
+    __slots__ = ("sig", "coeffs")
+
+    def __init__(self, num_vars: int, order: int, coeffs: np.ndarray):
+        sig = signature(num_vars, order)
+        if coeffs.shape != (sig.size,):
             raise ShapeError(
-                f"coefficient table has shape {self.coeffs.shape}, "
+                f"coefficient table has shape {coeffs.shape}, "
                 f"expected ({sig.size},)")
-        self.coeffs.flags.writeable = False
+        coeffs.flags.writeable = False
+        self.sig = sig
+        self.coeffs = coeffs
+
+    def __repr__(self) -> str:
+        return f"Jet({self.num_vars}, {self.order}, {self.coeffs!r})"
 
     @property
-    def sig(self) -> JetSignature:
-        return signature(self.num_vars, self.order)
+    def num_vars(self) -> int:
+        return self.sig.num_vars
+
+    @property
+    def order(self) -> int:
+        return self.sig.order
 
     def coefficient(self, multi_index: tuple[int, ...]) -> float:
         return float(self.coeffs[self.sig.index[tuple(multi_index)]])
@@ -113,7 +124,9 @@ class Jet:
         return float(self.coeffs[i] * sig.factorials[i])
 
     def _check_same(self, other: Jet):
-        if (self.num_vars, self.order) != (other.num_vars, other.order):
+        # a signature rebuilt after a cache clear is equal but not identical
+        if other.sig is not self.sig and (
+                (self.num_vars, self.order) != (other.num_vars, other.order)):
             raise ShapeError(
                 f"jet signatures differ: ({self.num_vars},{self.order}) vs "
                 f"({other.num_vars},{other.order})")
@@ -121,20 +134,20 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check_same(other)
-            return Jet(self.num_vars, self.order, self.coeffs + other.coeffs)
+            return _jet(self.sig, self.coeffs + other.coeffs)
         c = self.coeffs.copy()
         c[0] += float(other)
-        return Jet(self.num_vars, self.order, c)
+        return _jet(self.sig, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.coeffs)
+        return _jet(self.sig, -self.coeffs)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check_same(other)
-            return Jet(self.num_vars, self.order, self.coeffs - other.coeffs)
+            return _jet(self.sig, self.coeffs - other.coeffs)
         return self + (-float(other))
 
     def __rsub__(self, other):
@@ -143,9 +156,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_same(other)
-            return Jet(self.num_vars, self.order,
-                       product(self.sig, self.coeffs, other.coeffs))
-        return Jet(self.num_vars, self.order, self.coeffs * float(other))
+            return _jet(self.sig, product(self.sig, self.coeffs, other.coeffs))
+        return _jet(self.sig, self.coeffs * float(other))
 
     __rmul__ = __mul__
 
@@ -158,10 +170,20 @@ class Jet:
         return jet_reciprocal(self) * float(other)
 
 
+def _jet(sig: JetSignature, coeffs: np.ndarray) -> Jet:
+    """A jet on a table already known to have ``sig``'s shape."""
+    jet = object.__new__(Jet)
+    coeffs.flags.writeable = False
+    jet.sig = sig
+    jet.coeffs = coeffs
+    return jet
+
+
 def jet_constant(num_vars: int, order: int, value: float) -> Jet:
-    c = np.zeros(signature(num_vars, order).size)
+    sig = signature(num_vars, order)
+    c = np.zeros(sig.size)
     c[0] = value
-    return Jet(num_vars, order, c)
+    return _jet(sig, c)
 
 
 def jet_variable(num_vars: int, order: int, var: int, value: float) -> Jet:
@@ -172,7 +194,7 @@ def jet_variable(num_vars: int, order: int, var: int, value: float) -> Jet:
     if order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(num_vars))
         c[sig.index[unit]] = 1.0
-    return Jet(num_vars, order, c)
+    return _jet(sig, c)
 
 
 def variables(x, order: int) -> list[Jet]:
@@ -207,7 +229,7 @@ def compose_series(a: Jet, outer_coeffs: np.ndarray) -> Jet:
     With outer_coeffs the Taylor coefficients of g at a's value, this is the
     jet of the composition g(a); every analytic primitive routes through it.
     """
-    return Jet(a.num_vars, a.order, outer_coeffs @ series_powers(a))
+    return _jet(a.sig, outer_coeffs @ series_powers(a))
 
 
 def jet_sin(a: Jet) -> Jet:
@@ -253,21 +275,6 @@ def jet_sqrt(a: Jet) -> Jet:
 
 def jet_rsqrt(a: Jet) -> Jet:
     return jet_reciprocal(jet_sqrt(a))
-
-
-def antiderivative(a: Jet, constant: float = 0.0) -> Jet:
-    """Formal antiderivative of a single-variable jet (degree shifts up by one).
-
-    The top coefficient is discarded by truncation, so Picard iteration with
-    this operator fixes one extra coefficient per sweep.
-    """
-    if a.num_vars != 1:
-        raise ShapeError("antiderivative is defined for single-variable jets")
-    c = np.zeros_like(a.coeffs)
-    c[0] = constant
-    degrees = np.arange(1, a.order + 1, dtype=float)
-    c[1:] = a.coeffs[:-1] / degrees
-    return Jet(1, a.order, c)
 
 
 def substitute_affine(a: Jet, matrix, new_point) -> Jet:
@@ -354,11 +361,22 @@ class DerivativeTensor:
 
     def tensor(self, degree: int) -> np.ndarray:
         """Symmetric derivative tensor of shape (n,)*degree + (N,)."""
-        n, big_n = self.num_vars, self.ambient_dim
-        out = np.zeros((n,) * degree + (big_n,))
-        for idx in np.ndindex(*(n,) * degree):
-            mi = [0] * n
-            for i in idx:
-                mi[i] += 1
-            out[idx] = self.partial(tuple(mi))
-        return out
+        if degree > self.order:
+            raise CapabilityError(
+                f"derivative degree {degree} exceeds available order "
+                f"{self.order}")
+        return self.values[_tensor_index(self.num_vars, self.order, degree)]
+
+
+@lru_cache(maxsize=None)
+def _tensor_index(num_vars: int, order: int, degree: int) -> np.ndarray:
+    """Signature row behind each entry of the degree-``degree`` tensor."""
+    index = signature(num_vars, order).index
+    table = np.empty((num_vars,) * degree, dtype=np.intp)
+    for idx in np.ndindex(table.shape):
+        exponents = [0] * num_vars
+        for i in idx:
+            exponents[i] += 1
+        table[idx] = index[tuple(exponents)]
+    table.flags.writeable = False
+    return table

@@ -17,7 +17,7 @@ from . import subspaces as sub
 from .errors import ParameterError, RegularityError
 from .geometry import (ImmersionChart, PointGeometry, point_geometry,
                        projection_frame, flattened_alpha_restricted,
-                       relative_nullity)
+                       relative_nullity, to_frame)
 
 CASE_LABELS = ("parallel", "case-i", "case-ii", "case-iii", "case-iii-a",
                "case-iii-b", "out-of-theorem-scope")
@@ -108,9 +108,7 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None,
         raise RegularityError(
             "alpha values do not span the first normal space", level=1)
 
-    t3 = geom.derivs.tensor(3)
-    coeff = geom.frame_in_chart
-    t3_frame = np.einsum("ai,bj,ck,ijkN->abcN", coeff, coeff, coeff, t3)
+    t3_frame = to_frame(geom.derivs.tensor(3), geom.frame_in_chart)
     # rhs[(ab), m, c] = -<mu_m, alpha3(X_c, F_a, F_b)>
     rhs = -np.einsum("qN,cabN->abqc", mu_frame, t3_frame)
     rhs = np.array([rhs[a, b] for a, b in pairs]).reshape(len(pairs), q * geom.n)

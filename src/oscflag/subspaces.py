@@ -75,17 +75,33 @@ def span_of(vectors, tol: float = DEFAULT_RANK_TOL,
         if ambient_dim is None:
             raise ShapeError("empty input needs an explicit ambient_dim")
         return trivial(ambient_dim, tol)
+    return span_from_svd(row_svd(rows), tol)
+
+
+def row_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of a nonempty row family.
+
+    The one decomposition behind ``span_of``: a caller that needs ranks at
+    several thresholds and the span itself decomposes once and passes the
+    result to ``numerical_rank`` and ``span_from_svd``.
+    """
     if not np.all(np.isfinite(rows)):
-        raise DataError("span_of received non-finite input")
+        raise DataError("rank decision on non-finite input")
     _, svals, vt = np.linalg.svd(rows, full_matrices=False)
+    return svals, vt
+
+
+def numerical_rank(svals: np.ndarray, tol: float) -> int:
+    """Count of singular values above ``tol`` times the largest (0 if none)."""
     if svals.size == 0 or svals[0] == 0.0:
-        return trivial(rows.shape[1], tol)
-    rank = int(np.sum(svals > tol * svals[0]))
-    return Subspace(rows.shape[1], vt[:rank].copy(), tol)
+        return 0
+    return int(np.sum(svals > tol * svals[0]))
 
 
-def project(space: Subspace, v: np.ndarray) -> np.ndarray:
-    return space.project(v)
+def span_from_svd(svd: tuple[np.ndarray, np.ndarray], tol: float) -> Subspace:
+    """The span at relative threshold ``tol`` from a ``row_svd`` result."""
+    svals, vt = svd
+    return Subspace(vt.shape[1], vt[:numerical_rank(svals, tol)].copy(), tol)
 
 
 def containment_residual(inner: Subspace, outer: Subspace) -> float:
@@ -188,8 +204,7 @@ def kernel_of(matrix, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     if matrix.shape[0] == 0 or not np.any(matrix):
         return full(n, tol)
     _, svals, vt = np.linalg.svd(matrix)
-    rank = int(np.sum(svals > tol * svals[0]))
-    return Subspace(n, vt[rank:].copy(), tol)
+    return Subspace(n, vt[numerical_rank(svals, tol):].copy(), tol)
 
 
 @dataclass(frozen=True)
@@ -215,10 +230,8 @@ class BilinearForm:
         return np.tensordot(z, self.values, axes=(0, 0))
 
     def rank_of(self, z: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-        svals = np.linalg.svd(self.left_contract(z), compute_uv=False)
-        if svals.size == 0 or svals[0] == 0.0:
-            return 0
-        return int(np.sum(svals > tol * svals[0]))
+        return numerical_rank(
+            np.linalg.svd(self.left_contract(z), compute_uv=False), tol)
 
 
 @dataclass(frozen=True)

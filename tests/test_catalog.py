@@ -12,8 +12,9 @@ from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
                              make_section4_example)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
-from oscflag.jets import Jet, antiderivative, jet_constant, jet_reciprocal
+from oscflag.jets import Jet, jet_constant, jet_reciprocal
 from oscflag.nonparallel import nonparallel_data, phi_pairing
+from picard import antiderivative
 
 
 def test_registry_names():

@@ -41,6 +41,19 @@ def test_bad_param_syntax_exit_two():
     assert main(["verify", "sphere", "--param", "n:3"]) == 2
 
 
+def test_uncastable_param_exit_two(capsys):
+    for value in ("n=abc", "n=2.5"):
+        assert main(["verify", "sphere", "--param", value]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+
+def test_unknown_param_exit_two(capsys):
+    assert main(["verify", "sphere", "--param", "bogus=1"]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "Traceback" not in err
+
+
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2

@@ -7,9 +7,10 @@ from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.errors import (CapabilityError, NotImmersionError,
                             ParameterError, RegularityError)
+from oscflag import geometry
 from oscflag.geometry import (ImmersionChart, box, point_geometry,
                               projection_frame, relative_nullity, ricci,
-                              s_nullity, sectional_curvature)
+                              s_nullity, sectional_curvature, to_frame)
 from oscflag.jets import jet_constant, jet_cos, jet_sin
 
 
@@ -113,6 +114,48 @@ def test_regularity_error_at_rank_drop():
     x = np.array([0.1, 0.2, 1e-7, 1e-7])
     with pytest.raises(RegularityError):
         point_geometry(entry.chart, x, 2, 1e-8)
+
+
+def test_one_svd_per_flag_prefix(monkeypatch):
+    # the immersion check, the rank audit at tol/10, tol, tol*10 and the
+    # osculating spaces all read one decomposition of each prefix stack
+    entry = get_entry("section4-ruled", {"m": 2})
+    x = entry.sampler(np.random.default_rng(4))
+    order = 3
+    derivs = geometry.eval_jet(entry.chart, x, order + 1)
+    prefixes = [derivs.tensor(1)]
+    for k in range(2, order + 2):
+        prefixes.append(np.vstack([prefixes[-1],
+                                   derivs.partials_of_order(k)[1]]))
+    seen = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.np.linalg, "svd", counting_svd)
+    point_geometry(entry.chart, x, order)
+    monkeypatch.undo()
+    for rows in prefixes:
+        hits = sum(1 for a in seen
+                   if a.shape == rows.shape and np.array_equal(a, rows))
+        assert hits == 1, rows.shape
+
+
+def test_to_frame_matches_einsum():
+    rng = np.random.default_rng(8)
+    for n in (2, 4):
+        coeff = rng.standard_normal((n, n))
+        for degree in range(1, 5):
+            t = rng.standard_normal((n,) * degree + (5,))
+            chart, frame = "ijkl"[:degree], "abcd"[:degree]
+            spec = ",".join(a + i for a, i in zip(frame, chart)) \
+                + f",{chart}N->{frame}N"
+            want = np.einsum(spec, *([coeff] * degree), t)
+            got = to_frame(t, coeff)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_higher_forms_live_in_their_stage():

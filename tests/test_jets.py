@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from oscflag.errors import CapabilityError, DomainError, ShapeError, \
     SingularityError
 from oscflag.geometry import ImmersionChart, box, eval_jet
-from oscflag.jets import (Jet, VectorJet, antiderivative,
-                          compose_series, jet_constant, jet_cos,
-                          jet_exp, jet_reciprocal, jet_sin, jet_sqrt,
-                          jet_variable, signature, substitute_affine,
-                          variables)
+from oscflag.jets import (DerivativeTensor, Jet, VectorJet, compose_series,
+                          jet_constant, jet_cos, jet_exp, jet_reciprocal,
+                          jet_sin, jet_sqrt, jet_variable, signature,
+                          substitute_affine, variables)
+from picard import antiderivative
 
 
 def poly_jet(coeffs, order):
@@ -83,6 +83,23 @@ def test_shape_mismatch_raises():
     b = jet_constant(2, 3, 1.0)
     with pytest.raises(ShapeError):
         a + b
+
+
+def test_operation_results_are_read_only():
+    with pytest.raises(ShapeError):
+        Jet(2, 3, np.zeros(5))
+    u = jet_variable(2, 3, 0, 0.4)
+    v = jet_variable(2, 3, 1, -0.7)
+    for jet in (u, v, u + v, u + 1.0, -u, u - v, 2.0 - u, u * v, u * 3.0,
+                u / (v - 2.0), jet_sin(u), compose_series(v, np.ones(4))):
+        assert not jet.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            jet.coeffs[0] = 1.0
+    # a signature rebuilt after a cache clear is equal, not identical
+    signature.cache_clear()
+    w = jet_variable(2, 3, 0, 0.4)
+    assert w.sig is not u.sig
+    np.testing.assert_array_equal((w * v).coeffs, (u * v).coeffs)
 
 
 def test_leibniz_sin_cos_identity():
@@ -275,6 +292,31 @@ def test_derivative_tensor_symmetry():
     t3 = dt.tensor(3)
     np.testing.assert_allclose(t3, np.transpose(t3, (1, 0, 2, 3)), atol=1e-15)
     np.testing.assert_allclose(t3, np.transpose(t3, (2, 1, 0, 3)), atol=1e-15)
+
+
+def loop_tensor(dt, degree):
+    """Reference: the symmetric tensor filled one ``partial`` at a time."""
+    n = dt.num_vars
+    out = np.zeros((n,) * degree + (dt.ambient_dim,))
+    for idx in np.ndindex(*(n,) * degree):
+        mi = [0] * n
+        for i in idx:
+            mi[i] += 1
+        out[idx] = dt.partial(tuple(mi))
+    return out
+
+
+def test_tensor_matches_partial_loop():
+    rng = np.random.default_rng(13)
+    for num_vars, order in ((1, 7), (2, 7), (3, 7), (4, 6), (8, 3)):
+        size = signature(num_vars, order).size
+        dt = DerivativeTensor(VectorJet(
+            [Jet(num_vars, order, rng.standard_normal(size))
+             for _ in range(3)]))
+        for degree in range(order + 1):
+            assert np.array_equal(dt.tensor(degree), loop_tensor(dt, degree))
+        with pytest.raises(CapabilityError):
+            dt.tensor(order + 1)
 
 
 def test_vector_jet_requires_matching_signatures():

@@ -41,9 +41,9 @@ def test_span_records_tolerance():
 
 def test_project_examples():
     e1 = sub.span_of([[1, 0, 0]], 1e-8)
-    np.testing.assert_allclose(sub.project(e1, [3, 4, 0]), [3, 0, 0])
+    np.testing.assert_allclose(e1.project([3, 4, 0]), [3, 0, 0])
     with pytest.raises(ShapeError):
-        sub.project(e1, [1, 2])
+        e1.project([1, 2])
 
 
 @settings(max_examples=30, deadline=None)
