@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspaces as sub
-from .geometry import (PointGeometry, point_geometry, relative_nullity,
-                       ricci, sectional_curvature)
+from .geometry import (PointGeometry, frame_derivative, point_geometry,
+                       relative_nullity, ricci, sectional_curvature)
 from .nonparallel import (CaseClassification, NonparallelData,
                           codazzi_residual, nonparallel_data, p_parallel_drift,
                           phi_difference, phi_frame_fd, phi_pairing)
@@ -310,12 +310,17 @@ def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def check_rulings_alpha_nonzero(ctx: VerifyContext, tol: float) -> CheckResult:
+    """Smallest singular value of v -> alpha(v, .) on D, so that no unit
+    ruling, whichever combination of D's basis it is, lies in the relative
+    nullity."""
     smallest = np.inf
     for rec in ctx.records:
-        for v in rec.nd.D.basis:
-            a_v = np.einsum("a,abN->bN", v, rec.geom.alpha)
-            smallest = min(smallest, float(np.max(np.linalg.norm(a_v,
-                                                                 axis=1))))
+        d_dim = rec.nd.D.dim
+        if d_dim == 0:
+            continue
+        a_d = np.einsum("va,abN->vbN", rec.nd.D.basis, rec.geom.alpha)
+        svals = np.linalg.svd(a_d.reshape(d_dim, -1), compute_uv=False)
+        smallest = min(smallest, float(svals[-1]))
     return CheckResult("rulings_alpha_nonzero", bool(smallest > tol),
                        float(smallest), float(tol),
                        description="rulings not in relative nullity")
@@ -477,25 +482,25 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool,
         nd = nonparallel_data(geom, phi_pairing(geom))
         return nd.S.projector()
 
+    def drifts(s_projector, x, directions, step) -> list[float]:
+        return [float(np.linalg.norm(d)) for d in
+                frame_derivative(s_projector, x, directions, step)]
+
     for rec in ctx.records[:points]:
         ruling = ctx.ruling_space(rec)
         if ruling.dim == 0 or rec.nd.s == 0:
             continue
-        for v in ruling.basis[:2]:
-            w = v @ rec.geom.frame_in_chart
-            drift_pair = np.linalg.norm(
-                pairing_s_projector(rec.x + h * w)
-                - pairing_s_projector(rec.x - h * w)) / (2.0 * h)
-            pairing_worst = max(pairing_worst, float(drift_pair))
-            if ratio:
-                d_h = np.linalg.norm(fd_s_projector(rec.x + h * w, h)
-                                     - fd_s_projector(rec.x - h * w, h)) \
-                    / (2.0 * h)
-                d_h2 = np.linalg.norm(
-                    fd_s_projector(rec.x + 0.5 * h * w, 0.5 * h)
-                    - fd_s_projector(rec.x - 0.5 * h * w, 0.5 * h)) / h
+        directions = [v @ rec.geom.frame_in_chart for v in ruling.basis[:2]]
+        pairing_worst = max(pairing_worst, *drifts(
+            pairing_s_projector, rec.x, directions, h))
+        if ratio:
+            for d_h, d_h2 in zip(
+                    drifts(lambda y: fd_s_projector(y, h), rec.x, directions,
+                           h),
+                    drifts(lambda y: fd_s_projector(y, 0.5 * h), rec.x,
+                           directions, 0.5 * h)):
                 if max(d_h, d_h2) > 1e-11:
-                    ratios.append(float(d_h / d_h2))
+                    ratios.append(d_h / d_h2)
     ok = pairing_worst < 1e-6
     if ratio:
         ok = ok and bool(ratios) and all(3.2 <= r <= 4.8 for r in ratios)
@@ -548,6 +553,14 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
     nonparallelism span stays constant along them."""
     worst_leaf = 0.0
     worst_s = 0.0
+
+    def ruling_at(y):
+        if ctx.entry.ruling_from == "D":
+            geom_y = point_geometry(ctx.chart, y, 2, ctx.rank_tol)
+            return geom_y, nonparallel_data(geom_y, phi_pairing(geom_y)).D
+        geom_y = point_geometry(ctx.chart, y, 1, ctx.rank_tol)
+        return geom_y, relative_nullity(geom_y, ctx.rank_tol)[0]
+
     for rec in ctx.records[:points]:
         ruling = ctx.ruling_space(rec)
         if ruling.dim == 0:
@@ -557,26 +570,7 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
                                  ruling.basis @ rec.geom.frame)
         fx = ctx.chart.position(rec.x)
         for v in ruling.basis[:2]:
-            ref = v @ rec.geom.frame
-
-            def field(y, _ref=ref):
-                # project the reference ambient direction onto the current
-                # ruling space and convert to a chart velocity
-                if ctx.entry.ruling_from == "D":
-                    geom_y = point_geometry(ctx.chart, y, 2, ctx.rank_tol)
-                    nd_y = nonparallel_data(geom_y, phi_pairing(geom_y))
-                    space = nd_y.D
-                else:
-                    geom_y = point_geometry(ctx.chart, y, 1, ctx.rank_tol)
-                    space = relative_nullity(geom_y, ctx.rank_tol)[0]
-                amb = sub.Subspace(geom_y.ambient_dim,
-                                   space.basis @ geom_y.frame)
-                proj = amb.project(_ref)
-                coords = geom_y.tangent_coords(proj)
-                vel = coords @ geom_y.frame_in_chart
-                return vel / np.linalg.norm(proj)
-
-            y_end = integrate_leaf(ctx.chart, field, rec.x, arc)
+            y_end = integrate_leaf(ruling_at, v @ rec.geom.frame, rec.x, arc)
             reach = ctx.chart.position(y_end) - fx
             worst_leaf = max(worst_leaf, float(
                 np.linalg.norm(d_ambient.reject(reach))

@@ -133,6 +133,10 @@ def projection_frame(space: sub.Subspace, reference: np.ndarray | None = None,
     finite-difference stencil.
     """
     k = space.dim
+    if pivots is not None and len(pivots) != k:
+        raise FrameError(
+            f"{len(pivots)} pivots for a {k}-dimensional space: rank changed "
+            f"across the stencil")
     if reference is None:
         reference = np.eye(space.ambient_dim)
     projected = space.project(reference)
@@ -163,6 +167,27 @@ def projection_frame(space: sub.Subspace, reference: np.ndarray | None = None,
                 f"pivot {pick} lost rank across stencil (residual {nrm:.3e})")
         frame[i] = v / nrm
     return frame, tuple(pivots)
+
+
+def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,
+                     directions, h: float,
+                     richardson: bool = False) -> np.ndarray:
+    """Central differences of an array field along chart-coordinate directions.
+
+    out[i] = (frame_at(x + h*w_i) - frame_at(x - h*w_i)) / (2h) for each row
+    w_i of ``directions``, so the result has shape
+    ``(len(directions),) + frame_at(x).shape``; second-order accurate in h.
+    With ``richardson`` the steps h and h/2 are combined as
+    (4 D(h/2) - D(h)) / 3, which is fourth-order accurate.  ``frame_at`` must
+    be a smooth field: a projection frame keeps the pivot order and the
+    reference basis of the stencil center.
+    """
+    if richardson:
+        return (4.0 * frame_derivative(frame_at, x, directions, h / 2.0)
+                - frame_derivative(frame_at, x, directions, h)) / 3.0
+    x = np.asarray(x, dtype=float)
+    return np.array([(frame_at(x + h * w) - frame_at(x - h * w)) / (2.0 * h)
+                     for w in directions])
 
 
 @dataclass(frozen=True)
@@ -200,13 +225,6 @@ class PointGeometry:
     def first_normal_complement(self) -> sub.Subspace:
         """Orthogonal complement of the first normal space inside the normal space."""
         return sub.complement_within(self.first_normal, self.normal_space)
-
-    def chart_direction(self, frame_coords) -> np.ndarray:
-        """Chart-coordinate velocity realizing a tangent vector given on the frame."""
-        return np.asarray(frame_coords, dtype=float) @ self.frame_in_chart
-
-    def frame_to_ambient(self, frame_coords) -> np.ndarray:
-        return np.asarray(frame_coords, dtype=float) @ self.frame
 
     def tangent_coords(self, ambient_vec) -> np.ndarray:
         return self.frame @ np.asarray(ambient_vec, dtype=float)

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import ParameterError, RegularityError
-from .geometry import (ImmersionChart, PointGeometry, point_geometry,
-                       projection_frame, flattened_alpha_restricted,
-                       relative_nullity, to_frame)
+from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
+                       point_geometry, projection_frame,
+                       flattened_alpha_restricted, relative_nullity, to_frame)
 
 CASE_LABELS = ("parallel", "case-i", "case-ii", "case-iii", "case-iii-a",
                "case-iii-b", "out-of-theorem-scope")
@@ -138,17 +138,12 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame, pivots, "frame-fd")
 
-    derivs = np.empty((geom.n,) + mu_frame.shape)
-    for a in range(geom.n):
-        w = geom.frame_in_chart[a]
-        side = []
-        for sgn in (+1.0, -1.0):
-            g_y = point_geometry(chart, geom.x + sgn * h * w,
-                                 max_normal_order=1, tol=tol)
-            frame_y, _ = projection_frame(g_y.first_normal_complement(),
-                                          reference, pivots=pivots)
-            side.append(frame_y)
-        derivs[a] = (side[0] - side[1]) / (2.0 * h)
+    def frame_at(y):
+        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
+        return projection_frame(g_y.first_normal_complement(), reference,
+                                pivots=pivots)[0]
+
+    derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
     return PhiTensor(values, mu_frame, pivots, n1.basis, "frame-fd")
 
@@ -301,19 +296,8 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
 
     def frame_at(y):
         g_y = point_geometry(chart, y, max_normal_order=1, tol=geom.tol)
-        frame_y, _ = projection_frame(g_y.first_normal_complement(),
-                                      reference, pivots=pivots)
-        return frame_y
-
-    def nabla_perp(direction_coords):
-        # Richardson-extrapolated central difference of the complement frame
-        w = direction_coords @ geom.frame_in_chart
-        diffs = []
-        for step in (h, h / 2.0):
-            diffs.append((frame_at(geom.x + step * w)
-                          - frame_at(geom.x - step * w)) / (2.0 * step))
-        d_mu = (4.0 * diffs[1] - diffs[0]) / 3.0
-        return geom.normal_space.project(d_mu)
+        return projection_frame(g_y.first_normal_complement(), reference,
+                                pivots=pivots)[0]
 
     worst = 0.0
     for _ in range(pairs):
@@ -321,8 +305,12 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
         xv /= np.linalg.norm(xv)
         yv = rng.standard_normal(n)
         yv /= np.linalg.norm(yv)
-        dx = nabla_perp(xv)
-        dy = nabla_perp(yv)
+        d_mu = frame_derivative(frame_at, geom.x,
+                                [xv @ geom.frame_in_chart,
+                                 yv @ geom.frame_in_chart], h,
+                                richardson=True)
+        dx = geom.normal_space.project(d_mu[0])
+        dy = geom.normal_space.project(d_mu[1])
         for m in range(mu_frame.shape[0]):
             lhs = geom.shape_operator(dx[m]) @ yv
             rhs = geom.shape_operator(dy[m]) @ xv
@@ -353,24 +341,12 @@ def p_parallel_drift(chart: ImmersionChart, geom: PointGeometry,
         return sub.direct_sum(nd_y.S, comp, tol)
 
     p_center = sub.direct_sum(nd.S, geom.first_normal_complement(), tol)
-    frame_c, pivots = projection_frame(p_center, reference)
-    n1 = geom.first_normal
-    l_basis = sub.complement_within(nd.S, n1) if nd.s < nd.p \
-        else sub.trivial(geom.ambient_dim)
+    _, pivots = projection_frame(p_center, reference)
+    l_basis = sub.complement_within(nd.S, geom.first_normal)
 
-    worst = 0.0
-    for y_coords in nd.D.basis:
-        w = y_coords @ geom.frame_in_chart
-        sides = []
-        for sgn in (+1.0, -1.0):
-            space = p_space_at(geom.x + sgn * h * w)
-            if space.dim != p_center.dim:
-                raise RegularityError("P rank changed across the stencil")
-            frame_y, _ = projection_frame(space, reference, pivots=pivots)
-            sides.append(frame_y)
-        d_mu = (sides[0] - sides[1]) / (2.0 * h)
-        if l_basis.dim == 0:
-            continue
-        l_components = d_mu @ l_basis.basis.T
-        worst = max(worst, float(np.max(np.abs(l_components))))
-    return worst
+    def frame_at(y):
+        return projection_frame(p_space_at(y), reference, pivots=pivots)[0]
+
+    d_mu = frame_derivative(frame_at, geom.x,
+                            [v @ geom.frame_in_chart for v in nd.D.basis], h)
+    return max(float(np.max(np.abs(d @ l_basis.basis.T))) for d in d_mu)

@@ -18,8 +18,9 @@ import numpy as np
 from . import subspaces as sub
 from .errors import (DegenerateExtensionError, NumericalRankError,
                      ParameterError)
-from .geometry import (ImmersionChart, PointGeometry, point_geometry,
-                       projection_frame, flattened_alpha_restricted)
+from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
+                       point_geometry, projection_frame,
+                       flattened_alpha_restricted)
 from .nonparallel import nonparallel_data, phi_pairing
 
 
@@ -120,21 +121,15 @@ def gamma_tensor(spec: SplittingSpec, x, h: float = 1e-3,
     geom = split.geom
     p_frame, pivots = projection_frame(split.P, spec.reference)
 
-    sides = {}
-    for sgn in (+1.0, -1.0):
-        per_dir = []
-        for y_coords in split.E.basis:
-            w = y_coords @ geom.frame_in_chart
-            split_y = spec.at(geom.x + sgn * h * w)
-            frame_y, _ = projection_frame(split_y.P, spec.reference,
-                                          pivots=pivots)
-            per_dir.append(frame_y)
-        sides[sgn] = per_dir
+    def frame_at(y):
+        return projection_frame(spec.at(y).P, spec.reference,
+                                pivots=pivots)[0]
 
+    d_frames = frame_derivative(
+        frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)
     values = []
     e_amb = split.e_ambient()
-    for idx, y_coords in enumerate(split.E.basis):
-        d_frame = (sides[+1.0][idx] - sides[-1.0][idx]) / (2.0 * h)
+    for y_coords, d_frame in zip(split.E.basis, d_frames):
         for m in range(p_frame.shape[0]):
             shape_term = geom.shape_operator(p_frame[m]) @ y_coords
             tangential = e_amb.project(shape_term @ geom.frame)
@@ -244,17 +239,9 @@ class RuledExtension:
         """Rows: d eval / d(base coords) by central differences, then the
         exact Lambda-frame rows."""
         h = self.fd_step if h is None else h
-        x = np.asarray(x, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        rows = []
-        for i in range(self.chart.intrinsic_dim):
-            e = np.zeros_like(x)
-            e[i] = h
-            rows.append((self.eval(x + e, lam) - self.eval(x - e, lam))
-                        / (2.0 * h))
-        for row in self.lambda_frame(x):
-            rows.append(row)
-        return np.array(rows)
+        base_rows = frame_derivative(lambda y: self.eval(y, lam), x,
+                                     np.eye(self.chart.intrinsic_dim), h)
+        return np.vstack([base_rows, self.lambda_frame(x)])
 
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,
@@ -355,21 +342,12 @@ def extension_second_form(ext: RuledExtension, x, lam,
                 out[j, i] = out[i, j]
         return out
 
-    def frame_derivative(step: float) -> np.ndarray:
-        out = np.zeros((n, r, big_n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            out[i] = (ext.lambda_frame(x + ei)
-                      - ext.lambda_frame(x - ei)) / (2.0 * step)
-        return out
-
     base_h, base_h2 = second_base(h), second_base(h / 2.0)
     second = np.zeros((total, total, big_n))
     second[:n, :n] = (4.0 * base_h2 - base_h) / 3.0
     if r:
-        df_h, df_h2 = frame_derivative(h), frame_derivative(h / 2.0)
-        mixed = (4.0 * df_h2 - df_h) / 3.0
+        mixed = frame_derivative(ext.lambda_frame, x, np.eye(n), h,
+                                 richardson=True)
         second[:n, n:] = mixed
         second[n:, :n] = mixed.transpose(1, 0, 2)
         # second derivatives in the translation coordinates vanish exactly
@@ -382,13 +360,25 @@ def extension_second_form(ext: RuledExtension, x, lam,
             "raw_second": second}
 
 
-def integrate_leaf(chart: ImmersionChart, direction_field, x0,
-                   arc: float, steps: int = 10) -> np.ndarray:
-    """Integrate a chart-coordinate direction field with fixed-step RK4.
+def integrate_leaf(ruling_at: Callable[[np.ndarray],
+                                       tuple[PointGeometry, sub.Subspace]],
+                   ref: np.ndarray, x0, arc: float,
+                   steps: int = 10) -> np.ndarray:
+    """Follow the leaf of a ruling distribution through x0 by fixed-step RK4.
 
-    ``direction_field(x)`` must return the chart velocity of the leaf through
-    x with a deterministic orientation; returns the end point.
+    ``ruling_at(y)`` returns the geometry at y and the ruling space there in
+    tangent-frame coordinates.  The leaf direction projects the fixed ambient
+    vector ``ref`` onto the current ruling space, which orients it
+    deterministically, at unit ambient speed; ``arc`` is thus close to the
+    ambient length travelled.  Returns the end point in chart coordinates.
     """
+    def direction_field(y):
+        geom_y, space = ruling_at(y)
+        amb = sub.Subspace(geom_y.ambient_dim, space.basis @ geom_y.frame)
+        proj = amb.project(ref)
+        coords = geom_y.tangent_coords(proj)
+        return (coords @ geom_y.frame_in_chart) / np.linalg.norm(proj)
+
     x = np.asarray(x0, dtype=float).copy()
     dt = arc / steps
     for _ in range(steps):
@@ -446,6 +436,10 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     commutator = 0.0
     p_constancy = 0.0
 
+    def d_space_at(y):
+        split_y = ext.spec.at(y)
+        return split_y.geom, split_y.D
+
     for sample_idx, x in enumerate(samples):
         x = np.asarray(x, dtype=float)
         split, _, lam_data, frame = ext.data_at(x)
@@ -466,19 +460,9 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         # stays inside the affine subspace spanned by Delta, that Delta and P
         # are parallel along the leaf, and that Lambda stays inside Delta.
         d_dim = split.D.dim
-
-        def d_field(y, _ref=split.D.basis[0] @ geom.frame):
-            # follow the projection of a fixed ambient ruling direction onto
-            # the current kernel distribution, at unit ambient speed
-            split_y = ext.spec.at(y)
-            g_y = split_y.geom
-            amb = sub.Subspace(g_y.ambient_dim, split_y.D.basis @ g_y.frame)
-            proj = amb.project(_ref)
-            coords = g_y.tangent_coords(proj)
-            return (coords @ g_y.frame_in_chart) / np.linalg.norm(proj)
-
         if d_dim:
-            y_end = integrate_leaf(ext.chart, d_field, x, leaf_arc)
+            y_end = integrate_leaf(d_space_at, split.D.basis[0] @ geom.frame,
+                                   x, leaf_arc)
             reach = ext.chart.position(y_end) - fx
             leaf_straightness = max(leaf_straightness, float(
                 np.linalg.norm(delta.reject(reach)) / max(np.linalg.norm(reach),
@@ -556,12 +540,8 @@ def _commutator_residual(spec: SplittingSpec, split: PointSplit,
         return frame_y @ split_y.geom.frame_in_chart
 
     center = d_frame_chart(x)
-    jacobians = np.zeros((split.D.dim, n, n))  # field, component, d/dx
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        jacobians[:, :, c] = (d_frame_chart(x + e) - d_frame_chart(x - e)) \
-            / (2.0 * h)
+    jacobians = np.ascontiguousarray(  # field, component, d/dx
+        frame_derivative(d_frame_chart, x, np.eye(n), h).transpose(1, 2, 0))
 
     worst = 0.0
     d_chart_span = sub.span_of(center, 1e-8, ambient_dim=n)

@@ -5,7 +5,10 @@ criterion.  The per-entry verification reports are produced once with
 pinned configurations and shared across criteria.
 """
 
+import importlib.util
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +282,23 @@ def test_criterion_11_determinism():
         == run_verification(config2).to_json(include_timings=False)
     announce(11, "byte-identical reports (timings stripped) across "
                  "consecutive runs")
+
+
+def load_perfbench_snapshot():
+    """The benchmark's discrete-field comparator and its stored snapshot."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "snapshot.py"
+    spec = importlib.util.spec_from_file_location("perfbench_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_discrete_fields_match_snapshot(reports):
+    snapshot = load_perfbench_snapshot()
+    expected = snapshot.load_snapshot()
+    moved = [name for name, report in reports.items()
+             if snapshot.discrete_fields(json.loads(
+                 report.to_json(include_timings=False))) != expected[name]]
+    assert not moved, f"discrete fields differ from the snapshot: {moved}"
+    announce(12, f"ranks, dims, case labels, verdicts, k/r/nu_ext of "
+                 f"{len(reports)} configs equal perfbench/expected.json")

@@ -5,12 +5,13 @@ import pytest
 
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
-from oscflag.errors import (CapabilityError, NotImmersionError,
+from oscflag.errors import (CapabilityError, FrameError, NotImmersionError,
                             ParameterError, RegularityError)
 from oscflag import geometry
-from oscflag.geometry import (ImmersionChart, box, point_geometry,
-                              projection_frame, relative_nullity, ricci,
-                              s_nullity, sectional_curvature, to_frame)
+from oscflag.geometry import (ImmersionChart, box, frame_derivative,
+                              point_geometry, projection_frame,
+                              relative_nullity, ricci, s_nullity,
+                              sectional_curvature, to_frame)
 from oscflag.jets import jet_constant, jet_cos, jet_sin
 
 
@@ -239,3 +240,57 @@ def test_projection_frame_deterministic_and_pivot_stable():
     np.testing.assert_allclose(f1, f3, atol=1e-14)
     gram = f1 @ f1.T
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+
+
+def test_projection_frame_rejects_pivot_count_mismatch():
+    # a stencil point where the rank grew or dropped must not be differenced
+    # against a zero row or an out-of-range pivot
+    plane = sub.span_of(np.eye(4)[:2], 1e-8)
+    with pytest.raises(FrameError):
+        projection_frame(plane, pivots=(0,))
+    with pytest.raises(FrameError):
+        projection_frame(plane, pivots=(0, 1, 2))
+    frame, piv = projection_frame(plane, pivots=(1, 0))
+    assert piv == (1, 0)
+    np.testing.assert_allclose(frame, np.eye(4)[[1, 0]], atol=1e-15)
+
+
+def _rotation(t, i, j, derivative=False):
+    """Rotation by t in the (i, j) plane of R^3, or its derivative in t."""
+    c, s = (-np.sin(t), np.cos(t)) if derivative else (np.cos(t), np.sin(t))
+    out = np.zeros((3, 3)) if derivative else np.eye(3)
+    out[i, i] = out[j, j] = c
+    out[i, j], out[j, i] = -s, s
+    return out
+
+
+def _rotating_frame(x):
+    """First two rows of a rotation about e3 by x0 after one about e1 by x1:
+    an orthonormal 2-frame in R^3."""
+    return (_rotation(x[0], 0, 1) @ _rotation(x[1], 1, 2))[:2]
+
+
+def _rotating_frame_derivative(x, w):
+    return (w[0] * _rotation(x[0], 0, 1, True) @ _rotation(x[1], 1, 2)
+            + w[1] * _rotation(x[0], 0, 1) @ _rotation(x[1], 1, 2, True))[:2]
+
+
+def test_frame_derivative_orders_and_layout():
+    x = np.array([0.4, -0.7])
+    directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    exact = np.array([_rotating_frame_derivative(x, w) for w in directions])
+
+    def error(h, richardson):
+        got = frame_derivative(_rotating_frame, x, directions, h, richardson)
+        assert got.shape == (len(directions),) + _rotating_frame(x).shape
+        return float(np.max(np.abs(got - exact)))
+
+    h = 0.05
+    central = error(h, False) / error(h / 2.0, False)
+    extrapolated = error(h, True) / error(h / 2.0, True)
+    assert 3.8 < central < 4.2
+    assert 14.0 < extrapolated < 18.0
+    # one direction, one row of the output
+    single = frame_derivative(_rotating_frame, x, directions[2:], h)
+    np.testing.assert_array_equal(
+        single[0], frame_derivative(_rotating_frame, x, directions, h)[2])

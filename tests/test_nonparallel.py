@@ -1,10 +1,14 @@
 """Nonparallelism tensor: two-method agreement, spans, classification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
+from oscflag.checks import (PointRecord, VerifyContext,
+                            check_rulings_alpha_nonzero)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.nonparallel import (NonparallelData, PhiTensor, classify_case,
@@ -135,6 +139,30 @@ def synthetic_nd(s, p, n, d_dim, nu):
         nullity=sub.Subspace(n, basis[:nu].copy()), nu=nu,
         phi_kernel=sub.Subspace(n, basis[:d_dim].copy()),
         case_label="?", diagnostics={})
+
+
+def rulings_context(alpha):
+    nd = synthetic_nd(s=1, p=2, n=2, d_dim=2, nu=0)
+    rec = PointRecord(index=0, x=np.zeros(2),
+                      geom=SimpleNamespace(alpha=alpha), phi=nd.phi, nd=nd,
+                      nu_s=[])
+    return VerifyContext(entry=None, config=None, records=[rec], seed=0,
+                         fd_step=1e-3, rank_tol=1e-8)
+
+
+def test_rulings_alpha_nonzero_is_basis_independent():
+    u = np.array([1.0, 0.0, 2.0])
+    # alpha(e1, .) = -alpha(e2, .) != 0: each basis vector of D sees a
+    # nonzero alpha, yet the ruling e1 + e2 lies in the relative nullity
+    alpha = np.array([[u, -u], [-u, u]])
+    result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
+    assert not result.passed
+    assert result.residual < 1e-12
+    # independent alpha(e1, .) and alpha(e2, .): every ruling is detected
+    v = np.array([0.0, 1.0, 0.0])
+    alpha = np.array([[u, v], [v, np.zeros(3)]])
+    result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
+    assert result.passed and result.residual > 0.1
 
 
 def test_classify_parallel():
