@@ -225,26 +225,26 @@ def make_calibration(kind: str, n: int = 2, seed: int = 0) -> CatalogEntry:
 class CurveSystem:
     """A seeded trigonometric curve with parallel-transported normal fields.
 
-    The parallel transport equation for a normal field along the curve keeps
-    only the tangential part of the ambient derivative; it is integrated with
-    fixed-step RK4 over the window, with a joint re-orthonormalization every
-    ``renorm_every`` steps to control drift.  Taylor coefficients of the
-    fields at arbitrary parameters follow exactly from the ODE by the
-    Taylor-coefficient recurrence of the linear equation, seeded with the
-    integrated value.
+    The parallel transport equation xi' = -<xi, c''> c' / |c'|^2 keeps only
+    the tangential part of the ambient derivative.  It is integrated by
+    Taylor steps (Jorba & Zou 2005): at each grid node the order-``ORDER``
+    series of all fields follows from the Taylor-coefficient recurrence of
+    the linear equation, and the next step is chosen from the last two
+    coefficients so that their terms stay below ``STEP_TOL`` relative to the
+    node value.  ``fields_at`` evaluates the series of the nearest node;
+    ``field_taylor`` reruns the same recurrence seeded with that value.
     """
 
     FREQS = (1, 2, 3)
+    ORDER = 16
+    STEP_TOL = 1e-16
 
     def __init__(self, ambient_dim: int, num_fields: int, seed: int,
-                 window: tuple[float, float] = (0.0, 1.0),
-                 step: float = 1e-3, renorm_every: int = 100):
+                 window: tuple[float, float] = (0.0, 1.0)):
         self.ambient_dim = ambient_dim
         self.num_fields = num_fields
         self.seed = seed
         self.window = window
-        self.step = step
-        self.renorm_every = renorm_every
         for attempt in range(16):
             rng = np.random.default_rng(seed + 1000 * attempt)
             scale = 1.0 / math.sqrt(ambient_dim)
@@ -302,27 +302,6 @@ class CurveSystem:
 
     # -- parallel transport ------------------------------------------------
 
-    def _rhs(self, t: float, fields: np.ndarray) -> np.ndarray:
-        d1 = self.curve_derivative(t, 1)
-        d2 = self.curve_derivative(t, 2)
-        return -np.outer(fields @ d2, d1) / float(d1 @ d1)
-
-    def _renormalize(self, t: float, fields: np.ndarray) -> np.ndarray:
-        d1 = self.curve_derivative(t, 1)
-        unit = d1 / np.linalg.norm(d1)
-        fields = fields - np.outer(fields @ unit, unit)
-        gram = fields @ fields.T
-        evals, evecs = np.linalg.eigh(gram)
-        inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-        return inv_sqrt @ fields
-
-    def _rk4_step(self, t: float, fields: np.ndarray, h: float) -> np.ndarray:
-        k1 = self._rhs(t, fields)
-        k2 = self._rhs(t + 0.5 * h, fields + 0.5 * h * k1)
-        k3 = self._rhs(t + 0.5 * h, fields + 0.5 * h * k2)
-        k4 = self._rhs(t + h, fields + h * k3)
-        return fields + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def _init_fields(self, rng: np.random.Generator):
         t0 = self.window[0]
         d1 = self.curve_derivative(t0, 1)
@@ -332,59 +311,17 @@ class CurveSystem:
         q, _ = np.linalg.qr(raw.T)
         self._fields0 = q.T[:self.num_fields].copy()
 
-    def _integrate_grid(self):
-        t0, t1 = self.window
-        steps = int(round((t1 - t0) / self.step))
-        grid = np.empty((steps + 1, self.num_fields, self.ambient_dim))
-        fields = self._fields0.copy()
-        grid[0] = fields
-        t = t0
-        for i in range(1, steps + 1):
-            fields = self._rk4_step(t, fields, self.step)
-            t = t0 + i * self.step
-            if i % self.renorm_every == 0:
-                fields = self._renormalize(t, fields)
-            grid[i] = fields
-        self.grid = grid
-        self.grid_steps = steps
-
-    def fields_at(self, t: float) -> np.ndarray:
-        """Transported frame at parameter t, shape (num_fields, N)."""
-        t0 = self.window[0]
-        idx = int(math.floor((t - t0) / self.step + 1e-12))
-        idx = max(0, min(idx, self.grid_steps))
-        base_t = t0 + idx * self.step
-        fields = self.grid[idx]
-        remainder = t - base_t
-        if abs(remainder) < 1e-15:
-            return fields
-        substeps = max(1, int(math.ceil(abs(remainder) / self.step - 1e-12)))
-        h = remainder / substeps
-        tt = base_t
-        for _ in range(substeps):
-            fields = self._rk4_step(tt, fields, h)
-            tt += h
-        return fields
-
-    def orthonormality_drift(self) -> float:
-        eye = np.eye(self.num_fields)
-        worst = 0.0
-        for i in range(0, self.grid_steps + 1, 25):
-            gram = self.grid[i] @ self.grid[i].T
-            worst = max(worst, float(np.max(np.abs(gram - eye))))
-        return worst
-
-    def field_taylor(self, t0: float, order: int) -> np.ndarray:
-        """Exact Taylor coefficients of the transported fields at t0.
+    def _transport_series(self, t0: float, seed: np.ndarray,
+                          order: int) -> np.ndarray:
+        """Taylor coefficients at t0 of the fields with value ``seed`` there.
 
         Writing a, b and w for the Taylor coefficients of c', c'' and
-        1/|c'|^2 at t0, the transport equation xi' = -<xi, c''> c' / |c'|^2
-        gives, for k = 0..order-1,
+        1/|c'|^2 at t0, the transport equation gives, for k = 0..order-1,
 
             p_k = sum_i <xi_i, b_(k-i)>,   q_k = sum_i p_i w_(k-i),
             xi_(k+1) = -(1/(k+1)) sum_i q_i a_(k-i),
 
-        seeded with xi_0 = fields_at(t0); all fields advance together.
+        with xi_0 = seed; all fields advance together.
         Shape (num_fields, N, order+1).
         """
         a = self.curve_taylor(t0, order, 1)
@@ -396,7 +333,7 @@ class CurveSystem:
         for k in range(1, order + 1):
             w[k] = -w[0] * float(speed2[1:k + 1] @ w[k - 1::-1])
         xi = np.empty((self.num_fields, self.ambient_dim, order + 1))
-        xi[:, :, 0] = self.fields_at(t0)
+        xi[:, :, 0] = seed
         p = np.empty((self.num_fields, order))
         q = np.empty((self.num_fields, order))
         for k in range(order):
@@ -404,6 +341,54 @@ class CurveSystem:
             q[:, k] = p[:, :k + 1] @ w[k::-1]
             xi[:, :, k + 1] = -(q[:, :k + 1] @ a[:, k::-1].T) / (k + 1)
         return xi
+
+    def _integrate_grid(self):
+        """Taylor steps over the window; the last node lies at or past its end.
+
+        The step h keeps ||xi_j|| h^j <= STEP_TOL ||xi_0|| for the last two
+        orders j = ORDER - 1 and ORDER (Jorba & Zou 2005, section 3.2).
+        """
+        powers = np.arange(self.ORDER + 1)
+        t, t_end = self.window
+        fields = self._fields0
+        times, series = [], []
+        while True:
+            xi = self._transport_series(t, fields, self.ORDER)
+            times.append(t)
+            series.append(xi)
+            if t >= t_end:
+                break
+            tol = self.STEP_TOL * np.max(np.abs(xi[:, :, 0]))
+            h = min((tol / np.max(np.abs(xi[:, :, j]))) ** (1.0 / j)
+                    for j in (self.ORDER - 1, self.ORDER))
+            fields = xi @ h ** powers
+            t += h
+        self.node_times = np.array(times)
+        self.node_series = np.array(series)
+        self._midpoints = 0.5 * (self.node_times[1:] + self.node_times[:-1])
+
+    def fields_at(self, t: float) -> np.ndarray:
+        """Transported frame at parameter t, shape (num_fields, N).
+
+        Evaluates the series of the grid node nearest to t.
+        """
+        i = int(np.searchsorted(self._midpoints, t))
+        dt = t - self.node_times[i]
+        return self.node_series[i] @ dt ** np.arange(self.ORDER + 1)
+
+    def orthonormality_drift(self) -> float:
+        eye = np.eye(self.num_fields)
+        fields = self.node_series[:, :, :, 0]
+        gram = np.einsum("mfn,mgn->mfg", fields, fields)
+        return float(np.max(np.abs(gram - eye)))
+
+    def field_taylor(self, t0: float, order: int) -> np.ndarray:
+        """Exact Taylor coefficients of the transported fields at t0.
+
+        The recurrence of ``_transport_series`` seeded with fields_at(t0).
+        Shape (num_fields, N, order+1).
+        """
+        return self._transport_series(t0, self.fields_at(t0), order)
 
 
 def _curve_chart_fn(system: CurveSystem, n: int):

@@ -63,7 +63,6 @@ class VerifyContext:
     seed: int
     fd_step: float
     rank_tol: float
-    extras: dict = field(default_factory=dict)
 
     @property
     def chart(self):
@@ -246,12 +245,8 @@ def _coordinate_plane(big_n: int, k: int) -> sub.Subspace:
 
 def _base_geometry(ctx: VerifyContext, rec: PointRecord) -> PointGeometry:
     base_entry = ctx.entry.aux["base_entry"]
-    cache = ctx.extras.setdefault("base_geoms", {})
-    key = rec.x[:2].tobytes()
-    if key not in cache:
-        cache[key] = point_geometry(base_entry.chart, rec.x[:2],
-                                    base_entry.max_normal_order, ctx.rank_tol)
-    return cache[key]
+    return point_geometry(base_entry.chart, rec.x[:2],
+                          base_entry.max_normal_order, ctx.rank_tol)
 
 
 def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
@@ -578,11 +573,7 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
             if rec.nd.s:
                 g_end = point_geometry(ctx.chart, y_end, 2, ctx.rank_tol)
                 nd_end = nonparallel_data(g_end, phi_pairing(g_end))
-                if nd_end.S.dim == rec.nd.S.dim:
-                    worst_s = max(worst_s, float(np.max(sub.principal_angles(
-                        nd_end.S, rec.nd.S), initial=0.0)))
-                else:
-                    worst_s = np.pi / 2
+                worst_s = max(worst_s, sub.subspace_gap(nd_end.S, rec.nd.S))
     ok = worst_leaf < tol and worst_s < tol
     return CheckResult("d_ruled_leaves", ok, float(max(worst_leaf, worst_s)),
                        tol,
@@ -598,8 +589,7 @@ def check_split_exercise(ctx: VerifyContext, index: int,
     """Full ruled-extension pipeline for one declared splitting exercise."""
     exercise = ctx.entry.split_exercises[index]
     spec = SplittingSpec(ctx.chart, rule=exercise.rule, max_normal_order=2,
-                         tol=ctx.rank_tol,
-                         name=f"{ctx.entry.name}:{exercise.name}")
+                         tol=ctx.rank_tol)
     gamma_step = 1e-4
     details: dict = {"exercise": exercise.name}
     failures: list[str] = []

@@ -88,7 +88,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         rank_tol=args.rank_tol,
         fd_step=args.fd_step,
-        max_normal_order=args.max_normal_order,
         out=args.out,
     )
     try:
@@ -125,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=1e-8)
     p_verify.add_argument("--fd-step", dest="fd_step", type=float,
                           default=1e-3)
-    p_verify.add_argument("--max-normal-order", dest="max_normal_order",
-                          type=int, default=None)
     p_verify.add_argument("--out", default=None,
                           help="write the JSON report to this path")
     p_verify.set_defaults(fn=cmd_verify)

@@ -121,12 +121,12 @@ def _gram_schmidt_rows(rows: np.ndarray, rel_tol: float = 1e-10):
     return q, coeff
 
 
-def projection_frame(space: sub.Subspace, reference: np.ndarray | None = None,
+def projection_frame(space: sub.Subspace,
                      pivots: tuple[int, ...] | None = None,
                      min_residual: float = 0.1):
-    """Orthonormal frame of a subspace by pivoted projection of a reference basis.
+    """Orthonormal frame of a subspace by pivoted projection of e_1..e_N.
 
-    Projects the reference vectors onto the subspace and orthonormalizes.
+    Projects the standard basis vectors onto the subspace and orthonormalizes.
     When ``pivots`` is None the pivot order is chosen greedily by largest
     residual (deterministic); passing a pivot order back in reuses the same
     selection at nearby points, which keeps frames varying smoothly across a
@@ -137,9 +137,7 @@ def projection_frame(space: sub.Subspace, reference: np.ndarray | None = None,
         raise FrameError(
             f"{len(pivots)} pivots for a {k}-dimensional space: rank changed "
             f"across the stencil")
-    if reference is None:
-        reference = np.eye(space.ambient_dim)
-    projected = space.project(reference)
+    projected = space.project(np.eye(space.ambient_dim))
     frame = np.zeros((k, space.ambient_dim))
     if k == 0:
         return frame, ()
@@ -151,7 +149,7 @@ def projection_frame(space: sub.Subspace, reference: np.ndarray | None = None,
             pick = int(np.argmax(norms))
             if norms[pick] < min_residual:
                 raise FrameError(
-                    f"reference basis degenerate at pivot {i} "
+                    f"standard basis degenerate at pivot {i} "
                     f"(residual {norms[pick]:.3e})")
             frame[i] = work[pick] / norms[pick]
             work -= np.outer(work @ frame[i], frame[i])
@@ -179,8 +177,8 @@ def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,
     ``(len(directions),) + frame_at(x).shape``; second-order accurate in h.
     With ``richardson`` the steps h and h/2 are combined as
     (4 D(h/2) - D(h)) / 3, which is fourth-order accurate.  ``frame_at`` must
-    be a smooth field: a projection frame keeps the pivot order and the
-    reference basis of the stencil center.
+    be a smooth field: a projection frame keeps the pivot order of the
+    stencil center.
     """
     if richardson:
         return (4.0 * frame_derivative(frame_at, x, directions, h / 2.0)

@@ -66,11 +66,11 @@ def phi_difference(a: PhiTensor, b: PhiTensor) -> float:
     return float(np.linalg.norm(a.values - b.values))
 
 
-def complement_frame(geom: PointGeometry, reference: np.ndarray | None = None,
+def complement_frame(geom: PointGeometry,
                      pivots: tuple[int, ...] | None = None):
     """Deterministic orthonormal frame of the first-normal complement."""
     comp = geom.first_normal_complement()
-    return projection_frame(comp, reference, pivots)
+    return projection_frame(comp, pivots)
 
 
 def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
@@ -80,8 +80,7 @@ def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
                      geom.first_normal.basis, method)
 
 
-def phi_pairing(geom: PointGeometry, tol: float | None = None,
-                reference: np.ndarray | None = None) -> PhiTensor:
+def phi_pairing(geom: PointGeometry, tol: float | None = None) -> PhiTensor:
     """phi from the pointwise pairing with the third fundamental form.
 
     The defining property: the inner product of phi(mu, X) with any value
@@ -92,7 +91,7 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None,
     tol = geom.tol if tol is None else tol
     n1 = geom.first_normal
     p = n1.dim
-    mu_frame, pivots = complement_frame(geom, reference)
+    mu_frame, pivots = complement_frame(geom)
     q = mu_frame.shape[0]
     if p == 0 or q == 0:
         return _empty_phi(geom, mu_frame, pivots, "pairing")
@@ -121,12 +120,11 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None,
 
 def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
                  tol: float = sub.DEFAULT_RANK_TOL,
-                 geom: PointGeometry | None = None,
-                 reference: np.ndarray | None = None) -> PhiTensor:
+                 geom: PointGeometry | None = None) -> PhiTensor:
     """phi from central differences of a smooth complement frame.
 
-    Builds the complement frame at the stencil points by projecting the same
-    reference basis with the pivot order fixed at the center, differentiates
+    Builds the complement frame at the stencil points by projecting the
+    standard basis with the pivot order fixed at the center, differentiates
     each frame field along the tangent frame directions, and projects the
     ambient derivative onto the center first normal space.  Second-order
     accurate in h; retained as the independent oracle for phi_pairing.
@@ -134,13 +132,13 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
     if geom is None:
         geom = point_geometry(chart, x, max_normal_order=1, tol=tol)
     n1 = geom.first_normal
-    mu_frame, pivots = complement_frame(geom, reference)
+    mu_frame, pivots = complement_frame(geom)
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame, pivots, "frame-fd")
 
     def frame_at(y):
         g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
-        return projection_frame(g_y.first_normal_complement(), reference,
+        return projection_frame(g_y.first_normal_complement(),
                                 pivots=pivots)[0]
 
     derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
@@ -199,9 +197,7 @@ def nonparallel_data(geom: PointGeometry, phi: PhiTensor,
     diagnostics = {
         "s_containment_in_n1": sub.containment_residual(s_space,
                                                         geom.first_normal),
-        "phi_kernel_vs_d_angle": float(np.max(
-            sub.principal_angles(phi_kernel, d_space), initial=0.0))
-        if phi_kernel.dim == d_space.dim else np.pi / 2,
+        "phi_kernel_vs_d_angle": sub.subspace_gap(phi_kernel, d_space),
         "phi_kernel_dim": float(phi_kernel.dim),
         "d_dim": float(d_space.dim),
         "phi_fit_residual": phi.residual,
@@ -280,8 +276,7 @@ def classify_case(nd: NonparallelData, n: int,
 def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
                      h: float = 1e-3,
                      rng: np.random.Generator | None = None,
-                     pairs: int = 3,
-                     reference: np.ndarray | None = None) -> float:
+                     pairs: int = 3) -> float:
     """Spot-check of the Codazzi symmetry for complement sections.
 
     For delta in the complement frame and random tangent vectors X, Y, the
@@ -289,14 +284,14 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
     derivatives must agree: A_{(D_X delta)} Y = A_{(D_Y delta)} X.
     """
     rng = rng or np.random.default_rng(0)
-    mu_frame, pivots = complement_frame(geom, reference)
+    mu_frame, pivots = complement_frame(geom)
     if mu_frame.shape[0] == 0:
         return 0.0
     n = geom.n
 
     def frame_at(y):
         g_y = point_geometry(chart, y, max_normal_order=1, tol=geom.tol)
-        return projection_frame(g_y.first_normal_complement(), reference,
+        return projection_frame(g_y.first_normal_complement(),
                                 pivots=pivots)[0]
 
     worst = 0.0
@@ -320,8 +315,7 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
 
 def p_parallel_drift(chart: ImmersionChart, geom: PointGeometry,
                      nd: NonparallelData, h: float = 1e-3,
-                     tol: float | None = None,
-                     reference: np.ndarray | None = None) -> float:
+                     tol: float | None = None) -> float:
     """Residual of P being parallel along D, through its L-component.
 
     P denotes the sum of S and the first-normal complement.  For Y in D and
@@ -335,17 +329,17 @@ def p_parallel_drift(chart: ImmersionChart, geom: PointGeometry,
 
     def p_space_at(x) -> sub.Subspace:
         g_y = point_geometry(chart, x, max_normal_order=2, tol=tol)
-        phi_y = phi_pairing(g_y, tol, reference)
+        phi_y = phi_pairing(g_y, tol)
         nd_y = nonparallel_data(g_y, phi_y, tol)
         comp = g_y.first_normal_complement()
         return sub.direct_sum(nd_y.S, comp, tol)
 
     p_center = sub.direct_sum(nd.S, geom.first_normal_complement(), tol)
-    _, pivots = projection_frame(p_center, reference)
+    _, pivots = projection_frame(p_center)
     l_basis = sub.complement_within(nd.S, geom.first_normal)
 
     def frame_at(y):
-        return projection_frame(p_space_at(y), reference, pivots=pivots)[0]
+        return projection_frame(p_space_at(y), pivots=pivots)[0]
 
     d_mu = frame_derivative(frame_at, geom.x,
                             [v @ geom.frame_in_chart for v in nd.D.basis], h)

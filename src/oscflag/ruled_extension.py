@@ -64,15 +64,11 @@ class SplittingSpec:
     def __init__(self, chart: ImmersionChart,
                  rule: Callable[[PointGeometry], sub.Subspace] | None = None,
                  max_normal_order: int = 2,
-                 tol: float = sub.DEFAULT_RANK_TOL,
-                 reference: np.ndarray | None = None,
-                 name: str = "default"):
+                 tol: float = sub.DEFAULT_RANK_TOL):
         self.chart = chart
         self.rule = rule or default_splitting_rule
         self.max_normal_order = max_normal_order
         self.tol = tol
-        self.reference = reference
-        self.name = name
 
     def at(self, x, geom: PointGeometry | None = None) -> PointSplit:
         if geom is None:
@@ -119,11 +115,10 @@ def gamma_tensor(spec: SplittingSpec, x, h: float = 1e-3,
     if split is None:
         split = spec.at(x)
     geom = split.geom
-    p_frame, pivots = projection_frame(split.P, spec.reference)
+    p_frame, pivots = projection_frame(split.P)
 
     def frame_at(y):
-        return projection_frame(spec.at(y).P, spec.reference,
-                                pivots=pivots)[0]
+        return projection_frame(spec.at(y).P, pivots=pivots)[0]
 
     d_frames = frame_derivative(
         frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)
@@ -179,12 +174,11 @@ class RuledExtension:
     the base chart exactly.
     """
 
-    def __init__(self, spec: SplittingSpec, base_point: np.ndarray,
+    def __init__(self, spec: SplittingSpec,
                  pivots: tuple[int, ...], r: int, lambda_radius: float,
                  fd_step: float = 1e-3):
         self.spec = spec
         self.chart = spec.chart
-        self.base_point = np.asarray(base_point, dtype=float)
         self.pivots = pivots
         self.r = r
         self.lambda_radius = lambda_radius
@@ -213,13 +207,10 @@ class RuledExtension:
             raise NumericalRankError(
                 f"rank of Lambda changed from {self.r} to {lam.r} at {x}")
         if self.r:
-            frame, _ = projection_frame(lam.Lambda, self.spec.reference,
-                                        pivots=self.pivots)
+            frame, _ = projection_frame(lam.Lambda, pivots=self.pivots)
         else:
             frame = np.zeros((0, self.chart.ambient_dim))
         record = (split, gamma, lam, frame)
-        if len(self._frames) > 4096:
-            self._frames.clear()
         self._frames[key] = record
         return record
 
@@ -262,9 +253,9 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     gamma = gamma_tensor(spec, base, fd_step, split=split)
     lam = lambda_delta(spec, base, gamma)
     if lam.r == 0:
-        return RuledExtension(spec, base, (), 0, 0.0, fd_step)
-    _, pivots = projection_frame(lam.Lambda, spec.reference)
-    ext = RuledExtension(spec, base, pivots, lam.r, lambda_radius, fd_step)
+        return RuledExtension(spec, (), 0, 0.0, fd_step)
+    _, pivots = projection_frame(lam.Lambda)
+    ext = RuledExtension(spec, pivots, lam.r, lambda_radius, fd_step)
 
     def feasible(radius: float) -> bool:
         # eval is affine in the translation coordinates, so the Jacobian
@@ -471,14 +462,10 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
             gamma_end = gamma_tensor(ext.spec, y_end, ext.fd_step,
                                      split=split_end)
             lam_end = lambda_delta(ext.spec, y_end, gamma_end)
-            if lam_end.Delta.dim == delta.dim:
-                delta_parallel = max(delta_parallel, float(np.max(
-                    sub.principal_angles(lam_end.Delta, delta), initial=0.0)))
-            else:
-                delta_parallel = max(delta_parallel, np.pi / 2)
-            p_constancy = max(p_constancy, float(np.max(
-                sub.principal_angles(split_end.P, split.P), initial=0.0))
-                if split_end.P.dim == split.P.dim else np.pi / 2)
+            delta_parallel = max(delta_parallel,
+                                 sub.subspace_gap(lam_end.Delta, delta))
+            p_constancy = max(p_constancy,
+                              sub.subspace_gap(split_end.P, split.P))
 
         # P inside the normal space of the extension at (x, lam).
         jac = ext.jacobian(x, lam, h)
@@ -494,11 +481,8 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         kern = sub.kernel_of(mat, 1e-4)
         kern_ambient = sub.span_of(kern.basis @ forms["jacobian"], 1e-8,
                                    ambient_dim=ext.chart.ambient_dim)
-        if kern_ambient.dim == delta.dim:
-            kernel_angle = max(kernel_angle, float(np.max(
-                sub.principal_angles(kern_ambient, delta), initial=0.0)))
-        else:
-            kernel_angle = max(kernel_angle, np.pi / 2)
+        kernel_angle = max(kernel_angle,
+                           sub.subspace_gap(kern_ambient, delta))
         details[f"nu_ext_{sample_idx}"] = float(
             sub.kernel_of(forms["alpha"].transpose(1, 2, 0)
                           .reshape(-1, total), 1e-4).dim)

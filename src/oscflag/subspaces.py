@@ -169,6 +169,13 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(angles)[:k]
 
 
+def subspace_gap(a: Subspace, b: Subspace) -> float:
+    """Largest principal angle; pi/2 when the dimensions differ."""
+    if a.dim != b.dim:
+        return np.pi / 2
+    return float(np.max(principal_angles(a, b), initial=0.0))
+
+
 def smallest_angle_between(a: Subspace, b: Subspace) -> float:
     """Smallest principal angle; pi/2 when either space is trivial."""
     if min(a.dim, b.dim) == 0:

@@ -22,7 +22,7 @@ from .errors import (DegeneracyError, NotImmersionError, OscflagError,
 from .geometry import point_geometry, s_nullity
 from .nonparallel import classify_case, nonparallel_data, phi_pairing
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass
@@ -35,7 +35,6 @@ class RunConfig:
     seed: int = 7
     rank_tol: float = 1e-8
     fd_step: float = 1e-3
-    max_normal_order: int | None = None
     out: str | None = None
 
     def __post_init__(self):
@@ -54,7 +53,6 @@ class RunConfig:
             "seed": self.seed,
             "rank_tol": self.rank_tol,
             "fd_step": self.fd_step,
-            "max_normal_order": self.max_normal_order,
             "out": self.out,
         }
 
@@ -65,7 +63,6 @@ class RunConfig:
                    seed=int(data.get("seed", 7)),
                    rank_tol=float(data.get("rank_tol", 1e-8)),
                    fd_step=float(data.get("fd_step", 1e-3)),
-                   max_normal_order=data.get("max_normal_order"),
                    out=data.get("out"))
 
 
@@ -109,8 +106,8 @@ def _json_safe(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _sample_points(entry: CatalogEntry, config: RunConfig,
-                   mno: int) -> tuple[list, list[str]]:
+def _sample_points(entry: CatalogEntry,
+                   config: RunConfig) -> tuple[list, list[str]]:
     """Accepted sample records plus rejection notes.
 
     Points where the immersion or flag-rank audit fails are rejected and
@@ -125,7 +122,8 @@ def _sample_points(entry: CatalogEntry, config: RunConfig,
         attempts += 1
         x = entry.sampler(rng)
         try:
-            geom = point_geometry(entry.chart, x, mno, config.rank_tol)
+            geom = point_geometry(entry.chart, x, entry.max_normal_order,
+                                  config.rank_tol)
             phi = phi_pairing(geom)
         except (NotImmersionError, RegularityError) as exc:
             notes.append(f"rejected sample {attempts}: {exc}")
@@ -185,10 +183,9 @@ def run_verification(config: RunConfig) -> Report:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     entry = get_entry(config.entry, config.params)
-    mno = config.max_normal_order or entry.max_normal_order
 
     t0 = time.perf_counter()
-    records, notes = _sample_points(entry, config, mno)
+    records, notes = _sample_points(entry, config)
     timings["sampling_s"] = round(time.perf_counter() - t0, 4)
 
     t0 = time.perf_counter()

@@ -15,6 +15,7 @@ from oscflag.geometry import point_geometry
 from oscflag.jets import Jet, jet_constant, jet_reciprocal
 from oscflag.nonparallel import nonparallel_data, phi_pairing
 from picard import antiderivative
+from rk4 import rk4_transport
 
 
 def test_registry_names():
@@ -104,13 +105,35 @@ def test_field_taylor_matches_picard_oracle():
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_fields_at_matches_rk4_oracle():
+    # RK4's global error is C h^4 to leading order, so the runs at h and
+    # h/2 differ by (15/16) C h^4 and the error of the finer run is
+    # |y_h - y_(h/2)| / 15; the tolerance is twice that estimate plus a
+    # random-walk rounding allowance sqrt(steps) * eps on unit fields
+    steps = 2000
+    stride = steps // 25
+    ts = np.linspace(0.0, 1.0, 26)
+    systems = [(8, 5, 11), (4, 1, 24)] + [(4, 1, 23 + 17 * i)
+                                          for i in range(4)]
+    for args in systems:
+        system = CurveSystem(*args)
+        coarse = rk4_transport(system, steps // 2)[::stride // 2]
+        fine = rk4_transport(system, steps)[::stride]
+        tol = (2.0 * np.max(np.abs(coarse - fine)) / 15.0
+               + math.sqrt(steps) * np.finfo(float).eps)
+        got = np.array([system.fields_at(t) for t in ts])
+        assert np.max(np.abs(got - fine)) <= tol, args
+
+
 def test_curve_fields_smooth_across_grid_nodes():
+    # fields_at switches from one node's series to the next at the midpoints
     system = CurveSystem(8, 3, seed=11)
-    t0 = 0.25  # exactly on a grid node
+    times = system.node_times
     eps = 1e-9
-    below = system.fields_at(t0 - eps)
-    above = system.fields_at(t0 + eps)
-    assert np.max(np.abs(above - below)) < 1e-7
+    for t0 in 0.5 * (times[1:] + times[:-1]):
+        below = system.fields_at(t0 - eps)
+        above = system.fields_at(t0 + eps)
+        assert np.max(np.abs(above - below)) < 1e-7
 
 
 def test_section4_sampler_avoids_zero_section():

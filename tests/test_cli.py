@@ -59,13 +59,21 @@ def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2
 
 
+def test_max_normal_order_flag_rejected(capsys):
+    # the flag stages always run to the entry's own max_normal_order
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "flat", "--max-normal-order", "2"])
+    assert exc.value.code == 2
+    assert "--max-normal-order" in capsys.readouterr().err
+
+
 def test_report_file_schema(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["verify", "flat", "--samples", "3", "--seed", "2",
                  "--out", str(out_path)])
     assert code == 0
     data = json.loads(out_path.read_text())
-    assert data["schema_version"] == "1"
+    assert data["schema_version"] == "2"
     assert data["config"]["entry"] == "flat"
     assert len(data["points"]) == 3
     assert all("tolerance" in v for v in data["verdicts"])
@@ -77,8 +85,7 @@ def test_report_file_schema(tmp_path, capsys):
 
 def test_run_config_round_trip():
     cfg = RunConfig(entry="sphere", params={"n": 3}, samples=5, seed=9,
-                    rank_tol=1e-7, fd_step=2e-3, max_normal_order=2,
-                    out="r.json")
+                    rank_tol=1e-7, fd_step=2e-3, out="r.json")
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
     with pytest.raises(UsageError):

@@ -93,6 +93,11 @@ def test_principal_angles_basic():
     e1 = sub.span_of([[1, 0, 0]], 1e-8)
     e2 = sub.span_of([[0, 1, 0]], 1e-8)
     np.testing.assert_allclose(sub.principal_angles(e1, e2), [np.pi / 2])
+    # the gap is the largest angle, and pi/2 once the dimensions differ
+    tilted = sub.span_of([[1, 0, 0], [0, 1, 1]], 1e-8)
+    assert abs(sub.subspace_gap(a, tilted) - np.pi / 4) < 1e-12
+    assert sub.subspace_gap(a, e1) == np.pi / 2
+    assert sub.subspace_gap(sub.trivial(3), sub.trivial(3)) == 0.0
 
 
 def test_span_of_is_idempotent():
