@@ -17,51 +17,8 @@ import numpy as np
 from . import subspaces as sub
 from .errors import DataError, DegenerateExtensionError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, jet_constant, jet_cos, jet_reciprocal, jet_rsqrt,
-                   jet_sin, product, series_powers)
-
-# ---------------------------------------------------------------------------
-# Complex helpers over pairs of jets
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cconj(a):
-    return (a[0], -1.0 * a[1])
-
-
-def _cscale(a, s):
-    """Scale a complex pair by a real jet or float."""
-    return (a[0] * s, a[1] * s)
-
-
-def _herm(vec_a, vec_b):
-    """Hermitian inner product sum_j a_j * conj(b_j) of complex jet vectors."""
-    acc = None
-    for a, b in zip(vec_a, vec_b):
-        term = _cmul(a, _cconj(b))
-        acc = term if acc is None else _cadd(acc, term)
-    return acc
-
-
-def _habs2(vec):
-    """Real jet |vec|^2 for a complex jet vector."""
-    acc = None
-    for a in vec:
-        term = a[0] * a[0] + a[1] * a[1]
-        acc = term if acc is None else acc + term
-    return acc
-
+from .jets import (Jet, JetSignature, jet_constant, jet_cos, jet_reciprocal,
+                   jet_rsqrt, jet_sin, product, series_powers)
 
 # ---------------------------------------------------------------------------
 # Catalog data structures
@@ -101,10 +58,6 @@ class CatalogEntry:
     split_exercises: list[SplitExercise] = dc_field(default_factory=list)
     aux: dict = dc_field(default_factory=dict)
     notes: str = ""
-
-    def param_string(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.name}({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -496,61 +449,59 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
 # Holomorphic curve surfaces and their ruled thickenings
 
 
-def _psi_powers(u: Jet, v: Jet, top: int):
-    """Complex powers z^0..z^top for z = u + iv, as jet pairs."""
-    one = (jet_constant(u.num_vars, u.order, 1.0),
-           jet_constant(u.num_vars, u.order, 0.0))
-    powers = [one]
-    z = (u, v)
-    for _ in range(top):
-        powers.append(_cmul(powers[-1], z))
-    return powers
+def _z_powers(u: Jet, v: Jet, top: int) -> np.ndarray:
+    """Complex coefficient tables of z^e/e! for e = 0..top, z = u + iv.
+
+    With z0 the value of z and dz = z - z0,
+    z^e/e! = sum_k z0^(e-k)/(e-k)! * dz^k/k!, so one table of dz powers
+    serves every exponent.  Shape (top + 1, size).
+    """
+    sig = u.sig
+    dz = u.coeffs + 1j * v.coeffs
+    z0, dz[0] = dz[0], 0.0
+    top_k = min(top, sig.order)  # dz^k vanishes beyond the jet order
+    dz_powers = np.zeros((top_k + 1, sig.size), dtype=complex)
+    dz_powers[0, 0] = 1.0
+    for k in range(1, top_k + 1):
+        dz_powers[k] = product(sig, dz_powers[k - 1], dz) / k
+    shift = np.arange(top + 1)[:, None] - np.arange(top_k + 1)
+    e = np.maximum(shift, 0)
+    inv_fact = np.array([1.0 / math.factorial(j) for j in range(top + 1)])
+    return np.where(shift >= 0, z0 ** e * inv_fact[e], 0.0) @ dz_powers
 
 
-def _holo_frame_vectors(u: Jet, v: Jet, m: int):
+def _holo_frame_vectors(sig: JetSignature, powers: np.ndarray,
+                        m: int) -> np.ndarray:
     """Unit complex frame vectors spanning the flag stages 1..m-1.
 
-    Gram-Schmidt over the complex derivative vectors of the coordinate map;
-    entry k of the result spans the k-th normal stage of the base surface.
+    Gram-Schmidt over the complex derivative vectors of the coordinate map,
+    whose k-th one has components z^(j-k)/(j-k)! for j >= k and 0 below
+    (``powers`` from ``_z_powers``); row k - 1 of the result spans the k-th
+    normal stage of the base surface.  Shape (m - 1, m + 3, size).
     """
-    top = m + 2
-    powers = _psi_powers(u, v, top)
     comps = m + 3
 
-    def derivative_vector(k: int):
-        vec = []
-        for j in range(1, comps + 1):
-            if j >= k:
-                e = j - k
-                vec.append(_cscale(powers[e], 1.0 / math.factorial(e)))
-            else:
-                zero = jet_constant(u.num_vars, u.order, 0.0)
-                vec.append((zero, zero))
-        return vec
+    def herm(a, b):
+        """Hermitian inner product sum_j a_j * conj(b_j)."""
+        return product(sig, a, np.conj(b)).sum(axis=0)
 
-    basis = []
+    basis, norms2 = [], []
     for k in range(1, m + 1):
-        w = derivative_vector(k)
-        for prev in basis:
-            coeff = _cmul(_herm(w, prev), (jet_reciprocal(_habs2(prev)),
-                                           jet_constant(u.num_vars, u.order,
-                                                        0.0)))
-            w = [_csub(wj, _cmul(coeff, pj)) for wj, pj in zip(w, prev)]
+        w = np.zeros((comps, sig.size), dtype=complex)
+        w[k - 1:] = powers[:comps - k + 1]
+        for prev, norm2 in zip(basis, norms2):
+            coeff = product(sig, herm(w, prev), jet_reciprocal(norm2).coeffs)
+            w = w - product(sig, coeff, prev)
         basis.append(w)
-
-    units = []
-    for w in basis[1:]:
-        inv_norm = jet_rsqrt(_habs2(w))
-        units.append([_cscale(wj, inv_norm) for wj in w])
-    return units
+        norms2.append(Jet(sig.num_vars, sig.order, herm(w, w).real))
+    return np.array([product(sig, w, jet_rsqrt(norm2).coeffs)
+                     for w, norm2 in zip(basis[1:], norms2[1:])])
 
 
-def _interleave(vec) -> list[Jet]:
-    out = []
-    for re, im in vec:
-        out.append(re)
-        out.append(im)
-    return out
+def _real_components(sig: JetSignature, table: np.ndarray) -> list[Jet]:
+    """Real jets Re c_1, Im c_1, Re c_2, ... of complex component tables."""
+    rows = np.stack([table.real, table.imag], axis=1).reshape(-1, sig.size)
+    return [Jet(sig.num_vars, sig.order, row) for row in rows]
 
 
 def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
@@ -567,10 +518,7 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
 
     def fn(vars_: list[Jet]) -> list[Jet]:
         u, v = vars_[0], vars_[1]
-        powers = _psi_powers(u, v, comps)
-        psi = [_cscale(powers[j], 1.0 / math.factorial(j))
-               for j in range(1, comps + 1)]
-        return _interleave(psi)
+        return _real_components(u.sig, _z_powers(u, v, comps)[1:])
 
     chart = ImmersionChart(f"holomorphic-curve-{m}", 2, big_n,
                            box([-0.45, -0.45], [0.45, 0.45]), fn,
@@ -620,19 +568,14 @@ def make_section4_example(m: int = 2, t_radius: float = 0.25,
     def fn(vars_: list[Jet]) -> list[Jet]:
         u, v = vars_[0], vars_[1]
         ts = vars_[2:2 + verticals]
-        powers = _psi_powers(u, v, comps)
-        psi = [_cscale(powers[j], 1.0 / math.factorial(j))
-               for j in range(1, comps + 1)]
-        units = _holo_frame_vectors(u, v, m)
-        comps_out = _interleave(psi)
-        for a, unit in enumerate(units):
-            re_frame = _interleave(unit)
-            # multiplication by i swaps and negates the component pair
-            im_frame = _interleave([(-1.0 * wj[1], wj[0]) for wj in unit])
-            t_re, t_im = ts[2 * a], ts[2 * a + 1]
-            comps_out = [c + t_re * fr + t_im * fi for c, fr, fi
-                         in zip(comps_out, re_frame, im_frame)]
-        return comps_out
+        sig = u.sig
+        powers = _z_powers(u, v, comps)
+        units = _holo_frame_vectors(sig, powers, m)
+        # translation by sum_a tau_a * unit_a with tau_a = t_re + i t_im
+        taus = np.array([t_re.coeffs + 1j * t_im.coeffs
+                         for t_re, t_im in zip(ts[0::2], ts[1::2])])
+        moved = powers[1:] + product(sig, taus[:, None], units).sum(axis=0)
+        return _real_components(sig, moved)
 
     radius = _shrink_radius_for_immersion(fn, m, t_radius)
     lo = [-0.4, -0.4] + [-radius] * verticals

@@ -1,8 +1,9 @@
 """Command-line front end: catalog listing and verification runs.
 
 Exit codes: 0 success, 1 invariant failure (findings present), 2 usage or
-configuration error, 3 numerical degeneracy (no usable sample points or a
-degenerate extension).
+configuration error, 3 numerical degeneracy or failure during a run (no
+usable sample points, a degenerate extension, a rank that changes across a
+stencil, or any other numerical error).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import sys
 from pathlib import Path
 
 from .catalog import BUILDERS, get_entry
-from .errors import (DegenerateExtensionError, DegeneracyError, OscflagError,
-                     ParameterError, UsageError)
+from .errors import OscflagError, ParameterError, UsageError
 from .verify import Report, RunConfig, run_verification
 
 EXIT_OK = 0
@@ -90,11 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fd_step=args.fd_step,
         out=args.out,
     )
-    try:
-        report = run_verification(config)
-    except (DegeneracyError, DegenerateExtensionError) as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    report = run_verification(config)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
         print(f"report written to {args.out}")
@@ -139,8 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OscflagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"degeneracy: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

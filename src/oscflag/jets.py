@@ -205,9 +205,29 @@ def variables(x, order: int) -> list[Jet]:
 
 
 def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient table of the truncated product of two tables of ``sig``."""
+    """Coefficient table of the truncated product of two tables of ``sig``.
+
+    The tables may be complex and may carry leading axes, which broadcast;
+    the product acts along the last axis.  ``np.bincount`` takes only real
+    1-D weights, so leading axes become offset bins and the real and
+    imaginary parts take one bincount each.
+    """
     ii, jj, kk = sig.mul_table
-    return np.bincount(kk, weights=a[ii] * b[jj], minlength=sig.size)
+    if a.ndim == b.ndim == 1:
+        terms = a[ii] * b[jj]
+        if terms.dtype.kind != "c":
+            return np.bincount(kk, weights=terms, minlength=sig.size)
+    else:
+        terms = a.take(ii, axis=-1) * b.take(jj, axis=-1)
+    lead = terms.shape[:-1]
+    size = math.prod(lead) * sig.size
+    if lead:
+        kk = (np.arange(0, size, sig.size)[:, None] + kk).ravel()
+        terms = terms.ravel()
+    out = np.bincount(kk, weights=terms.real, minlength=size)
+    if terms.dtype.kind == "c":
+        out = out + 1j * np.bincount(kk, weights=terms.imag, minlength=size)
+    return out.reshape(lead + (sig.size,))
 
 
 def series_powers(a: Jet) -> np.ndarray:

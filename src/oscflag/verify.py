@@ -10,6 +10,7 @@ once timings are stripped.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,8 +43,9 @@ class RunConfig:
             raise UsageError("sample count must be at least 1")
         if not 0.0 < self.rank_tol < 1.0:
             raise UsageError("rank tolerance must lie in (0, 1)")
-        if self.fd_step <= 0.0:
-            raise UsageError("finite-difference step must be positive")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0.0):
+            raise UsageError("finite-difference step must be positive and "
+                             "finite")
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
                              make_section4_example)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
-from oscflag.jets import Jet, jet_constant, jet_reciprocal
+from oscflag.jets import Jet, jet_constant, jet_reciprocal, signature
 from oscflag.nonparallel import nonparallel_data, phi_pairing
 from picard import antiderivative
 from rk4 import rk4_transport
@@ -148,21 +148,42 @@ def test_section4_sampler_avoids_zero_section():
 def test_section4_frame_is_orthonormal_basis_of_lower_stages():
     # the translation frame of the thickened chart spans the lower normal
     # stages of the base surface, orthonormally
-    entry = get_entry("section4-ruled", {"m": 2})
-    base = entry.aux["base_entry"]
     uv = np.array([0.17, -0.23])
-    base_geom = point_geometry(base.chart, uv, base.max_normal_order)
-    n1 = base_geom.normal_flag[0]
-    # move one unit along each translation coordinate: the displacement is
-    # the frame vector itself and must lie in stage one, with unit norm
-    h = 1e-1
-    f0 = entry.chart.position(np.array([*uv, 0.0, 0.0]))
-    for a in range(2):
-        t = np.zeros(2)
-        t[a] = h
-        disp = (entry.chart.position(np.array([*uv, *t])) - f0) / h
-        assert abs(np.linalg.norm(disp) - 1.0) < 1e-12
-        assert np.linalg.norm(n1.reject(disp)) < 1e-10
+    order = 4
+    for m in (2, 3):
+        entry = get_entry("section4-ruled", {"m": m})
+        base = entry.aux["base_entry"]
+        verticals = 2 * (m - 1)
+        base_geom = point_geometry(base.chart, uv, base.max_normal_order)
+        lower = sub.span_of(np.vstack(
+            [s.basis for s in base_geom.normal_flag[:m - 1]]), 1e-10)
+        # move one unit along each translation coordinate: the displacement
+        # is the frame vector itself and must lie in the lower stages, with
+        # unit norm
+        h = 1e-1
+        f0 = entry.chart.position(np.array([*uv, *np.zeros(verticals)]))
+        for a in range(verticals):
+            t = np.zeros(verticals)
+            t[a] = h
+            disp = (entry.chart.position(np.array([*uv, *t])) - f0) / h
+            assert abs(np.linalg.norm(disp) - 1.0) < 1e-12
+            assert np.linalg.norm(lower.reject(disp)) < 1e-10
+        # the chart is affine in t, so its t_a-partial is the frame vector as
+        # a jet in (u, v); the Gram matrix of those jets is constant
+        vjet = entry.chart.eval(np.array([*uv, *np.zeros(verticals)]), order)
+        sig = vjet.components[0].sig
+        uv_monos = signature(2, order - 1).monomials
+        frame = []
+        for a in range(verticals):
+            t_exp = tuple(int(i == a) for i in range(verticals))
+            rows = [sig.index[mono + t_exp] for mono in uv_monos]
+            frame.append([Jet(2, order - 1, vjet.coeffs[rows, c].copy())
+                          for c in range(vjet.ambient_dim)])
+        for a in range(verticals):
+            for b in range(verticals):
+                gram = sum(fa * fb for fa, fb in zip(frame[a], frame[b]))
+                assert abs(gram.value - float(a == b)) < 1e-12
+                assert np.max(np.abs(gram.coeffs[1:])) < 1e-12, (m, a, b)
 
 
 def test_every_entry_produces_consistent_geometry():
@@ -195,7 +216,6 @@ def test_catalog_listing_metadata():
         assert summary
         entry = get_entry(name)
         assert entry.description
-        assert entry.param_string().startswith(name)
         for exp in entry.expected:
             assert exp.description
 

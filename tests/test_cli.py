@@ -8,7 +8,7 @@ import pytest
 from oscflag import catalog
 from oscflag.catalog import CatalogEntry, Expectation
 from oscflag.cli import main
-from oscflag.errors import UsageError
+from oscflag.errors import NumericalRankError, UsageError
 from oscflag.verify import RunConfig, run_verification
 
 
@@ -57,6 +57,8 @@ def test_unknown_param_exit_two(capsys):
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2
+    for step in ("nan", "inf"):
+        assert main(["verify", "curve-product", "--fd-step", step]) == 2
 
 
 def test_max_normal_order_flag_rejected(capsys):
@@ -137,3 +139,23 @@ def test_degenerate_sampling_exit_three(capsys):
         assert "degeneracy" in err
     finally:
         del catalog.BUILDERS["degenerate-test"]
+
+
+def test_numerical_failure_during_run_exit_three(capsys):
+    # a numerical error raised mid-run is not a usage error: exit 3, with
+    # the error class named on stderr
+    def failing_builder(params):
+        entry = catalog.get_entry("sphere", {"n": 2})
+
+        def sampler(rng):
+            raise NumericalRankError("rank of Lambda changed from 1 to 0")
+        entry.sampler = sampler
+        return entry
+
+    catalog.BUILDERS["rank-failure-test"] = (failing_builder, "", "test-only")
+    try:
+        assert main(["verify", "rank-failure-test", "--samples", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "NumericalRankError" in err and "Traceback" not in err
+    finally:
+        del catalog.BUILDERS["rank-failure-test"]

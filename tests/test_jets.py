@@ -13,8 +13,8 @@ from oscflag.errors import CapabilityError, DomainError, ShapeError, \
 from oscflag.geometry import ImmersionChart, box, eval_jet
 from oscflag.jets import (DerivativeTensor, Jet, VectorJet, compose_series,
                           jet_constant, jet_cos, jet_exp, jet_reciprocal,
-                          jet_sin, jet_sqrt, jet_variable, signature,
-                          substitute_affine, variables)
+                          jet_sin, jet_sqrt, jet_variable, product,
+                          signature, substitute_affine, variables)
 from picard import antiderivative
 
 
@@ -232,22 +232,42 @@ def test_affine_chart_derivatives():
 
 
 def test_holomorphic_chart_coordinate_planes_at_zero():
-    # hand differentiation: the k-th derivative vector of the monomial curve
-    # at the center is the k-th complex coordinate vector
+    # hand differentiation: d_u^a d_v^b (z^j / j!) = i^b z^(j-a-b) / (j-a-b)!,
+    # so at the center the k-th derivative vector is the k-th complex
+    # coordinate vector, and off the center every partial has this form
     from oscflag.catalog import make_holomorphic_curve_surface
-    m = 2
-    chart = make_holomorphic_curve_surface(m).chart
-    dt = eval_jet(chart, [0.0, 0.0], m + 3)
-    for k in range(1, m + 4):
-        vec = dt.partial((k, 0))
-        expect = np.zeros(2 * (m + 3))
-        expect[2 * (k - 1)] = 1.0
-        np.testing.assert_allclose(vec, expect, atol=1e-12)
-        # differentiating along v multiplies by i per order
-        vec_v = dt.partial((k - 1, 1)) if k >= 1 else None
-        expect_v = np.zeros(2 * (m + 3))
-        expect_v[2 * (k - 1) + 1] = 1.0
-        np.testing.assert_allclose(vec_v, expect_v, atol=1e-12)
+    for m in (2, 3):
+        chart = make_holomorphic_curve_surface(m).chart
+        comps = m + 3
+        for z in (0j, 0.3 - 0.2j, -0.41 + 0.37j):
+            dt = eval_jet(chart, [z.real, z.imag], chart.max_order)
+            for a in range(chart.max_order + 1):
+                for b in range(chart.max_order + 1 - a):
+                    expect = np.zeros(comps, dtype=complex)
+                    for j in range(max(a + b, 1), comps + 1):
+                        e = j - a - b
+                        expect[j - 1] = 1j ** b * z ** e / math.factorial(e)
+                    np.testing.assert_allclose(
+                        dt.partial((a, b)),
+                        np.column_stack([expect.real, expect.imag]).ravel(),
+                        rtol=0.0, atol=1e-12,
+                        err_msg=f"m={m} z={z} partial={(a, b)}")
+    # the chart rests on complex coefficient tables: a complex product,
+    # also along broadcast leading axes, equals its real-pair expansion
+    rng = np.random.default_rng(3)
+    for num_vars, order in ((1, 7), (2, 7), (3, 7), (4, 6), (8, 3)):
+        sig = signature(num_vars, order)
+        re_a, im_a = rng.normal(size=(2, 3, sig.size))
+        re_b, im_b = rng.normal(size=(2, sig.size))
+        got = product(sig, re_a + 1j * im_a, re_b + 1j * im_b)
+        assert got.shape == (3, sig.size)
+        for row, ra, ia in zip(got, re_a, im_a):
+            np.testing.assert_allclose(
+                row.real, product(sig, ra, re_b) - product(sig, ia, im_b),
+                rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                row.imag, product(sig, ra, im_b) + product(sig, ia, re_b),
+                rtol=0.0, atol=1e-12)
 
 
 def test_chain_rule_affine_substitution():
