@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import subspaces as sub
 from .errors import DataError, DegenerateExtensionError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, JetSignature, jet_constant, jet_cos, jet_reciprocal,
-                   jet_rsqrt, jet_sin, product, series_powers)
+from .jets import (Jet, JetSignature, first_order_jet, jet_constant, jet_cos,
+                   jet_reciprocal, jet_rsqrt, jet_sin, product, series_powers)
 
 # ---------------------------------------------------------------------------
 # Catalog data structures
@@ -38,7 +37,7 @@ class SplitExercise:
     """A normal-splitting rule to push through the ruled-extension pipeline."""
 
     name: str
-    rule: Callable  # (geom) -> Subspace, the L choice
+    rule: Callable  # (geom) -> order-1 rows spanning L, see SplittingSpec
     expected: dict  # k, r, and optional n1f_rank / nu_ext / delta_in_nullity
     lambda_radius: float = 0.1
 
@@ -400,17 +399,19 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
         return chart.domain.sample(rng, margin=0.01)
 
     def witness_rule(indices: tuple[int, ...], rotate: bool = False):
-        def rule(geom) -> sub.Subspace:
+        def rule(geom) -> np.ndarray:
+            # value and t-derivative of each field; the s-partials vanish
             t = float(geom.x[0])
-            fields = system.fields_at(t)
+            rows = system.field_taylor(t, 1)[list(indices)].transpose(2, 0, 1)
             if rotate:
                 theta = 3.0 * t
-                first = math.cos(theta) * fields[indices[0]] \
-                    + math.sin(theta) * fields[indices[1]]
-                rows = [first] + [fields[i] for i in indices[2:]]
-            else:
-                rows = [fields[i] for i in indices]
-            return sub.span_of(np.array(rows), 1e-10)
+                c, s = math.cos(theta), math.sin(theta)
+                first = c * rows[:, 0] + s * rows[:, 1]
+                first[1] += 3.0 * (c * rows[0, 1] - s * rows[0, 0])
+                rows = np.concatenate([first[:, None], rows[:, 2:]], axis=1)
+            partials = np.zeros((geom.n,) + rows.shape[1:])
+            partials[0] = rows[1]
+            return first_order_jet(rows[0], partials)
         return rule
 
     exercises = []

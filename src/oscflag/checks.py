@@ -14,7 +14,8 @@ import numpy as np
 
 from . import subspaces as sub
 from .geometry import (PointGeometry, frame_derivative, point_geometry,
-                       relative_nullity, ricci, sectional_curvature)
+                       projection_frame, relative_nullity, ricci,
+                       sectional_curvature)
 from .nonparallel import (CaseClassification, NonparallelData,
                           codazzi_residual, nonparallel_data, p_parallel_drift,
                           phi_difference, phi_frame_fd, phi_pairing)
@@ -456,9 +457,10 @@ def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
 
 def check_s_constancy(ctx: VerifyContext, ratio: bool,
                       points: int = 2) -> CheckResult:
-    """Drift of the S-projector along ruling directions.
+    """Drift of the S-projector along the ruling space.
 
-    The pointwise pairing method must show drift at the rounding floor; the
+    The drift is the largest over unit ruling directions.  The pointwise
+    pairing method must show drift at the rounding floor; the
     frame-difference method carries an O(h^2) discretization error whose
     measured drift must shrink by a factor of four when the step halves.
     """
@@ -477,25 +479,27 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool,
         nd = nonparallel_data(geom, phi_pairing(geom))
         return nd.S.projector()
 
-    def drifts(s_projector, x, directions, step) -> list[float]:
-        return [float(np.linalg.norm(d)) for d in
-                frame_derivative(s_projector, x, directions, step)]
+    def drift(s_projector, x, directions, step) -> float:
+        # largest drift over unit directions of the ruling space: the top
+        # singular value of the stacked drifts along an orthonormal basis
+        stacked = frame_derivative(s_projector, x, directions, step)
+        return float(np.linalg.norm(
+            stacked.reshape(len(directions), -1), 2))
 
     for rec in ctx.records[:points]:
         ruling = ctx.ruling_space(rec)
         if ruling.dim == 0 or rec.nd.s == 0:
             continue
-        directions = [v @ rec.geom.frame_in_chart for v in ruling.basis[:2]]
-        pairing_worst = max(pairing_worst, *drifts(
+        # the pivoted projection frame depends on the space, not its basis
+        directions = projection_frame(ruling)[0] @ rec.geom.frame_in_chart
+        pairing_worst = max(pairing_worst, drift(
             pairing_s_projector, rec.x, directions, h))
         if ratio:
-            for d_h, d_h2 in zip(
-                    drifts(lambda y: fd_s_projector(y, h), rec.x, directions,
-                           h),
-                    drifts(lambda y: fd_s_projector(y, 0.5 * h), rec.x,
-                           directions, 0.5 * h)):
-                if max(d_h, d_h2) > 1e-11:
-                    ratios.append(d_h / d_h2)
+            d_h = drift(lambda y: fd_s_projector(y, h), rec.x, directions, h)
+            d_h2 = drift(lambda y: fd_s_projector(y, 0.5 * h), rec.x,
+                         directions, 0.5 * h)
+            if max(d_h, d_h2) > 1e-11:
+                ratios.append(d_h / d_h2)
     ok = pairing_worst < 1e-6
     if ratio:
         ok = ok and bool(ratios) and all(3.2 <= r <= 4.8 for r in ratios)
@@ -519,8 +523,7 @@ def check_ricci_rulings(ctx: VerifyContext, count: int = 50,
         if ruling.dim == 0:
             continue
         for _ in range(per_point):
-            coeffs = rng.standard_normal(ruling.dim)
-            xv = coeffs @ ruling.basis
+            xv = ruling.project(rng.standard_normal(rec.geom.n))
             xv /= np.linalg.norm(xv)
             ric = ricci(rec.geom, xv)
             max_ric = max(max_ric, ric)
@@ -590,7 +593,7 @@ def check_split_exercise(ctx: VerifyContext, index: int,
     exercise = ctx.entry.split_exercises[index]
     spec = SplittingSpec(ctx.chart, rule=exercise.rule, max_normal_order=2,
                          tol=ctx.rank_tol)
-    gamma_step = 1e-4
+    ext_step = 1e-4
     details: dict = {"exercise": exercise.name}
     failures: list[str] = []
 
@@ -600,7 +603,7 @@ def check_split_exercise(ctx: VerifyContext, index: int,
     par_angle_min = np.pi / 2
     for x in base_points:
         split = spec.at(x)
-        gamma = gamma_tensor(spec, x, gamma_step, split=split)
+        gamma = gamma_tensor(spec, x, split=split)
         lam = lambda_delta(spec, x, gamma)
         k_seen.add(gamma.k)
         r_seen.add(lam.r)
@@ -624,7 +627,7 @@ def check_split_exercise(ctx: VerifyContext, index: int,
         failures.append("lambda-meets-tangent")
 
     ext = build_extension(spec, exercise.lambda_radius, base_points,
-                          fd_step=gamma_step)
+                          fd_step=ext_step)
     details["trivial"] = ext.trivial
     details["lambda_radius"] = ext.lambda_radius
 

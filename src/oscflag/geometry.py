@@ -18,7 +18,8 @@ import numpy as np
 from . import subspaces as sub
 from .errors import (CapabilityError, DataError, DomainError, FrameError,
                      NotImmersionError, ParameterError, RegularityError)
-from .jets import DerivativeTensor, Jet, VectorJet, variables
+from .jets import (DerivativeTensor, Jet, JetSignature, VectorJet,
+                   matrix_inverse, matrix_product, variables)
 
 
 @dataclass(frozen=True)
@@ -142,19 +143,7 @@ def projection_frame(space: sub.Subspace,
     if k == 0:
         return frame, ()
     if pivots is None:
-        chosen: list[int] = []
-        work = projected.copy()
-        for i in range(k):
-            norms = np.linalg.norm(work, axis=1)
-            pick = int(np.argmax(norms))
-            if norms[pick] < min_residual:
-                raise FrameError(
-                    f"standard basis degenerate at pivot {i} "
-                    f"(residual {norms[pick]:.3e})")
-            frame[i] = work[pick] / norms[pick]
-            work -= np.outer(work @ frame[i], frame[i])
-            chosen.append(pick)
-        return frame, tuple(chosen)
+        return _greedy_pivots(projected, k, min_residual)
     for i, pick in enumerate(pivots):
         v = projected[pick].copy()
         for j in range(i):
@@ -165,6 +154,40 @@ def projection_frame(space: sub.Subspace,
                 f"pivot {pick} lost rank across stencil (residual {nrm:.3e})")
         frame[i] = v / nrm
     return frame, tuple(pivots)
+
+
+def _greedy_pivots(rows: np.ndarray, count: int, min_residual: float):
+    """Orthonormal frame of ``count`` rows picked greedily by largest
+    residual, and the picks; a residual below ``min_residual`` raises."""
+    work = rows.copy()
+    frame = np.zeros((count, rows.shape[1]))
+    chosen: list[int] = []
+    for i in range(count):
+        norms = np.linalg.norm(work, axis=1)
+        pick = int(np.argmax(norms))
+        if norms[pick] < min_residual:
+            raise FrameError(
+                f"rows degenerate at pivot {i} (residual {norms[pick]:.3e})")
+        frame[i] = work[pick] / norms[pick]
+        work -= np.outer(work @ frame[i], frame[i])
+        chosen.append(pick)
+    return frame, tuple(chosen)
+
+
+def span_projector(sig: JetSignature, rows: np.ndarray,
+                   tol: float) -> tuple[sub.Subspace, np.ndarray]:
+    """Span at the centre of a row family jet ``(sig.size, m, N)``, and the
+    ``(sig.size, N, N)`` jet of its projector Pi = F^T (F F^T)^-1 F.
+
+    The rank is read off the centre rows at ``tol``; F holds the rows picked
+    there by largest residual, as ``projection_frame`` picks pivots, so for
+    a span of constant rank Pi is the analytic projector nearby.
+    """
+    space = sub.span_from_svd(sub.row_svd(rows[0]), tol)
+    f = rows[:, list(_greedy_pivots(rows[0], space.dim, 0.0)[1])]
+    f_t = f.swapaxes(-1, -2)
+    gram_inv = matrix_inverse(sig, matrix_product(sig, f, f_t))
+    return space, matrix_product(sig, f_t, matrix_product(sig, gram_inv, f))
 
 
 def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,

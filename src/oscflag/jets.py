@@ -266,12 +266,6 @@ def jet_cos(a: Jet) -> Jet:
     return compose_series(a, c)
 
 
-def jet_exp(a: Jet) -> Jet:
-    e = math.exp(a.value)
-    c = np.array([e / math.factorial(j) for j in range(a.order + 1)])
-    return compose_series(a, c)
-
-
 def jet_reciprocal(a: Jet) -> Jet:
     a0 = a.value
     if a0 == 0.0:
@@ -297,41 +291,88 @@ def jet_rsqrt(a: Jet) -> Jet:
     return jet_reciprocal(jet_sqrt(a))
 
 
-def substitute_affine(a: Jet, matrix, new_point) -> Jet:
-    """Push a jet through the reparametrization u = u0 + A (w - w0).
+# Matrix jets are coefficient-major tables (..., size, r, c): entry k holds
+# the matrix of Taylor coefficients of monomial k of the signature.
 
-    Returns the jet of the composed function in the w variables at w0, with
-    the same truncation order.  Used as the chain-rule oracle: evaluating a
-    chart composed with the affine map must match this substitution.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    new_point = np.asarray(new_point, dtype=float)
-    n_w = matrix.shape[1]
-    if matrix.shape[0] != a.num_vars:
-        raise ShapeError("affine matrix rows must match the jet's variables")
-    sig = a.sig
-    # Displacement jets: delta_u_i = sum_j A_ij * delta_w_j (zero constant part).
-    deltas = []
-    for i in range(a.num_vars):
-        acc = jet_constant(n_w, a.order, 0.0)
-        for j in range(n_w):
-            if matrix[i, j] != 0.0:
-                acc = acc + matrix[i, j] * (
-                    jet_variable(n_w, a.order, j, 0.0))
-        deltas.append(acc)
-    # Monomial jets built incrementally along the graded order.
-    mono_jets: list[Jet | None] = [None] * sig.size
-    mono_jets[0] = jet_constant(n_w, a.order, 1.0)
-    out = jet_constant(n_w, a.order, 0.0)
-    for i, m in enumerate(sig.monomials):
-        if i > 0:
-            v = next(k for k, e in enumerate(m) if e > 0)
-            parent = list(m)
-            parent[v] -= 1
-            mono_jets[i] = mono_jets[sig.index[tuple(parent)]] * deltas[v]
-        if a.coeffs[i] != 0.0:
-            out = out + a.coeffs[i] * mono_jets[i]
+
+def matrix_product(sig: JetSignature, a: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    """Truncated product of matrix jets (..., size, r, k), (..., size, k, c):
+    one batched matmul over the pairs of ``sig.mul_table``, then one one-hot
+    contraction of the pairs onto their monomials."""
+    ii, jj, _ = sig.mul_table
+    terms = np.matmul(a[..., ii, :, :], b[..., jj, :, :])
+    out = _pair_sum(sig.num_vars, sig.order) @ terms.reshape(
+        terms.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + terms.shape[-2:])
+
+
+@lru_cache(maxsize=None)
+def _pair_sum(num_vars: int, order: int) -> np.ndarray:
+    sig = signature(num_vars, order)
+    out = np.zeros((sig.size, sig.mul_table[2].size))
+    out[sig.mul_table[2], np.arange(out.shape[1])] = 1.0
+    out.flags.writeable = False
     return out
+
+
+def matrix_inverse(sig: JetSignature, g: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix jet (size, r, r) by the truncated Neumann
+    series G^-1 = sum_k (-G0^-1 dG)^k G0^-1, dG = G - G0."""
+    out = np.zeros_like(g)
+    out[0] = np.linalg.inv(g[0])
+    step = -out[0] @ g
+    step[0] = 0.0
+    term = out
+    for _ in range(sig.order):  # (dG)^k vanishes past the order
+        term = matrix_product(sig, step, term)
+        out = out + term
+    return out
+
+
+def partial_jets(table: np.ndarray, num_vars: int, top: int,
+                 order: int) -> np.ndarray:
+    """Order-``order`` jets of every partial of degree 1..``top`` of the
+    function whose coefficients, in the layout of
+    ``signature(num_vars, top + order)``, lie along ``table``'s leading axis.
+
+    Returns ``(signature(num_vars, order).size, #partials) + trailing axes``,
+    the partials in the signature's graded order.
+    """
+    index, scale = _partial_index(num_vars, top, order)
+    picked = table[index]
+    return picked * scale.reshape(scale.shape + (1,) * (picked.ndim - 2))
+
+
+@lru_cache(maxsize=None)
+def _partial_index(num_vars: int, top: int,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+    # coefficient beta of d^alpha f's jet: c[alpha+beta] (alpha+beta)!/beta!
+    full = signature(num_vars, top + order)
+    small = signature(num_vars, order)
+    partials = [m for m in full.monomials if 1 <= sum(m) <= top]
+    index = np.array([[full.index[tuple(a + b for a, b in zip(alpha, beta))]
+                       for alpha in partials] for beta in small.monomials],
+                     dtype=np.intp)
+    scale = full.factorials[index] / small.factorials[:, None]
+    index.flags.writeable = False
+    scale.flags.writeable = False
+    return index, scale
+
+
+def first_order_jet(value: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """Order-1 table, in the layout of ``signature(num_vars, 1)``, of a
+    quantity from its value and its ``(num_vars,) + value.shape`` partials."""
+    partials = np.asarray(partials, dtype=float)
+    table = np.empty((partials.shape[0] + 1,) + partials.shape[1:])
+    table[0] = value
+    table[_tensor_index(partials.shape[0], 1, 1)] = partials
+    return table
+
+
+def first_partials(table: np.ndarray) -> np.ndarray:
+    """The first partials of an order-1 table, in chart-variable order."""
+    return table[_tensor_index(table.shape[0] - 1, 1, 1)]
 
 
 class VectorJet:

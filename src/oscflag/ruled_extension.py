@@ -17,18 +17,30 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import (DegenerateExtensionError, NumericalRankError,
-                     ParameterError)
+                     ParameterError, ShapeError)
 from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
-                       point_geometry, projection_frame,
+                       point_geometry, projection_frame, span_projector,
                        flattened_alpha_restricted)
-from .nonparallel import nonparallel_data, phi_pairing
+from .jets import first_partials, matrix_product, partial_jets, signature
 
 
-def default_splitting_rule(geom: PointGeometry) -> sub.Subspace:
-    """L = orthogonal complement of the nonparallelism span inside the first
-    normal space (the splitting used by the trichotomy analysis)."""
-    nd = nonparallel_data(geom, phi_pairing(geom))
-    return sub.complement_within(nd.S, geom.first_normal)
+def default_splitting_rule(geom: PointGeometry) -> np.ndarray:
+    """L = orthogonal complement of the nonparallelism span S inside the first
+    normal space (the splitting used by the trichotomy analysis).
+
+    Returns the rows of Pi_L = Pi_N1 - Pi_S at order 1, Pi_N1 being
+    Pi_osc2 - Pi_T.  For mu in the complement C of the second osculating
+    space, phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row span of
+    Pi_C (d_i Pi_osc2) Pi_N1 over the chart partials i; as
+    Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.
+    """
+    n, tol = geom.n, geom.tol
+    sig1, sig2 = signature(n, 1), signature(n, 2)
+    rows = partial_jets(geom.chart.eval(geom.x, 4).coeffs, n, 2, 2)
+    _, osc = span_projector(sig2, rows, tol)
+    n1 = osc[:sig1.size] - span_projector(sig1, rows[:sig1.size, :n], tol)[1]
+    d_osc = partial_jets(osc, n, 1, 1).reshape(sig1.size, -1, geom.ambient_dim)
+    return n1 - span_projector(sig1, matrix_product(sig1, d_osc, n1), tol)[1]
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,7 @@ class PointSplit:
     P: sub.Subspace     # ambient
     D: sub.Subspace     # tangent-frame coordinates
     E: sub.Subspace     # tangent-frame coordinates
+    l_partials: np.ndarray = field(repr=False)  # (n, N, N) d_i Pi_L
 
     @property
     def ell(self) -> int:
@@ -59,10 +72,15 @@ class PointSplit:
 
 
 class SplittingSpec:
-    """A rule assigning the normal subbundle L at every point of a chart."""
+    """A rule assigning the normal subbundle L at every point of a chart.
+
+    A rule maps a ``PointGeometry`` to rows spanning L together with their
+    first chart partials: an order-1 table ``(n + 1, m, N)`` in the layout
+    of ``signature(n, 1)`` (``jets.first_order_jet`` builds one).
+    """
 
     def __init__(self, chart: ImmersionChart,
-                 rule: Callable[[PointGeometry], sub.Subspace] | None = None,
+                 rule: Callable[[PointGeometry], np.ndarray] | None = None,
                  max_normal_order: int = 2,
                  tol: float = sub.DEFAULT_RANK_TOL):
         self.chart = chart
@@ -74,8 +92,13 @@ class SplittingSpec:
         if geom is None:
             geom = point_geometry(self.chart, x, self.max_normal_order,
                                   self.tol)
-        l_space = self.rule(geom)
         n, big_n = geom.n, geom.ambient_dim
+        rows = np.asarray(self.rule(geom), dtype=float)
+        if rows.ndim != 3 or rows.shape[0] != n + 1 or rows.shape[2] != big_n:
+            raise ShapeError(
+                f"splitting rule returned shape {rows.shape}, expected "
+                f"({n + 1}, m, {big_n})")
+        l_space, l_proj = span_projector(signature(n, 1), rows, self.tol)
         codim = big_n - n
         if not 0 < l_space.dim < codim:
             raise ParameterError(
@@ -92,45 +115,38 @@ class SplittingSpec:
                 "alpha restricted to P has trivial kernel (d = 0)")
         e_space = sub.complement_within(d_space, sub.full(n, self.tol))
         return PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
-                          E=e_space)
+                          E=e_space,
+                          l_partials=first_partials(l_proj))
 
 
 @dataclass(frozen=True)
 class GammaData:
     split: PointSplit = field(repr=False)
-    values: np.ndarray          # (#E basis * #P frame, N) ambient gamma values
+    values: np.ndarray          # (#E basis * #P basis, N) ambient gamma values
     Gamma: sub.Subspace         # ambient
     k: int
 
 
-def gamma_tensor(spec: SplittingSpec, x, h: float = 1e-3,
+def gamma_tensor(spec: SplittingSpec, x,
                  split: PointSplit | None = None) -> GammaData:
     """Span of the E+L components of ambient derivatives of P-sections.
 
-    The tangential part is a shape-operator contraction (exact); the
-    L-component of the normal-connection term is a central difference of a
-    pivot-stable P-frame.  The dimension k is checked against the band
-    n - d <= k <= n - d + ell.
+    The tangential part is a shape-operator contraction; for mu in P,
+    Pi_L mu = 0 gives the L-component of D_w mu as -(d_w Pi_L) mu.  Both
+    are exact and need no frame.  The dimension k is checked against the
+    band n - d <= k <= n - d + ell.
     """
     if split is None:
         split = spec.at(x)
     geom = split.geom
-    p_frame, pivots = projection_frame(split.P)
-
-    def frame_at(y):
-        return projection_frame(spec.at(y).P, pivots=pivots)[0]
-
-    d_frames = frame_derivative(
-        frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)
-    values = []
+    mu = split.P.basis
     e_amb = split.e_ambient()
-    for y_coords, d_frame in zip(split.E.basis, d_frames):
-        for m in range(p_frame.shape[0]):
-            shape_term = geom.shape_operator(p_frame[m]) @ y_coords
-            tangential = e_amb.project(shape_term @ geom.frame)
-            normal_l = split.L.project(d_frame[m])
-            values.append(-tangential + normal_l)
-    values = np.array(values) if values else np.zeros((0, geom.ambient_dim))
+    values = np.zeros((0, geom.ambient_dim))
+    for w in split.E.basis:
+        d_l = np.tensordot(w @ geom.frame_in_chart, split.l_partials, axes=1)
+        shape_terms = np.einsum("abN,qN,b->qa", geom.alpha, mu, w)
+        values = np.vstack([values, -e_amb.project(shape_terms @ geom.frame)
+                            - mu @ d_l.T])
     gamma = sub.span_of(values, spec.tol, ambient_dim=geom.ambient_dim)
     k = gamma.dim
     n, d, ell = geom.n, split.d, split.ell
@@ -201,7 +217,7 @@ class RuledExtension:
         if hit is not None:
             return hit
         split = self.spec.at(x)
-        gamma = gamma_tensor(self.spec, x, self.fd_step, split=split)
+        gamma = gamma_tensor(self.spec, x, split=split)
         lam = lambda_delta(self.spec, x, gamma)
         if lam.r != self.r:
             raise NumericalRankError(
@@ -250,7 +266,7 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
         raise ParameterError("build_extension needs at least one probe point")
     base = np.asarray(probe_points[0], dtype=float)
     split = spec.at(base)
-    gamma = gamma_tensor(spec, base, fd_step, split=split)
+    gamma = gamma_tensor(spec, base, split=split)
     lam = lambda_delta(spec, base, gamma)
     if lam.r == 0:
         return RuledExtension(spec, (), 0, 0.0, fd_step)
@@ -459,8 +475,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                 np.linalg.norm(delta.reject(reach)) / max(np.linalg.norm(reach),
                                                           1e-12)))
             split_end = ext.spec.at(y_end)
-            gamma_end = gamma_tensor(ext.spec, y_end, ext.fd_step,
-                                     split=split_end)
+            gamma_end = gamma_tensor(ext.spec, y_end, split=split_end)
             lam_end = lambda_delta(ext.spec, y_end, gamma_end)
             delta_parallel = max(delta_parallel,
                                  sub.subspace_gap(lam_end.Delta, delta))

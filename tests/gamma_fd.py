@@ -1,0 +1,38 @@
+"""Finite-difference oracle for Gamma: central differences of a P-frame.
+
+The L-component of the derivative of each P-frame field is a central
+difference of a projection frame whose pivot order is frozen at the stencil
+centre, so the differentiated field is a smooth section; it is
+second-order accurate in h.  Each stencil point costs one
+``SplittingSpec.at``.
+"""
+
+import numpy as np
+
+from oscflag.geometry import frame_derivative, projection_frame
+
+
+def gamma_values_fd(spec, split, h: float) -> np.ndarray:
+    """Gamma values on ``split.P.basis``, laid out as ``GammaData.values``.
+
+    The stencil differentiates the pivot-stable frame; the L-components are
+    linear in the P-section, so they are rotated onto the P basis at the
+    centre.
+    """
+    geom = split.geom
+    p_frame, pivots = projection_frame(split.P)
+
+    def frame_at(y):
+        return projection_frame(spec.at(y).P, pivots=pivots)[0]
+
+    d_frames = frame_derivative(
+        frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)
+    rotation = split.P.basis @ p_frame.T
+    e_amb = split.e_ambient()
+    values = []
+    for y_coords, d_frame in zip(split.E.basis, d_frames):
+        normal_l = split.L.project(rotation @ d_frame)
+        for mu, l_part in zip(split.P.basis, normal_l):
+            shape_term = geom.shape_operator(mu) @ y_coords
+            values.append(-e_amb.project(shape_term @ geom.frame) + l_part)
+    return np.array(values) if values else np.zeros((0, geom.ambient_dim))

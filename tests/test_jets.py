@@ -12,9 +12,10 @@ from oscflag.errors import CapabilityError, DomainError, ShapeError, \
     SingularityError
 from oscflag.geometry import ImmersionChart, box, eval_jet
 from oscflag.jets import (DerivativeTensor, Jet, VectorJet, compose_series,
-                          jet_constant, jet_cos, jet_exp, jet_reciprocal,
-                          jet_sin, jet_sqrt, jet_variable, product,
-                          signature, substitute_affine, variables)
+                          jet_constant, jet_cos, jet_reciprocal, jet_sin,
+                          jet_sqrt, jet_variable, product, signature,
+                          variables)
+from jet_oracles import jet_exp, substitute_affine
 from picard import antiderivative
 
 

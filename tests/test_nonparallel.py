@@ -1,5 +1,6 @@
 """Nonparallelism tensor: two-method agreement, spans, classification."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
-from oscflag.checks import (PointRecord, VerifyContext,
-                            check_rulings_alpha_nonzero)
+from oscflag.checks import (PointRecord, VerifyContext, check_ricci_rulings,
+                            check_rulings_alpha_nonzero, check_s_constancy)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.nonparallel import (NonparallelData, PhiTensor, classify_case,
@@ -163,6 +164,37 @@ def test_rulings_alpha_nonzero_is_basis_independent():
     alpha = np.array([[u, v], [v, np.zeros(3)]])
     result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
     assert result.passed and result.residual > 0.1
+
+
+def test_ruling_checks_are_basis_independent():
+    # a rotated orthonormal basis of the same ruling space must give the
+    # same residuals: the checks sample the space, not its basis vectors
+    entry = get_entry("section4-ruled", {"m": 2})
+    c, s = np.cos(0.7), np.sin(0.7)
+
+    def context(rotation):
+        records = []
+        for i in range(2):
+            x = entry.sampler(np.random.default_rng(10 + i))
+            geom = point_geometry(entry.chart, x, 3)
+            phi = phi_pairing(geom)
+            nd = nonparallel_data(geom, phi)
+            nd = dataclasses.replace(nd, D=sub.Subspace(
+                geom.n, rotation @ nd.D.basis))
+            records.append(PointRecord(i, x, geom, phi, nd, []))
+        return VerifyContext(entry, None, records, 0, 1e-3, 1e-8)
+
+    plain = context(np.eye(2))
+    rotated = context(np.array([[c, s], [-s, c]]))
+    for check in (lambda ctx: check_s_constancy(ctx, ratio=True),
+                  check_ricci_rulings):
+        a, b = check(plain), check(rotated)
+        assert a.passed and b.passed
+        np.testing.assert_allclose(b.residual, a.residual, rtol=1e-12)
+        if "fd_ratios" in a.details:
+            assert a.details["fd_ratios"]
+            np.testing.assert_allclose(b.details["fd_ratios"],
+                                       a.details["fd_ratios"], rtol=1e-12)
 
 
 def test_classify_parallel():
