@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DataError, DegenerateExtensionError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, JetSignature, first_order_jet, jet_constant, jet_cos,
-                   jet_reciprocal, jet_rsqrt, jet_sin, product, series_powers)
+from .jets import (Jet, JetSignature, jet_constant, jet_cos, jet_reciprocal,
+                   jet_rsqrt, jet_sin, product, series_powers, signature)
 
 # ---------------------------------------------------------------------------
 # Catalog data structures
@@ -37,7 +37,7 @@ class SplitExercise:
     """A normal-splitting rule to push through the ruled-extension pipeline."""
 
     name: str
-    rule: Callable  # (geom) -> order-1 rows spanning L, see SplittingSpec
+    rule: Callable  # (geom, order) -> rows spanning L, see SplittingSpec
     expected: dict  # k, r, and optional n1f_rank / nu_ext / delta_in_nullity
     lambda_radius: float = 0.1
 
@@ -399,19 +399,25 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
         return chart.domain.sample(rng, margin=0.01)
 
     def witness_rule(indices: tuple[int, ...], rotate: bool = False):
-        def rule(geom) -> np.ndarray:
-            # value and t-derivative of each field; the s-partials vanish
+        def rule(geom, order: int) -> np.ndarray:
+            # Taylor series in t of each field; the s-partials vanish
             t = float(geom.x[0])
-            rows = system.field_taylor(t, 1)[list(indices)].transpose(2, 0, 1)
+            series = system.field_taylor(t, order)[list(indices)]
             if rotate:
-                theta = 3.0 * t
-                c, s = math.cos(theta), math.sin(theta)
-                first = c * rows[:, 0] + s * rows[:, 1]
-                first[1] += 3.0 * (c * rows[0, 1] - s * rows[0, 0])
-                rows = np.concatenate([first[:, None], rows[:, 2:]], axis=1)
-            partials = np.zeros((geom.n,) + rows.shape[1:])
-            partials[0] = rows[1]
-            return first_order_jet(rows[0], partials)
+                # cos 3t and sin 3t as series at t, times the first two fields
+                k = np.arange(order + 1)
+                scale = 3.0 ** k / np.array([math.factorial(j) for j in k])
+                cos3 = scale * np.cos(3.0 * t + k * math.pi / 2.0)
+                sin3 = scale * np.sin(3.0 * t + k * math.pi / 2.0)
+                first = np.stack([series[0, :, :j + 1] @ cos3[j::-1]
+                                  + series[1, :, :j + 1] @ sin3[j::-1]
+                                  for j in k], axis=-1)
+                series = np.concatenate([first[None], series[2:]])
+            sig = signature(geom.n, order)
+            table = np.zeros((sig.size,) + series.shape[:2])
+            table[[sig.index[(j,) + (0,) * (geom.n - 1)]
+                   for j in range(order + 1)]] = series.transpose(2, 0, 1)
+            return table
         return rule
 
     exercises = []

@@ -174,16 +174,21 @@ def _greedy_pivots(rows: np.ndarray, count: int, min_residual: float):
     return frame, tuple(chosen)
 
 
-def span_projector(sig: JetSignature, rows: np.ndarray,
-                   tol: float) -> tuple[sub.Subspace, np.ndarray]:
+def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
+                   rank: int | None = None
+                   ) -> tuple[sub.Subspace, np.ndarray]:
     """Span at the centre of a row family jet ``(sig.size, m, N)``, and the
     ``(sig.size, N, N)`` jet of its projector Pi = F^T (F F^T)^-1 F.
 
-    The rank is read off the centre rows at ``tol``; F holds the rows picked
-    there by largest residual, as ``projection_frame`` picks pivots, so for
-    a span of constant rank Pi is the analytic projector nearby.
+    The rank is read off the centre rows at ``tol`` unless the caller
+    already knows it; F holds the rows picked there by largest residual, as
+    ``projection_frame`` picks pivots, so for a span of constant rank Pi is
+    the analytic projector nearby.
     """
-    space = sub.span_from_svd(sub.row_svd(rows[0]), tol)
+    svals, vt = sub.row_svd(rows[0])
+    if rank is None:
+        rank = sub.numerical_rank(svals, tol)
+    space = sub.Subspace(vt.shape[1], vt[:rank].copy(), tol)
     f = rows[:, list(_greedy_pivots(rows[0], space.dim, 0.0)[1])]
     f_t = f.swapaxes(-1, -2)
     gram_inv = matrix_inverse(sig, matrix_product(sig, f, f_t))

@@ -337,7 +337,9 @@ def partial_jets(table: np.ndarray, num_vars: int, top: int,
     ``signature(num_vars, top + order)``, lie along ``table``'s leading axis.
 
     Returns ``(signature(num_vars, order).size, #partials) + trailing axes``,
-    the partials in the signature's graded order.
+    the partials by degree and, within a degree, in descending
+    lexicographic order of their exponents, so the first partials come in
+    chart-variable order.
     """
     index, scale = _partial_index(num_vars, top, order)
     picked = table[index]
@@ -350,7 +352,8 @@ def _partial_index(num_vars: int, top: int,
     # coefficient beta of d^alpha f's jet: c[alpha+beta] (alpha+beta)!/beta!
     full = signature(num_vars, top + order)
     small = signature(num_vars, order)
-    partials = [m for m in full.monomials if 1 <= sum(m) <= top]
+    partials = sorted((m for m in full.monomials if 1 <= sum(m) <= top),
+                      key=lambda m: (sum(m), tuple(-e for e in m)))
     index = np.array([[full.index[tuple(a + b for a, b in zip(alpha, beta))]
                        for alpha in partials] for beta in small.monomials],
                      dtype=np.intp)
@@ -358,16 +361,6 @@ def _partial_index(num_vars: int, top: int,
     index.flags.writeable = False
     scale.flags.writeable = False
     return index, scale
-
-
-def first_order_jet(value: np.ndarray, partials: np.ndarray) -> np.ndarray:
-    """Order-1 table, in the layout of ``signature(num_vars, 1)``, of a
-    quantity from its value and its ``(num_vars,) + value.shape`` partials."""
-    partials = np.asarray(partials, dtype=float)
-    table = np.empty((partials.shape[0] + 1,) + partials.shape[1:])
-    table[0] = value
-    table[_tensor_index(partials.shape[0], 1, 1)] = partials
-    return table
 
 
 def first_partials(table: np.ndarray) -> np.ndarray:
@@ -402,6 +395,7 @@ class DerivativeTensor:
         self.num_vars = vjet.num_vars
         self.order = vjet.order
         self.ambient_dim = vjet.ambient_dim
+        self.coeffs = vjet.coeffs
         # rows: monomials, cols: ambient components; scaled to derivatives
         self.values = vjet.coeffs * self._sig.factorials[:, None]
 

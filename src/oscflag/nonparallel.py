@@ -73,6 +73,17 @@ def complement_frame(geom: PointGeometry,
     return projection_frame(comp, pivots)
 
 
+def _complement_frame_field(chart: ImmersionChart, pivots: tuple[int, ...],
+                            tol: float):
+    """y -> the complement frame at y with the pivot order frozen, from an
+    order-1 ``point_geometry``: the smooth field the stencils differentiate."""
+    def frame_at(y) -> np.ndarray:
+        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
+        return projection_frame(g_y.first_normal_complement(),
+                                pivots=pivots)[0]
+    return frame_at
+
+
 def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
     p = geom.first_normal.dim
     q = mu_frame.shape[0]
@@ -136,12 +147,8 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame, pivots, "frame-fd")
 
-    def frame_at(y):
-        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
-        return projection_frame(g_y.first_normal_complement(),
-                                pivots=pivots)[0]
-
-    derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
+    derivs = frame_derivative(_complement_frame_field(chart, pivots, tol),
+                              geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
     return PhiTensor(values, mu_frame, pivots, n1.basis, "frame-fd")
 
@@ -289,11 +296,7 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
         return 0.0
     n = geom.n
 
-    def frame_at(y):
-        g_y = point_geometry(chart, y, max_normal_order=1, tol=geom.tol)
-        return projection_frame(g_y.first_normal_complement(),
-                                pivots=pivots)[0]
-
+    frame_at = _complement_frame_field(chart, pivots, geom.tol)
     worst = 0.0
     for _ in range(pairs):
         xv = rng.standard_normal(n)

@@ -10,7 +10,9 @@ the rulings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -18,41 +20,64 @@ import numpy as np
 from . import subspaces as sub
 from .errors import (DegenerateExtensionError, NumericalRankError,
                      ParameterError, ShapeError)
-from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
-                       point_geometry, projection_frame, span_projector,
-                       flattened_alpha_restricted)
-from .jets import first_partials, matrix_product, partial_jets, signature
+from .geometry import (ImmersionChart, PointGeometry, box, eval_jet,
+                       flattened_alpha_restricted, point_geometry,
+                       projection_frame, span_projector)
+from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
+                   partial_jets, signature)
 
 
-def default_splitting_rule(geom: PointGeometry) -> np.ndarray:
+def _chart_table(geom: PointGeometry, order: int) -> np.ndarray:
+    """The chart's coefficient table at ``order``: a prefix of the jet behind
+    ``geom`` when that reaches far enough, else a chart evaluation."""
+    if order <= geom.derivs.order:
+        return geom.derivs.coeffs[:signature(geom.n, order).size]
+    return geom.chart.eval(geom.x, order).coeffs
+
+
+def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
     """L = orthogonal complement of the nonparallelism span S inside the first
     normal space (the splitting used by the trichotomy analysis).
 
-    Returns the rows of Pi_L = Pi_N1 - Pi_S at order 1, Pi_N1 being
-    Pi_osc2 - Pi_T.  For mu in the complement C of the second osculating
-    space, phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row span of
+    Returns the rows of Pi_L = Pi_N1 - Pi_S at ``order``, Pi_N1 being
+    Pi_osc2 - Pi_T, from the chart jet at order + 3.  For mu in the
+    complement C of the second osculating space,
+    phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row span of
     Pi_C (d_i Pi_osc2) Pi_N1 over the chart partials i; as
     Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.
     """
     n, tol = geom.n, geom.tol
-    sig1, sig2 = signature(n, 1), signature(n, 2)
-    rows = partial_jets(geom.chart.eval(geom.x, 4).coeffs, n, 2, 2)
-    _, osc = span_projector(sig2, rows, tol)
-    n1 = osc[:sig1.size] - span_projector(sig1, rows[:sig1.size, :n], tol)[1]
-    d_osc = partial_jets(osc, n, 1, 1).reshape(sig1.size, -1, geom.ambient_dim)
-    return n1 - span_projector(sig1, matrix_product(sig1, d_osc, n1), tol)[1]
+    sig, sig_up = signature(n, order), signature(n, order + 1)
+    rows = partial_jets(_chart_table(geom, order + 3), n, 2, order + 1)
+    _, osc = span_projector(sig_up, rows, tol)
+    n1 = osc[:sig.size] - span_projector(sig, rows[:sig.size, :n], tol)[1]
+    d_osc = partial_jets(osc, n, 1, order).reshape(sig.size, -1,
+                                                   geom.ambient_dim)
+    return n1 - span_projector(sig, matrix_product(sig, d_osc, n1), tol)[1]
 
 
 @dataclass(frozen=True)
 class PointSplit:
-    """The splitting and its derived distributions at one point."""
+    """The splitting and its derived distributions at one point.
+
+    The subspaces are read at the point.  The jets are coefficient-major
+    tables (see ``jets.matrix_product``) in ``signature(n, order)``: Pi_P,
+    Pi_E and ``q_d``, the projector onto D in chart coordinates; Pi_Lambda
+    is one order lower, and with Gamma and Lambda it is None at order 0.
+    """
 
     geom: PointGeometry = field(repr=False)
     L: sub.Subspace     # ambient
     P: sub.Subspace     # ambient
     D: sub.Subspace     # tangent-frame coordinates
     E: sub.Subspace     # tangent-frame coordinates
-    l_partials: np.ndarray = field(repr=False)  # (n, N, N) d_i Pi_L
+    order: int
+    pi_p: np.ndarray = field(repr=False)
+    q_d: np.ndarray = field(repr=False)
+    pi_e: np.ndarray = field(repr=False)
+    Gamma: sub.Subspace | None = None    # ambient
+    Lambda: sub.Subspace | None = None   # ambient
+    pi_lambda: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ell(self) -> int:
@@ -62,67 +87,129 @@ class PointSplit:
     def d(self) -> int:
         return self.D.dim
 
-    def d_ambient(self) -> sub.Subspace:
-        return sub.Subspace(self.geom.ambient_dim,
-                            self.D.basis @ self.geom.frame, self.D.tol_used)
-
     def e_ambient(self) -> sub.Subspace:
         return sub.Subspace(self.geom.ambient_dim,
                             self.E.basis @ self.geom.frame, self.E.tol_used)
 
 
+def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
+               tol: float) -> PointSplit:
+    """Projector jets of the splitting at ``geom`` from rows spanning L.
+
+    With Pi_T from the chart jet at order + 1 and Pi_L from ``l_rows`` (an
+    order-``order`` table), at ``order``:
+
+    - Pi_P = I - Pi_T - Pi_L;
+    - D in chart coordinates, the kernel of c -> sum_i c_i Pi_P (d_i Pi_T)
+      Pi_T, since alpha_P(X, Y) = Pi_P (d_X Pi_T) Y for tangent Y;
+    - Pi_E = Pi_T - Pi_D;
+
+    and one order lower, when ``order`` >= 1:
+
+    - Gamma, the column span of (Pi_E + Pi_L)(d_w Pi_P) Pi_P over w in E;
+    - Pi_Lambda = Pi_E + Pi_L - Pi_Gamma.
+
+    Ranks are read at the point, d off alpha_P on the tangent frame as
+    ``nonparallel_data`` reads it; k must lie in the band
+    n - d <= k <= n - d + ell.
+    """
+    n, big_n = geom.n, geom.ambient_dim
+    sig = signature(n, order)
+    size = sig.size
+    tangent = partial_jets(_chart_table(geom, order + 2), n, 1, order + 1)
+    _, pi_t = span_projector(signature(n, order + 1), tangent, tol)
+    l_space, pi_l = span_projector(sig, l_rows, tol)
+    if not 0 < l_space.dim < big_n - n:
+        raise ParameterError(
+            f"splitting needs 0 < rank L < {big_n - n}, got {l_space.dim}")
+    residual = sub.containment_residual(l_space, geom.normal_space)
+    if residual > 1e-8:
+        raise ParameterError(
+            f"L is not a normal subspace (residual {residual:.3e})")
+    p_space = sub.complement_within(l_space, geom.normal_space)
+    pi_p = -pi_t[:size] - pi_l
+    pi_p[0] += np.eye(big_n)
+    d_space = sub.kernel_of(flattened_alpha_restricted(geom, p_space), tol)
+    d = d_space.dim
+    if d == 0:
+        raise NumericalRankError(
+            "alpha restricted to P has trivial kernel (d = 0)")
+    e_space = sub.complement_within(d_space, sub.full(n, tol))
+
+    # rows over (a, b) of the matrices sum_i c_i [Pi_P (d_i Pi_T) Pi_T]_ab
+    # span the complement of D in chart coordinates
+    d_t = np.moveaxis(partial_jets(pi_t, n, 1, order), 1, 0)
+    rows = np.moveaxis(matrix_product(
+        sig, pi_p, matrix_product(sig, d_t, pi_t[:size])), 0, -1)
+    _, q_off = span_projector(sig, rows.reshape(size, big_n * big_n, n), tol,
+                              rank=n - d)
+    q_d = -q_off
+    q_d[0] += np.eye(n)
+    jac = tangent[:size]
+    _, pi_d = span_projector(sig, matrix_product(sig, q_d, jac), tol, rank=d)
+    pi_e = pi_t[:size] - pi_d
+    split = PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
+                       E=e_space, order=order, pi_p=pi_p, q_d=q_d, pi_e=pi_e)
+    if order == 0:
+        return split
+
+    lo = signature(n, order - 1)
+    jac = jac[:lo.size]
+    gram_inv = matrix_inverse(lo, matrix_product(lo, jac,
+                                                 jac.swapaxes(-1, -2)))
+    # the columns of G^-1 (I - Q_D) span E in chart coordinates, G being the
+    # metric; row i of d_w holds d_(w_i) Pi_P for column w_i
+    w_t = matrix_product(lo, q_off[:lo.size], gram_inv)
+    d_p = partial_jets(pi_p, n, 1, order - 1).reshape(lo.size, n, -1)
+    d_w = np.moveaxis(matrix_product(lo, w_t, d_p)
+                      .reshape(lo.size, n, big_n, big_n), 1, 0)
+    e_l = pi_e[:lo.size] + pi_l[:lo.size]
+    # Gamma is the row span of the transposes Pi_P (d_w Pi_P) (Pi_E + Pi_L)
+    rows = matrix_product(lo, pi_p[:lo.size], matrix_product(lo, d_w, e_l))
+    gamma, pi_gamma = span_projector(
+        lo, np.moveaxis(rows, 0, 1).reshape(lo.size, n * big_n, big_n), tol)
+    k, ell = gamma.dim, l_space.dim
+    if not n - d <= k <= n - d + ell:
+        raise NumericalRankError(
+            f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
+    lam = sub.complement_within(
+        gamma, sub.direct_sum(split.e_ambient(), l_space, tol))
+    return replace(split, Gamma=gamma, Lambda=lam, pi_lambda=e_l - pi_gamma)
+
+
 class SplittingSpec:
     """A rule assigning the normal subbundle L at every point of a chart.
 
-    A rule maps a ``PointGeometry`` to rows spanning L together with their
-    first chart partials: an order-1 table ``(n + 1, m, N)`` in the layout
-    of ``signature(n, 1)`` (``jets.first_order_jet`` builds one).
+    ``rule(geom, order)`` returns rows spanning L as an order-``order`` jet:
+    a table ``(signature(n, order).size, m, N)`` in the layout of
+    ``signature(n, order)``.  ``at(x, order)`` asks the rule for that order
+    and returns D, E and P to it, Gamma and Lambda to one order less; order 0
+    serves readers of D alone, order 1 the values of Gamma and Lambda.
     """
 
     def __init__(self, chart: ImmersionChart,
-                 rule: Callable[[PointGeometry], np.ndarray] | None = None,
-                 max_normal_order: int = 2,
+                 rule: Callable[[PointGeometry, int], np.ndarray] | None = None,
                  tol: float = sub.DEFAULT_RANK_TOL):
         self.chart = chart
         self.rule = rule or default_splitting_rule
-        self.max_normal_order = max_normal_order
         self.tol = tol
 
-    def at(self, x, geom: PointGeometry | None = None) -> PointSplit:
-        if geom is None:
-            geom = point_geometry(self.chart, x, self.max_normal_order,
-                                  self.tol)
-        n, big_n = geom.n, geom.ambient_dim
-        rows = np.asarray(self.rule(geom), dtype=float)
-        if rows.ndim != 3 or rows.shape[0] != n + 1 or rows.shape[2] != big_n:
+    def at(self, x, order: int = 1,
+           geom: PointGeometry | None = None) -> PointSplit:
+        if geom is None:  # its order-3 jet serves the default rule at order 0
+            geom = point_geometry(self.chart, x, 2, self.tol)
+        size, big_n = signature(geom.n, order).size, geom.ambient_dim
+        rows = np.asarray(self.rule(geom, order), dtype=float)
+        if rows.ndim != 3 or rows.shape[0] != size or rows.shape[2] != big_n:
             raise ShapeError(
                 f"splitting rule returned shape {rows.shape}, expected "
-                f"({n + 1}, m, {big_n})")
-        l_space, l_proj = span_projector(signature(n, 1), rows, self.tol)
-        codim = big_n - n
-        if not 0 < l_space.dim < codim:
-            raise ParameterError(
-                f"splitting needs 0 < rank L < {codim}, got {l_space.dim}")
-        residual = sub.containment_residual(l_space, geom.normal_space)
-        if residual > 1e-8:
-            raise ParameterError(
-                f"L is not a normal subspace (residual {residual:.3e})")
-        p_space = sub.complement_within(l_space, geom.normal_space)
-        d_space = sub.kernel_of(
-            flattened_alpha_restricted(geom, p_space), self.tol)
-        if d_space.dim == 0:
-            raise NumericalRankError(
-                "alpha restricted to P has trivial kernel (d = 0)")
-        e_space = sub.complement_within(d_space, sub.full(n, self.tol))
-        return PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
-                          E=e_space,
-                          l_partials=first_partials(l_proj))
+                f"({size}, m, {big_n})")
+        return split_jets(geom, rows, order, self.tol)
 
 
 @dataclass(frozen=True)
 class GammaData:
     split: PointSplit = field(repr=False)
-    values: np.ndarray          # (#E basis * #P basis, N) ambient gamma values
     Gamma: sub.Subspace         # ambient
     k: int
 
@@ -131,29 +218,13 @@ def gamma_tensor(spec: SplittingSpec, x,
                  split: PointSplit | None = None) -> GammaData:
     """Span of the E+L components of ambient derivatives of P-sections.
 
-    The tangential part is a shape-operator contraction; for mu in P,
-    Pi_L mu = 0 gives the L-component of D_w mu as -(d_w Pi_L) mu.  Both
-    are exact and need no frame.  The dimension k is checked against the
-    band n - d <= k <= n - d + ell.
+    Read at x from the split's projector jets (``split_jets``); the
+    dimension k has been checked against the band
+    n - d <= k <= n - d + ell.
     """
     if split is None:
         split = spec.at(x)
-    geom = split.geom
-    mu = split.P.basis
-    e_amb = split.e_ambient()
-    values = np.zeros((0, geom.ambient_dim))
-    for w in split.E.basis:
-        d_l = np.tensordot(w @ geom.frame_in_chart, split.l_partials, axes=1)
-        shape_terms = np.einsum("abN,qN,b->qa", geom.alpha, mu, w)
-        values = np.vstack([values, -e_amb.project(shape_terms @ geom.frame)
-                            - mu @ d_l.T])
-    gamma = sub.span_of(values, spec.tol, ambient_dim=geom.ambient_dim)
-    k = gamma.dim
-    n, d, ell = geom.n, split.d, split.ell
-    if not n - d <= k <= n - d + ell:
-        raise NumericalRankError(
-            f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
-    return GammaData(split=split, values=values, Gamma=gamma, k=k)
+    return GammaData(split=split, Gamma=split.Gamma, k=split.Gamma.dim)
 
 
 @dataclass(frozen=True)
@@ -173,87 +244,115 @@ def lambda_delta(spec: SplittingSpec, x, gamma: GammaData) -> LambdaData:
     construction.
     """
     split = gamma.split
-    geom = split.geom
-    e_plus_l = sub.direct_sum(split.e_ambient(), split.L, spec.tol)
-    lam = sub.complement_within(gamma.Gamma, e_plus_l)
+    lam = split.Lambda
     r = lam.dim
-    delta = sub.direct_sum(split.d_ambient(), lam, spec.tol)
-    angle = sub.smallest_angle_between(lam, geom.tangent) if r else np.pi / 2
+    d_ambient = sub.Subspace(lam.ambient_dim, split.D.basis @ split.geom.frame)
+    delta = sub.direct_sum(d_ambient, lam, spec.tol)
+    angle = sub.smallest_angle_between(lam, split.geom.tangent) if r \
+        else np.pi / 2
     return LambdaData(Lambda=lam, Delta=delta, r=r, lemma_par_angle=angle)
 
 
-class RuledExtension:
-    """The evaluatable extension on base x admissible translation box.
+@lru_cache(maxsize=None)
+def _ruled_index(n: int, r: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``signature(n + r, order)`` holding the monomials x^a (one per
+    monomial of ``signature(n, order)``) and x^a lam_j (``(r, #a)`` with
+    deg a < order)."""
+    index = signature(n + r, order).index
+    lower = signature(n, order - 1).monomials if order else []
+    return (np.array([index[m + (0,) * r]
+                      for m in signature(n, order).monomials]),
+            np.array([[index[m + tuple(int(i == j) for i in range(r))]
+                       for m in lower] for j in range(r)],
+                     dtype=np.intp).reshape(r, len(lower)))
 
-    eval(x, lam) translates the base immersion by the Lambda-frame combination
-    at x; it is affine in lam by construction, and the zero section reproduces
-    the base chart exactly.
+
+def _lambda_split(spec: SplittingSpec, r: int, splits: dict, x,
+                  order: int) -> PointSplit:
+    """The split at x with Pi_Lambda to at least ``order``, memoised per x in
+    ``splits``: to order 0 for values, else to order 2."""
+    x = np.asarray(x, dtype=float)
+    key = x.tobytes()
+    hit = splits.get(key)
+    if hit is not None and hit.order > order:
+        return hit
+    split = spec.at(x, 1 if order == 0 else 3)
+    if split.Lambda.dim != r:
+        raise NumericalRankError(
+            f"rank of Lambda changed from {r} to {split.Lambda.dim} at {x}")
+    splits[key] = split
+    return split
+
+
+def _ruled_components(spec: SplittingSpec, pivots: list[int], r: int,
+                      splits: dict, vars_: list[Jet]) -> list[Jet]:
+    """Components of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] as jets
+    at the point of ``vars_``."""
+    base = spec.chart
+    n, order = base.intrinsic_dim, vars_[0].order
+    point = np.array([v.value for v in vars_])
+    x, lam = point[:n], point[n:]
+    size = signature(n, order).size
+    rows = _lambda_split(spec, r, splits, x, order).pi_lambda[:size][:, pivots]
+    pure, linear = _ruled_index(n, r, order)
+    table = np.zeros((signature(n + r, order).size, base.ambient_dim))
+    table[pure] = base.eval(x, order).coeffs + lam @ rows
+    table[linear] = rows[:linear.shape[1]].swapaxes(0, 1)
+    return [Jet(n + r, order, column) for column in table.T]
+
+
+class RuledExtension:
+    """The ruled extension F(x, lam) = f(x) + lam . Lambda(x), as a chart.
+
+    The Lambda rows are the rows of Pi_Lambda(x) at the pivots picked at the
+    base point, not re-orthonormalised, so F is analytic in (x, lam), affine
+    in lam, and F(x, 0) = f(x).  ``chart`` is an ``ImmersionChart`` in
+    n + r variables with ``max_order`` 2 (the base chart when r = 0) whose
+    jets come from one memo per x of the split and its Pi_Lambda jet.
     """
 
     def __init__(self, spec: SplittingSpec,
-                 pivots: tuple[int, ...], r: int, lambda_radius: float,
-                 fd_step: float = 1e-3):
+                 pivots: tuple[int, ...], r: int, lambda_radius: float):
         self.spec = spec
-        self.chart = spec.chart
-        self.pivots = pivots
+        self.pivots = list(pivots)
         self.r = r
         self.lambda_radius = lambda_radius
-        self.fd_step = fd_step
-        self._frames: dict[bytes, tuple[PointSplit, GammaData, LambdaData,
-                                        np.ndarray]] = {}
+        self._splits: dict[bytes, PointSplit] = {}
+        base = spec.chart
+        if r == 0:
+            self.chart = base
+            return
+        # F is affine in lam, so it is defined for every translation; the
+        # chart's fn holds no reference to self, whose memo a reference
+        # cycle would keep alive until a full garbage collection
+        unbounded = np.full(r, np.inf)
+        self.chart = ImmersionChart(
+            f"{base.name}+ruled", base.intrinsic_dim + r, base.ambient_dim,
+            box(np.concatenate([base.domain.lo, -unbounded]),
+                np.concatenate([base.domain.hi, unbounded])),
+            partial(_ruled_components, spec, self.pivots, r, self._splits),
+            max_order=2)
 
     @property
     def trivial(self) -> bool:
         return self.r == 0
 
-    @property
-    def total_dim(self) -> int:
-        return self.chart.intrinsic_dim + self.r
-
-    def data_at(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = self._frames.get(key)
-        if hit is not None:
-            return hit
-        split = self.spec.at(x)
-        gamma = gamma_tensor(self.spec, x, split=split)
-        lam = lambda_delta(self.spec, x, gamma)
-        if lam.r != self.r:
-            raise NumericalRankError(
-                f"rank of Lambda changed from {self.r} to {lam.r} at {x}")
-        if self.r:
-            frame, _ = projection_frame(lam.Lambda, pivots=self.pivots)
-        else:
-            frame = np.zeros((0, self.chart.ambient_dim))
-        record = (split, gamma, lam, frame)
-        self._frames[key] = record
-        return record
-
-    def lambda_frame(self, x) -> np.ndarray:
-        return self.data_at(x)[3]
+    def data_at(self, x, order: int = 0) -> PointSplit:
+        """The split at x with Pi_Lambda to at least ``order``."""
+        return _lambda_split(self.spec, self.r, self._splits, x, order)
 
     def eval(self, x, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (self.r,):
+        if np.shape(lam) != (self.r,):
             raise ParameterError(f"lambda coordinates must have length {self.r}")
-        base = self.chart.position(x)
-        if self.r == 0:
-            return base
-        return base + lam @ self.lambda_frame(x)
+        return self.chart.position(np.concatenate([x, lam]))
 
-    def jacobian(self, x, lam, h: float | None = None) -> np.ndarray:
-        """Rows: d eval / d(base coords) by central differences, then the
-        exact Lambda-frame rows."""
-        h = self.fd_step if h is None else h
-        base_rows = frame_derivative(lambda y: self.eval(y, lam), x,
-                                     np.eye(self.chart.intrinsic_dim), h)
-        return np.vstack([base_rows, self.lambda_frame(x)])
+    def jacobian(self, x, lam) -> np.ndarray:
+        """Exact first partials of F at (x, lam), one row per coordinate."""
+        return eval_jet(self.chart, np.concatenate([x, lam]), 1).tensor(1)
 
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,
                     probe_points: list[np.ndarray],
-                    fd_step: float = 1e-3,
                     rank_tol: float = 1e-6,
                     min_radius: float = 1e-6) -> RuledExtension:
     """Assemble the extension and shrink the translation box by bisection
@@ -265,13 +364,11 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     if not probe_points:
         raise ParameterError("build_extension needs at least one probe point")
     base = np.asarray(probe_points[0], dtype=float)
-    split = spec.at(base)
-    gamma = gamma_tensor(spec, base, split=split)
-    lam = lambda_delta(spec, base, gamma)
+    lam = lambda_delta(spec, base, gamma_tensor(spec, base))
     if lam.r == 0:
-        return RuledExtension(spec, (), 0, 0.0, fd_step)
+        return RuledExtension(spec, (), 0, 0.0)
     _, pivots = projection_frame(lam.Lambda)
-    ext = RuledExtension(spec, pivots, lam.r, lambda_radius, fd_step)
+    ext = RuledExtension(spec, pivots, lam.r, lambda_radius)
 
     def feasible(radius: float) -> bool:
         # eval is affine in the translation coordinates, so the Jacobian
@@ -308,63 +405,8 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
 
 
 def _signed_corners(r: int) -> np.ndarray:
-    if r == 0:
-        return np.zeros((1, 0))
     corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * r))).reshape(r, -1).T
     return corners / np.sqrt(r)
-
-
-def extension_second_form(ext: RuledExtension, x, lam,
-                          h: float = 1e-3) -> dict[str, np.ndarray]:
-    """Finite-difference second fundamental form of the extension at (x, lam).
-
-    Richardson-extrapolated central second differences over the base
-    coordinates; derivatives involving the translation coordinates reduce to
-    first derivatives of the Lambda frame (eval is affine in lam).  Returns
-    the tangent rows, the normal-projected form and the raw second
-    derivatives, all on coordinate (not orthonormalized) fields.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    n = ext.chart.intrinsic_dim
-    r = ext.r
-    total = n + r
-    big_n = ext.chart.ambient_dim
-
-    def second_base(step: float) -> np.ndarray:
-        out = np.zeros((n, n, big_n))
-        center = ext.eval(x, lam)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            out[i, i] = (ext.eval(x + ei, lam) - 2.0 * center
-                         + ext.eval(x - ei, lam)) / step ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
-                out[i, j] = (ext.eval(x + ei + ej, lam)
-                             - ext.eval(x + ei - ej, lam)
-                             - ext.eval(x - ei + ej, lam)
-                             + ext.eval(x - ei - ej, lam)) / (4.0 * step ** 2)
-                out[j, i] = out[i, j]
-        return out
-
-    base_h, base_h2 = second_base(h), second_base(h / 2.0)
-    second = np.zeros((total, total, big_n))
-    second[:n, :n] = (4.0 * base_h2 - base_h) / 3.0
-    if r:
-        mixed = frame_derivative(ext.lambda_frame, x, np.eye(n), h,
-                                 richardson=True)
-        second[:n, n:] = mixed
-        second[n:, :n] = mixed.transpose(1, 0, 2)
-        # second derivatives in the translation coordinates vanish exactly
-
-    jac = ext.jacobian(x, lam, h)
-    tangent = sub.span_of(jac, 1e-6, ambient_dim=big_n)
-    normal_part = second - np.einsum("ijN,kN,kM->ijM", second,
-                                     tangent.basis, tangent.basis)
-    return {"jacobian": jac, "tangent": tangent.basis, "alpha": normal_part,
-            "raw_second": second}
 
 
 def integrate_leaf(ruling_at: Callable[[np.ndarray],
@@ -411,7 +453,6 @@ class ExtensionCheck:
 @dataclass
 class ExtensionDiagnostics:
     checks: list[ExtensionCheck]
-    details: dict[str, float]
 
     @property
     def failures(self) -> list[ExtensionCheck]:
@@ -419,8 +460,7 @@ class ExtensionDiagnostics:
 
 
 def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
-                     tol: float = 1e-5, h: float = 1e-3,
-                     seed: int = 0,
+                     tol: float = 1e-5, seed: int = 0,
                      leaf_arc: float = 0.02) -> ExtensionDiagnostics:
     """Numerical audit of the advertised extension properties.
 
@@ -428,11 +468,13 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     straightness of the translation directions and of the D-leaves, the
     containment of P in the extension's normal spaces, the kernel identity
     for alpha restricted to P, integrability of D, and constancy of P along
-    the rulings.
+    the rulings.  The extension's own tangent space and second fundamental
+    form come from ``point_geometry`` on its chart, with ranks read at the
+    splitting's tolerance.
     """
     rng = np.random.default_rng(seed)
-    checks: list[ExtensionCheck] = []
-    details: dict[str, float] = {}
+    spec = ext.spec
+    base = spec.chart
 
     roundtrip = 0.0
     affine = 0.0
@@ -444,109 +486,84 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     p_constancy = 0.0
 
     def d_space_at(y):
-        split_y = ext.spec.at(y)
+        split_y = spec.at(y, 0)
         return split_y.geom, split_y.D
 
-    for sample_idx, x in enumerate(samples):
+    for x in samples:
         x = np.asarray(x, dtype=float)
-        split, _, lam_data, frame = ext.data_at(x)
+        split = ext.data_at(x)
         geom = split.geom
-        lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius \
-            if ext.r else np.zeros(0)
+        delta = lambda_delta(spec, x, gamma_tensor(spec, x, split)).Delta
+        lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
 
-        fx = ext.chart.position(x)
+        fx = base.position(x)
         roundtrip = max(roundtrip, float(np.linalg.norm(
             ext.eval(x, np.zeros(ext.r)) - fx)))
         if ext.r:
             affine = max(affine, float(np.linalg.norm(
-                ext.eval(x, lam) - fx - lam @ frame)))
-
-        delta = lam_data.Delta
+                ext.eval(x, lam) - fx - lam @ split.pi_lambda[0][ext.pivots])))
 
         # D-leaf: integrate the kernel distribution and test that the image
         # stays inside the affine subspace spanned by Delta, that Delta and P
         # are parallel along the leaf, and that Lambda stays inside Delta.
-        d_dim = split.D.dim
-        if d_dim:
+        if split.d:
             y_end = integrate_leaf(d_space_at, split.D.basis[0] @ geom.frame,
                                    x, leaf_arc)
-            reach = ext.chart.position(y_end) - fx
+            reach = base.position(y_end) - fx
             leaf_straightness = max(leaf_straightness, float(
                 np.linalg.norm(delta.reject(reach)) / max(np.linalg.norm(reach),
                                                           1e-12)))
-            split_end = ext.spec.at(y_end)
-            gamma_end = gamma_tensor(ext.spec, y_end, split=split_end)
-            lam_end = lambda_delta(ext.spec, y_end, gamma_end)
+            split_end = spec.at(y_end)
+            lam_end = lambda_delta(spec, y_end,
+                                   gamma_tensor(spec, y_end, split_end))
             delta_parallel = max(delta_parallel,
                                  sub.subspace_gap(lam_end.Delta, delta))
             p_constancy = max(p_constancy,
                               sub.subspace_gap(split_end.P, split.P))
 
-        # P inside the normal space of the extension at (x, lam).
-        jac = ext.jacobian(x, lam, h)
-        t_span = sub.span_of(jac, 1e-6, ambient_dim=ext.chart.ambient_dim)
+        # P inside the normal space of the extension at (x, lam), and Delta
+        # equal to the kernel of the extension's alpha restricted to P.
+        geom_ext = point_geometry(ext.chart, np.concatenate([x, lam]), 1,
+                                  spec.tol)
         p_in_normal = max(p_in_normal, float(np.max(np.linalg.norm(
-            t_span.project(split.P.basis), axis=1), initial=0.0)))
+            geom_ext.tangent.project(split.P.basis), axis=1), initial=0.0)))
+        kern = sub.kernel_of(flattened_alpha_restricted(geom_ext, split.P),
+                             spec.tol)
+        kernel_angle = max(kernel_angle, sub.subspace_gap(sub.Subspace(
+            geom.ambient_dim, kern.basis @ geom_ext.frame), delta))
 
-        # Delta equals the kernel of alpha restricted to P.
-        forms = extension_second_form(ext, x, lam, h)
-        alpha_p = np.einsum("ijN,kN->ijk", forms["alpha"], split.P.basis)
-        total = ext.total_dim
-        mat = alpha_p.transpose(1, 2, 0).reshape(-1, total)
-        kern = sub.kernel_of(mat, 1e-4)
-        kern_ambient = sub.span_of(kern.basis @ forms["jacobian"], 1e-8,
-                                   ambient_dim=ext.chart.ambient_dim)
-        kernel_angle = max(kernel_angle,
-                           sub.subspace_gap(kern_ambient, delta))
-        details[f"nu_ext_{sample_idx}"] = float(
-            sub.kernel_of(forms["alpha"].transpose(1, 2, 0)
-                          .reshape(-1, total), 1e-4).dim)
+        # Integrability of D: commutators of D fields stay inside D.
+        commutator = max(commutator, _commutator_residual(split))
 
-        # Integrability of D: commutators of D-frame fields stay inside D.
-        if d_dim >= 2:
-            commutator = max(commutator,
-                             _commutator_residual(ext.spec, split, h))
-
-    checks.append(ExtensionCheck("roundtrip-zero-section", roundtrip, 1e-12))
+    leaf_tol = max(tol, 50.0 * leaf_arc ** 2)
+    checks = [ExtensionCheck("roundtrip-zero-section", roundtrip, 1e-12)]
     if ext.r:
         checks.append(ExtensionCheck("affine-in-translation", affine, 1e-12))
-    checks.append(ExtensionCheck("leaf-straightness", leaf_straightness,
-                                 max(tol, 50.0 * leaf_arc ** 2)))
-    checks.append(ExtensionCheck("delta-parallel-along-leaf", delta_parallel,
-                                 max(tol, 50.0 * leaf_arc ** 2)))
-    checks.append(ExtensionCheck("p-inside-extension-normal", p_in_normal,
-                                 max(tol, 100.0 * h ** 2)))
-    checks.append(ExtensionCheck("delta-is-kernel-of-alpha-p", kernel_angle,
-                                 tol))
-    checks.append(ExtensionCheck("d-integrability", commutator,
-                                 max(tol, 100.0 * h)))
-    checks.append(ExtensionCheck("p-constant-along-rulings", p_constancy,
-                                 max(tol, 50.0 * leaf_arc ** 2)))
-    return ExtensionDiagnostics(checks, details)
+    checks += [
+        ExtensionCheck("leaf-straightness", leaf_straightness, leaf_tol),
+        ExtensionCheck("delta-parallel-along-leaf", delta_parallel, leaf_tol),
+        ExtensionCheck("p-inside-extension-normal", p_in_normal, tol),
+        ExtensionCheck("delta-is-kernel-of-alpha-p", kernel_angle, tol),
+        ExtensionCheck("d-integrability", commutator, tol),
+        ExtensionCheck("p-constant-along-rulings", p_constancy, leaf_tol)]
+    return ExtensionDiagnostics(checks)
 
 
-def _commutator_residual(spec: SplittingSpec, split: PointSplit,
-                         h: float) -> float:
-    """Residual of [W_i, W_j] staying inside D, for a pivot-stable D-frame."""
+def _commutator_residual(split: PointSplit) -> float:
+    """Largest part outside D of [X, Y] over pairs of an orthonormal D basis
+    (0 when d < 2).
+
+    In chart coordinates, for the fields X = Q_D a and Y = Q_D b with a, b
+    constant, the bracket at the point is (d_X Q_D) Y - (d_Y Q_D) X, so
+    (I - Q_D)[X, Y] needs only the order-1 jet of the projector Q_D onto D.
+    """
     geom = split.geom
     n = geom.n
-    x = geom.x
-    _, pivots = projection_frame(split.D)
-
-    def d_frame_chart(y) -> np.ndarray:
-        split_y = spec.at(y)
-        frame_y, _ = projection_frame(split_y.D, pivots=pivots)
-        return frame_y @ split_y.geom.frame_in_chart
-
-    center = d_frame_chart(x)
-    jacobians = np.ascontiguousarray(  # field, component, d/dx
-        frame_derivative(d_frame_chart, x, np.eye(n), h).transpose(1, 2, 0))
-
+    d_q = first_partials(split.q_d[:n + 1])
+    off_d = np.eye(n) - split.q_d[0]
+    fields = split.D.basis @ geom.frame_in_chart
     worst = 0.0
-    d_chart_span = sub.span_of(center, 1e-8, ambient_dim=n)
-    for i in range(split.D.dim):
-        for j in range(i + 1, split.D.dim):
-            bracket = jacobians[j] @ center[i] - jacobians[i] @ center[j]
-            worst = max(worst, float(np.linalg.norm(
-                d_chart_span.reject(bracket))))
+    for u, v in combinations(fields, 2):
+        bracket = np.tensordot(u, d_q, 1) @ v - np.tensordot(v, d_q, 1) @ u
+        worst = max(worst, float(np.linalg.norm(off_d @ bracket)))
     return worst

@@ -28,7 +28,8 @@ SCHEMA_VERSION = "2"
 
 @dataclass
 class RunConfig:
-    """Everything a verification run depends on; serializes round-trip."""
+    """Everything a verification run depends on; ``RunConfig(**cfg.to_dict())``
+    rebuilds it."""
 
     entry: str
     params: dict = field(default_factory=dict)
@@ -57,15 +58,6 @@ class RunConfig:
             "fd_step": self.fd_step,
             "out": self.out,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(entry=data["entry"], params=dict(data.get("params", {})),
-                   samples=int(data.get("samples", 20)),
-                   seed=int(data.get("seed", 7)),
-                   rank_tol=float(data.get("rank_tol", 1e-8)),
-                   fd_step=float(data.get("fd_step", 1e-3)),
-                   out=data.get("out"))
 
 
 @dataclass

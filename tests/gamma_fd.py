@@ -4,7 +4,7 @@ The L-component of the derivative of each P-frame field is a central
 difference of a projection frame whose pivot order is frozen at the stencil
 centre, so the differentiated field is a smooth section; it is
 second-order accurate in h.  Each stencil point costs one
-``SplittingSpec.at``.
+``SplittingSpec.at`` at order 0.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from oscflag.geometry import frame_derivative, projection_frame
 
 
 def gamma_values_fd(spec, split, h: float) -> np.ndarray:
-    """Gamma values on ``split.P.basis``, laid out as ``GammaData.values``.
+    """E + L components of D_w mu for w in ``split.E.basis`` and mu in
+    ``split.P.basis``, one row per pair, E-major.
 
     The stencil differentiates the pivot-stable frame; the L-components are
     linear in the P-section, so they are rotated onto the P basis at the
@@ -23,7 +24,7 @@ def gamma_values_fd(spec, split, h: float) -> np.ndarray:
     p_frame, pivots = projection_frame(split.P)
 
     def frame_at(y):
-        return projection_frame(spec.at(y).P, pivots=pivots)[0]
+        return projection_frame(spec.at(y, 0).P, pivots=pivots)[0]
 
     d_frames = frame_derivative(
         frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)

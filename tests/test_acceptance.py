@@ -17,9 +17,9 @@ from oscflag.catalog import entry_names, get_entry
 from oscflag.geometry import eval_jet, point_geometry, ricci
 from oscflag.jets import jet_cos, jet_sin, jet_variable, signature, \
     variables
-from oscflag.subspaces import BilinearForm, moore_check, regular_element
 from oscflag.verify import Report, RunConfig, run_verification
 from jet_oracles import substitute_affine
+from moore import BilinearForm, moore_check, regular_element
 
 CONFIGS = {
     "section4-ruled": RunConfig("section4-ruled", {"m": 2}, samples=20,

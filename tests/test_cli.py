@@ -88,7 +88,7 @@ def test_report_file_schema(tmp_path, capsys):
 def test_run_config_round_trip():
     cfg = RunConfig(entry="sphere", params={"n": 3}, samples=5, seed=9,
                     rank_tol=1e-7, fd_step=2e-3, out="r.json")
-    again = RunConfig.from_dict(cfg.to_dict())
+    again = RunConfig(**cfg.to_dict())
     assert again == cfg
     with pytest.raises(UsageError):
         RunConfig(entry="sphere", samples=0)

@@ -3,36 +3,41 @@
 import numpy as np
 import pytest
 
+from commutator_fd import commutator_residual_fd
+from extension_fd import extension_second_fd
 from gamma_fd import gamma_values_fd
 from oscflag import ruled_extension
-from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.errors import ParameterError, ShapeError
-from oscflag.geometry import projection_frame
-from oscflag.jets import first_order_jet
+from oscflag.geometry import (ImmersionChart, eval_jet, frame_derivative,
+                              point_geometry, projection_frame,
+                              relative_nullity)
+from oscflag.jets import first_partials, partial_jets, signature
 from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
-                                     build_extension, extension_second_form,
+                                     _commutator_residual, build_extension,
                                      gamma_tensor, lambda_delta,
                                      verify_extension)
 
-EXT_STEP = 1e-4
 
-
-def torus_rows(geom, partials):
-    """Order-1 rows spanned by the given second partials of the product
-    torus chart; their own partials are third partials of the chart."""
-    value = np.array([geom.derivs.partial(p) for p in partials])
-    grads = [[geom.derivs.partial(np.add(p, e)) for p in partials]
-             for e in np.eye(2, dtype=int)]
-    return first_order_jet(value, grads)
+def torus_rows(geom, partials, order):
+    """Order-``order`` rows spanned by the given second partials of the
+    product torus chart, from its jet at order + 2."""
+    # partial_jets order: by degree, then descending lexicographic
+    graded = sorted((m for m in signature(geom.n, 2).monomials if sum(m)),
+                    key=lambda m: (sum(m), tuple(-e for e in m)))
+    table = geom.chart.eval(geom.x, order + 2).coeffs
+    return partial_jets(table, geom.n, 2, order)[
+        :, [graded.index(p) for p in partials]]
 
 
 def constant_rule(rows_of):
     """A rule whose rows are frozen: only its value at the point matters to
     the rank and normality checks it is meant to trip."""
-    def rule(geom):
+    def rule(geom, order):
         rows = np.atleast_2d(rows_of(geom))
-        return first_order_jet(rows, np.zeros((geom.n,) + rows.shape))
+        table = np.zeros((signature(geom.n, order).size,) + rows.shape)
+        table[0] = rows
+        return table
     return rule
 
 
@@ -41,11 +46,11 @@ def curve_entry():
     return get_entry("curve-parallel")
 
 
-def torus_split_rule(geom):
+def torus_split_rule(geom, order):
     """L spans the curvature direction of the first circle factor, so the
     complementary kernel contains that factor's coordinate direction.  That
     direction is f_uu, which is normal on the flat torus."""
-    return torus_rows(geom, [(2, 0)])
+    return torus_rows(geom, [(2, 0)], order)
 
 
 def test_whole_normal_bundle_is_forbidden():
@@ -66,10 +71,11 @@ def test_l_must_be_normal():
 
 
 def test_rule_must_return_order_one_rows():
-    # rows without their chart partials do not follow the rule contract
+    # rows without their jet axis do not follow the rule contract
     entry = get_entry("product-torus")
     spec = SplittingSpec(entry.chart,
-                         rule=lambda geom: torus_rows(geom, [(2, 0)])[0])
+                         rule=lambda geom, order:
+                         torus_rows(geom, [(2, 0)], order)[0])
     with pytest.raises(ShapeError):
         spec.at(np.array([1.0, 1.5]))
 
@@ -112,7 +118,7 @@ def test_trivial_extension_is_base_chart(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(4)
     pts = [curve_entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, 0.1, pts, fd_step=EXT_STEP)
+    ext = build_extension(spec, 0.1, pts)
     assert ext.trivial and ext.r == 0
     x = pts[0]
     np.testing.assert_array_equal(ext.eval(x, np.zeros(0)),
@@ -125,7 +131,7 @@ def test_extension_radius_bisection(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(5)
     pts = [curve_entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, 50.0, pts, fd_step=EXT_STEP)
+    ext = build_extension(spec, 50.0, pts)
     assert 1e-6 < ext.lambda_radius < 50.0
     for corner in (np.array([1.0]), np.array([-1.0])):
         jac = ext.jacobian(pts[0], ext.lambda_radius * corner)
@@ -138,29 +144,26 @@ def test_extension_verify_parallel_line(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [curve_entry.sampler(rng) for _ in range(3)]
-    ext = build_extension(spec, exercise.lambda_radius, pts,
-                          fd_step=EXT_STEP)
+    ext = build_extension(spec, exercise.lambda_radius, pts)
     assert ext.r == 1
-    diag = verify_extension(ext, pts[:2], tol=1e-5, h=1e-3, seed=0)
+    diag = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
     failures = {c.name: (c.residual, c.tolerance) for c in diag.failures}
     assert not failures, failures
     # the extension adds back a parallel direction: a curve chart one
     # dimension up, whose nullity exceeds the ruling bundle by construction
-    forms = extension_second_form(ext, pts[0], np.array([0.03]))
-    flat = forms["alpha"].transpose(1, 2, 0).reshape(-1, ext.total_dim)
-    assert sub.kernel_of(flat, 1e-4).dim == curve_entry.chart.intrinsic_dim
-    n1f = sub.span_of(forms["alpha"].reshape(-1, 8), 1e-4, ambient_dim=8)
-    assert n1f.dim == 1
+    geom = point_geometry(ext.chart, np.append(pts[0], 0.03), 1, 1e-8)
+    assert relative_nullity(geom)[1] == curve_entry.chart.intrinsic_dim
+    assert geom.first_normal.dim == 1
 
 
 def test_gamma_rank_band_guard():
     # feeding a bogus kernel situation must trip the band check, not pass
     entry = get_entry("product-torus")
 
-    def bad_rule(geom):
+    def bad_rule(geom, order):
         # L contains both curvature directions: alpha_P vanishes and the
         # kernel is everything, leaving E empty and the band degenerate
-        return torus_rows(geom, [(2, 0), (0, 2)])
+        return torus_rows(geom, [(2, 0), (0, 2)], order)
 
     spec = SplittingSpec(entry.chart, rule=bad_rule)
     split = spec.at(np.array([1.0, 1.5]))
@@ -184,8 +187,14 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
     split = spec.at(x)
     gamma = gamma_tensor(spec, x, split=split)
     assert gamma.k == exercise.expected["k"]
-    d_h, d_h2 = (np.linalg.norm(gamma_values_fd(spec, split, h)
-                                - gamma.values) for h in (1e-3, 5e-4))
+    geom = split.geom
+    # (Pi_E + Pi_L)(d_w Pi_P) mu at the point, from the order-1 jets
+    d_p = first_partials(split.pi_p[:geom.n + 1])
+    e_l = split.pi_e[0] + split.L.projector()
+    exact = np.array([e_l @ np.tensordot(w @ geom.frame_in_chart, d_p, 1)
+                      @ mu for w in split.E.basis for mu in split.P.basis])
+    d_h, d_h2 = (np.linalg.norm(gamma_values_fd(spec, split, h) - exact)
+                 for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
 
 
@@ -208,3 +217,78 @@ def test_one_point_geometry_per_extension_point(monkeypatch):
     monkeypatch.setattr(ruled_extension, "point_geometry", counting)
     ext.data_at(entry.sampler(rng))
     assert len(calls) == 1
+
+
+def test_order_zero_split_costs_one_chart_evaluation(monkeypatch):
+    # D alone needs Pi_L at order 0 and Pi_T at order 1, both read off the
+    # order-3 jet that point_geometry evaluates anyway
+    entry = get_entry("section4-ruled", {"m": 2})
+    spec = SplittingSpec(entry.chart)
+    x = entry.sampler(np.random.default_rng(7))
+    orders = []
+    real = ImmersionChart.eval
+
+    def counting(self, y, order):
+        orders.append(order)
+        return real(self, y, order)
+
+    monkeypatch.setattr(ImmersionChart, "eval", counting)
+    split = spec.at(x, order=0)
+    assert orders == [3]
+    assert split.d == 2 and split.Lambda is None
+
+
+EXTENSION_CASES = [("section4-ruled", {"m": 2}, 0),
+                   ("curve-parallel", {}, 0),
+                   ("curve-parallel", {}, 2)]
+
+
+@pytest.mark.parametrize("name,params,index", EXTENSION_CASES)
+def test_extension_second_form_against_fd_oracle(name, params, index):
+    # central second differences of eval converge at second order to the
+    # extension chart's exact second partials, in the normal directions
+    entry = get_entry(name, params)
+    exercise = entry.split_exercises[index]
+    spec = SplittingSpec(entry.chart, rule=exercise.rule)
+    rng = np.random.default_rng(7)
+    pts = [entry.sampler(rng) for _ in range(2)]
+    ext = build_extension(spec, exercise.lambda_radius, pts)
+    lam = 0.5 * ext.lambda_radius * np.ones(ext.r) / np.sqrt(ext.r)
+    point = np.concatenate([pts[0], lam])
+    normal = point_geometry(ext.chart, point, 1, 1e-8).normal_space
+    exact = normal.project(eval_jet(ext.chart, point, 2).tensor(2))
+    d_h, d_h2 = (np.linalg.norm(normal.project(
+        extension_second_fd(ext, pts[0], lam, h)) - exact)
+        for h in (1e-3, 5e-4))
+    assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
+
+
+def sheared(chart, amount):
+    """The same immersion in the coordinates x_i + amount * x_(i+1)^2, in
+    which D is no longer spanned by coordinate directions."""
+    n = chart.intrinsic_dim
+
+    def fn(v):
+        return chart.fn([v[i] + amount * (v[(i + 1) % n] * v[(i + 1) % n])
+                         for i in range(n)])
+    return ImmersionChart(chart.name + "-sheared", n, chart.ambient_dim,
+                          chart.domain, fn, chart.max_order)
+
+
+def test_exact_commutator_against_fd_oracle():
+    # the chart partials of Q_D converge under central differences of the
+    # order-0 projector, and with them the projector identity and the frame
+    # stencil agree that D is integrable (the stencil at its rounding floor)
+    entry = get_entry("section4-ruled", {"m": 2})
+    spec = SplittingSpec(sheared(entry.chart, 0.2))
+    split = spec.at(entry.sampler(np.random.default_rng(7)))
+    n = split.geom.n
+    assert split.d == 2
+    exact = first_partials(split.q_d[:n + 1])
+    d_h, d_h2 = (np.linalg.norm(frame_derivative(
+        lambda y: spec.at(y, 0).q_d[0], split.geom.x, np.eye(n), h) - exact)
+        for h in (1e-3, 5e-4))
+    assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
+    residual = _commutator_residual(split)
+    stencil = commutator_residual_fd(spec, split, 1e-3)
+    assert residual < 1e-10 and stencil < 1e-8, (residual, stencil)

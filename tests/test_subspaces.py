@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moore import BilinearForm, moore_check, regular_element
 from oscflag import subspaces as sub
 from oscflag.errors import ContainmentError, DataError, ParameterError, \
     ShapeError
@@ -149,18 +150,18 @@ def test_kernel_examples():
 def test_regular_element_scalar_form():
     # beta(x, y) = <x, y>: any generic Z gives rank one
     values = np.eye(2)[:, :, None]
-    form = sub.BilinearForm(values)
-    reg = sub.regular_element(form, trials=8, seed=1)
+    form = BilinearForm(values)
+    reg = regular_element(form, trials=8, seed=1)
     assert reg.rank == 1
 
 
 def test_regular_element_zero_form():
-    form = sub.BilinearForm(np.zeros((3, 3, 2)))
-    reg = sub.regular_element(form, trials=4, seed=0)
+    form = BilinearForm(np.zeros((3, 3, 2)))
+    reg = regular_element(form, trials=4, seed=0)
     assert reg.rank == 0
-    assert sub.moore_check(form, reg.z) == 0.0
+    assert moore_check(form, reg.z) == 0.0
     with pytest.raises(ParameterError):
-        sub.regular_element(form, trials=0)
+        regular_element(form, trials=0)
 
 
 def test_regular_element_matches_grid_brute_force():
@@ -168,8 +169,8 @@ def test_regular_element_matches_grid_brute_force():
     hits = 0
     for case in range(100):
         rng = np.random.default_rng(1000 + case)
-        form = sub.BilinearForm(rng.standard_normal((4, 4, 4)))
-        reg = sub.regular_element(form, trials=32, seed=rng)
+        form = BilinearForm(rng.standard_normal((4, 4, 4)))
+        reg = regular_element(form, trials=32, seed=rng)
         grid = rng.standard_normal((10_000, 4))
         grid /= np.linalg.norm(grid, axis=1, keepdims=True)
         maps = np.einsum("gv,vuw->guw", grid, form.values)
@@ -185,17 +186,17 @@ def test_moore_image_property_randomized():
     for case in range(100):
         rng = np.random.default_rng(2000 + case)
         dims = rng.integers(1, 7, size=3)
-        form = sub.BilinearForm(rng.standard_normal(tuple(dims)))
-        reg = sub.regular_element(form, trials=48, seed=rng)
-        worst = max(worst, sub.moore_check(form, reg.z))
+        form = BilinearForm(rng.standard_normal(tuple(dims)))
+        reg = regular_element(form, trials=48, seed=rng)
+        worst = max(worst, moore_check(form, reg.z))
     assert worst < 1e-10
 
 
 def test_moore_surjective_left_map():
     # beta_Z surjective onto W leaves nothing outside the image
     rng = np.random.default_rng(5)
-    form = sub.BilinearForm(rng.standard_normal((3, 5, 2)))
+    form = BilinearForm(rng.standard_normal((3, 5, 2)))
     z = rng.standard_normal(3)
     bz = form.left_contract(z)
     assert np.linalg.matrix_rank(bz) == 2
-    assert sub.moore_check(form, z) < 1e-12
+    assert moore_check(form, z) < 1e-12
