@@ -96,8 +96,8 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
                tol: float) -> PointSplit:
     """Projector jets of the splitting at ``geom`` from rows spanning L.
 
-    With Pi_T from the chart jet at order + 1 and Pi_L from ``l_rows`` (an
-    order-``order`` table), at ``order``:
+    With Pi_T to order + 1 (from the chart jet at order + 2) and Pi_L from
+    ``l_rows`` (an order-``order`` table), at ``order``:
 
     - Pi_P = I - Pi_T - Pi_L;
     - D in chart coordinates, the kernel of c -> sum_i c_i Pi_P (d_i Pi_T)

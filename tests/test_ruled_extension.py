@@ -199,7 +199,7 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
 
 
 def test_one_point_geometry_per_extension_point(monkeypatch):
-    # Gamma reads the chart partials of Pi_L from the split, so a fresh
+    # Gamma and Lambda come from the split's projector jets, so a fresh
     # extension point costs one splitting evaluation and no stencil
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(entry.chart)
@@ -245,8 +245,9 @@ EXTENSION_CASES = [("section4-ruled", {"m": 2}, 0),
 
 @pytest.mark.parametrize("name,params,index", EXTENSION_CASES)
 def test_extension_second_form_against_fd_oracle(name, params, index):
-    # central second differences of eval converge at second order to the
-    # extension chart's exact second partials, in the normal directions
+    # central differences of eval converge at second order to the extension
+    # chart's exact first partials and, in the normal directions, to its
+    # exact second partials
     entry = get_entry(name, params)
     exercise = entry.split_exercises[index]
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
@@ -261,6 +262,11 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
         extension_second_fd(ext, pts[0], lam, h)) - exact)
         for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
+    n = entry.chart.intrinsic_dim
+    j_h, j_h2 = (np.linalg.norm(frame_derivative(
+        lambda p: ext.eval(p[:n], p[n:]), point, np.eye(point.size), h)
+        - ext.jacobian(pts[0], lam)) for h in (1e-3, 5e-4))
+    assert 3.2 <= j_h / j_h2 <= 4.8, (j_h, j_h2)
 
 
 def sheared(chart, amount):
