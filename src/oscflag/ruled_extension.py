@@ -61,9 +61,9 @@ class PointSplit:
     """The splitting and its derived distributions at one point.
 
     The subspaces are read at the point.  The jets are coefficient-major
-    tables (see ``jets.matrix_product``) in ``signature(n, order)``: Pi_P,
-    Pi_E and ``q_d``, the projector onto D in chart coordinates; Pi_Lambda
-    is one order lower, and with Gamma and Lambda it is None at order 0.
+    tables (see ``jets.matrix_product``): Pi_P in ``signature(n, order)``,
+    Pi_E and ``q_d`` (the projector onto D in chart coordinates) one order
+    lower or at the point, Pi_Lambda one order lower or, with Gamma, None.
     """
 
     geom: PointGeometry = field(repr=False)
@@ -96,28 +96,29 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
                tol: float) -> PointSplit:
     """Projector jets of the splitting at ``geom`` from rows spanning L.
 
-    With Pi_T to order + 1 (from the chart jet at order + 2) and Pi_L from
-    ``l_rows`` (an order-``order`` table), at ``order``:
+    Pi_L comes from ``l_rows`` (an order-``order`` table) and Pi_T from the
+    chart jet at q + 1, q = max(order, 1).  Then Pi_P = I - Pi_T - Pi_L to
+    ``order``, and one order below Pi_T:
 
-    - Pi_P = I - Pi_T - Pi_L;
     - D in chart coordinates, the kernel of c -> sum_i c_i Pi_P (d_i Pi_T)
       Pi_T, since alpha_P(X, Y) = Pi_P (d_X Pi_T) Y for tangent Y;
     - Pi_E = Pi_T - Pi_D;
 
-    and one order lower, when ``order`` >= 1:
+    and, when ``order`` >= 1, one order below Pi_P:
 
     - Gamma, the column span of (Pi_E + Pi_L)(d_w Pi_P) Pi_P over w in E;
     - Pi_Lambda = Pi_E + Pi_L - Pi_Gamma.
 
-    Ranks are read at the point, d off alpha_P on the tangent frame as
-    ``nonparallel_data`` reads it; k must lie in the band
-    n - d <= k <= n - d + ell.
+    So the extension's second derivatives, which need Pi_Lambda to order 2,
+    need the chart to order 4 here.  Ranks are read at the point, d off
+    alpha_P on the tangent frame as ``nonparallel_data`` reads it; k must
+    lie in the band n - d <= k <= n - d + ell.
     """
     n, big_n = geom.n, geom.ambient_dim
-    sig = signature(n, order)
-    size = sig.size
-    tangent = partial_jets(_chart_table(geom, order + 2), n, 1, order + 1)
-    _, pi_t = span_projector(signature(n, order + 1), tangent, tol)
+    top = max(order, 1)
+    sig, lo = signature(n, order), signature(n, top - 1)
+    tangent = partial_jets(_chart_table(geom, top + 1), n, 1, top)
+    _, pi_t = span_projector(signature(n, top), tangent, tol)
     l_space, pi_l = span_projector(sig, l_rows, tol)
     if not 0 < l_space.dim < big_n - n:
         raise ParameterError(
@@ -127,7 +128,7 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
         raise ParameterError(
             f"L is not a normal subspace (residual {residual:.3e})")
     p_space = sub.complement_within(l_space, geom.normal_space)
-    pi_p = -pi_t[:size] - pi_l
+    pi_p = -pi_t[:sig.size] - pi_l
     pi_p[0] += np.eye(big_n)
     d_space = sub.kernel_of(flattened_alpha_restricted(geom, p_space), tol)
     d = d_space.dim
@@ -138,32 +139,30 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
 
     # rows over (a, b) of the matrices sum_i c_i [Pi_P (d_i Pi_T) Pi_T]_ab
     # span the complement of D in chart coordinates
-    d_t = np.moveaxis(partial_jets(pi_t, n, 1, order), 1, 0)
+    d_t = np.moveaxis(partial_jets(pi_t, n, 1, top - 1), 1, 0)
     rows = np.moveaxis(matrix_product(
-        sig, pi_p, matrix_product(sig, d_t, pi_t[:size])), 0, -1)
-    _, q_off = span_projector(sig, rows.reshape(size, big_n * big_n, n), tol,
-                              rank=n - d)
+        lo, pi_p[:lo.size], matrix_product(lo, d_t, pi_t[:lo.size])), 0, -1)
+    _, q_off = span_projector(lo, rows.reshape(lo.size, big_n * big_n, n),
+                              tol, rank=n - d)
     q_d = -q_off
     q_d[0] += np.eye(n)
-    jac = tangent[:size]
-    _, pi_d = span_projector(sig, matrix_product(sig, q_d, jac), tol, rank=d)
-    pi_e = pi_t[:size] - pi_d
+    jac = tangent[:lo.size]
+    _, pi_d = span_projector(lo, matrix_product(lo, q_d, jac), tol, rank=d)
+    pi_e = pi_t[:lo.size] - pi_d
     split = PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
                        E=e_space, order=order, pi_p=pi_p, q_d=q_d, pi_e=pi_e)
     if order == 0:
         return split
 
-    lo = signature(n, order - 1)
-    jac = jac[:lo.size]
     gram_inv = matrix_inverse(lo, matrix_product(lo, jac,
                                                  jac.swapaxes(-1, -2)))
     # the columns of G^-1 (I - Q_D) span E in chart coordinates, G being the
     # metric; row i of d_w holds d_(w_i) Pi_P for column w_i
-    w_t = matrix_product(lo, q_off[:lo.size], gram_inv)
+    w_t = matrix_product(lo, q_off, gram_inv)
     d_p = partial_jets(pi_p, n, 1, order - 1).reshape(lo.size, n, -1)
     d_w = np.moveaxis(matrix_product(lo, w_t, d_p)
                       .reshape(lo.size, n, big_n, big_n), 1, 0)
-    e_l = pi_e[:lo.size] + pi_l[:lo.size]
+    e_l = pi_e + pi_l[:lo.size]
     # Gamma is the row span of the transposes Pi_P (d_w Pi_P) (Pi_E + Pi_L)
     rows = matrix_product(lo, pi_p[:lo.size], matrix_product(lo, d_w, e_l))
     gamma, pi_gamma = span_projector(
@@ -183,7 +182,7 @@ class SplittingSpec:
     ``rule(geom, order)`` returns rows spanning L as an order-``order`` jet:
     a table ``(signature(n, order).size, m, N)`` in the layout of
     ``signature(n, order)``.  ``at(x, order)`` asks the rule for that order
-    and returns D, E and P to it, Gamma and Lambda to one order less; order 0
+    and returns P to it, D, E, Gamma and Lambda to one order less; order 0
     serves readers of D alone, order 1 the values of Gamma and Lambda.
     """
 
@@ -269,14 +268,13 @@ def _ruled_index(n: int, r: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lambda_split(spec: SplittingSpec, r: int, splits: dict, x,
                   order: int) -> PointSplit:
-    """The split at x with Pi_Lambda to at least ``order``, memoised per x in
-    ``splits``: to order 0 for values, else to order 2."""
+    """The split at x with Pi_Lambda to at least ``order``, memoised per x."""
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
     hit = splits.get(key)
     if hit is not None and hit.order > order:
         return hit
-    split = spec.at(x, 1 if order == 0 else 3)
+    split = spec.at(x, order + 1)
     if split.Lambda.dim != r:
         raise NumericalRankError(
             f"rank of Lambda changed from {r} to {split.Lambda.dim} at {x}")
@@ -337,9 +335,9 @@ class RuledExtension:
     def trivial(self) -> bool:
         return self.r == 0
 
-    def data_at(self, x, order: int = 0) -> PointSplit:
-        """The split at x with Pi_Lambda to at least ``order``."""
-        return _lambda_split(self.spec, self.r, self._splits, x, order)
+    def data_at(self, x) -> PointSplit:
+        """The split at x, with Lambda and its projector there."""
+        return _lambda_split(self.spec, self.r, self._splits, x, 0)
 
     def eval(self, x, lam) -> np.ndarray:
         if np.shape(lam) != (self.r,):
@@ -491,10 +489,14 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
 
     for x in samples:
         x = np.asarray(x, dtype=float)
-        split = ext.data_at(x)
+        lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
+        # when r > 0 the extension's order-2 jet memoises the split at x,
+        # with q_d to order 1 as the bracket of D fields needs
+        geom_ext = point_geometry(ext.chart, np.concatenate([x, lam]), 1,
+                                  spec.tol)
+        split = _lambda_split(spec, ext.r, ext._splits, x, 1)
         geom = split.geom
         delta = lambda_delta(spec, x, gamma_tensor(spec, x, split)).Delta
-        lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
 
         fx = base.position(x)
         roundtrip = max(roundtrip, float(np.linalg.norm(
@@ -523,8 +525,6 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
 
         # P inside the normal space of the extension at (x, lam), and Delta
         # equal to the kernel of the extension's alpha restricted to P.
-        geom_ext = point_geometry(ext.chart, np.concatenate([x, lam]), 1,
-                                  spec.tol)
         p_in_normal = max(p_in_normal, float(np.max(np.linalg.norm(
             geom_ext.tangent.project(split.P.basis), axis=1), initial=0.0)))
         kern = sub.kernel_of(flattened_alpha_restricted(geom_ext, split.P),
@@ -551,7 +551,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
 
 def _commutator_residual(split: PointSplit) -> float:
     """Largest part outside D of [X, Y] over pairs of an orthonormal D basis
-    (0 when d < 2).
+    (0 when d < 2), from a split of order 2 or more.
 
     In chart coordinates, for the fields X = Q_D a and Y = Q_D b with a, b
     constant, the bracket at the point is (d_X Q_D) Y - (d_Y Q_D) X, so

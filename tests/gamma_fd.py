@@ -12,9 +12,10 @@ import numpy as np
 from oscflag.geometry import frame_derivative, projection_frame
 
 
-def gamma_values_fd(spec, split, h: float) -> np.ndarray:
-    """E + L components of D_w mu for w in ``split.E.basis`` and mu in
-    ``split.P.basis``, one row per pair, E-major.
+def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
+    """E + L components of D_w mu for w in ``directions`` (tangent-frame
+    coordinates, by default ``split.E.basis``) and mu in ``split.P.basis``,
+    one row per pair, direction-major.
 
     The stencil differentiates the pivot-stable frame; the L-components are
     linear in the P-section, so they are rotated onto the P basis at the
@@ -22,16 +23,18 @@ def gamma_values_fd(spec, split, h: float) -> np.ndarray:
     """
     geom = split.geom
     p_frame, pivots = projection_frame(split.P)
+    if directions is None:
+        directions = split.E.basis
 
     def frame_at(y):
         return projection_frame(spec.at(y, 0).P, pivots=pivots)[0]
 
     d_frames = frame_derivative(
-        frame_at, geom.x, [v @ geom.frame_in_chart for v in split.E.basis], h)
+        frame_at, geom.x, [v @ geom.frame_in_chart for v in directions], h)
     rotation = split.P.basis @ p_frame.T
     e_amb = split.e_ambient()
     values = []
-    for y_coords, d_frame in zip(split.E.basis, d_frames):
+    for y_coords, d_frame in zip(directions, d_frames):
         normal_l = split.L.project(rotation @ d_frame)
         for mu, l_part in zip(split.P.basis, normal_l):
             shape_term = geom.shape_operator(mu) @ y_coords

@@ -6,13 +6,15 @@ import pytest
 from commutator_fd import commutator_residual_fd
 from extension_fd import extension_second_fd
 from gamma_fd import gamma_values_fd
-from oscflag import ruled_extension
+from oscflag import ruled_extension, verify
+from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.errors import ParameterError, ShapeError
 from oscflag.geometry import (ImmersionChart, eval_jet, frame_derivative,
                               point_geometry, projection_frame,
-                              relative_nullity)
-from oscflag.jets import first_partials, partial_jets, signature
+                              relative_nullity, span_projector)
+from oscflag.jets import (first_partials, jet_variable, matrix_product,
+                          partial_jets, signature)
 from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
                                      _commutator_residual, build_extension,
                                      gamma_tensor, lambda_delta,
@@ -156,6 +158,39 @@ def test_extension_verify_parallel_line(curve_entry):
     assert geom.first_normal.dim == 1
 
 
+def test_extension_needs_chart_order_four():
+    # the extension's second form needs Pi_Lambda to order 2, hence Pi_T to
+    # order 3: the smallest curve chart with witnesses declares order 4
+    entry = get_entry("curve-parallel", {"n": 2, "N": 5})
+    assert entry.chart.max_order == 4
+    exercise = entry.split_exercises[0]
+    spec = SplittingSpec(entry.chart, rule=exercise.rule)
+    rng = np.random.default_rng(6)
+    pts = [entry.sampler(rng) for _ in range(2)]
+    ext = build_extension(spec, exercise.lambda_radius, pts)
+    diag = verify_extension(ext, pts, tol=1e-5, seed=0)
+    assert not diag.failures, diag.failures
+    geom = point_geometry(ext.chart, np.append(pts[0], 0.03), 1, 1e-8)
+    assert relative_nullity(geom)[1] == 2 and geom.first_normal.dim == 1
+
+
+def test_chart_order_shortfall_fails_the_exercise(monkeypatch):
+    # the default rule needs the chart to order 6 for the extension's second
+    # form; a chart declaring 5 fails the exercise instead of the run
+    def lowered(name, params=None):
+        entry = get_entry(name, params)
+        entry.chart.max_order = 5
+        return entry
+
+    monkeypatch.setattr(verify, "get_entry", lowered)
+    report = verify.run_verification(verify.RunConfig(
+        entry="section4-ruled", params={"m": 2}, samples=2))
+    failed = {v["name"]: v["details"] for v in report.verdicts
+              if not v["passed"]}
+    assert list(failed) == ["split_exercise:default"]
+    assert "order 6 requested" in failed["split_exercise:default"]["error"]
+
+
 def test_gamma_rank_band_guard():
     # feeding a bogus kernel situation must trip the band check, not pass
     entry = get_entry("product-torus")
@@ -172,14 +207,34 @@ def test_gamma_rank_band_guard():
     assert gamma.k == 0  # no E directions at all: empty span, band [0, 2]
 
 
+def sheared(chart, amount):
+    """The same immersion in the coordinates x_i + amount * x_(i+1)^2, in
+    which D is no longer spanned by coordinate directions."""
+    n = chart.intrinsic_dim
+
+    def fn(v):
+        return chart.fn([v[i] + amount * (v[(i + 1) % n] * v[(i + 1) % n])
+                         for i in range(n)])
+    return ImmersionChart(chart.name + "-sheared", n, chart.ambient_dim,
+                          chart.domain, fn, chart.max_order)
+
+
+def gamma_gap_fd(spec, split, rows):
+    """Largest angle between ``split.Gamma`` and the span of the leading
+    dim-Gamma singular directions of the oracle's rows."""
+    top = np.linalg.svd(rows)[2][:split.Gamma.dim]
+    return sub.subspace_gap(sub.Subspace(rows.shape[1], top), split.Gamma)
+
+
 @pytest.mark.parametrize("name,params,index",
                          [("section4-ruled", {"m": 2}, 0),
                           ("curve-parallel", {}, 0),
                           ("curve-parallel", {}, 1),
                           ("curve-parallel", {}, 2)])
 def test_exact_gamma_against_fd_oracle(name, params, index):
-    # the stencil oracle converges to the exact values at second order, and
-    # the exact span has the declared dimension
+    # the stencil oracle converges at second order to the exact values and,
+    # in span, to the Gamma of split_jets, which has the declared dimension;
+    # where Gamma fills E + L (r = 0) the span gap sits at rounding level
     entry = get_entry(name, params)
     exercise = entry.split_exercises[index]
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
@@ -193,9 +248,47 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
     e_l = split.pi_e[0] + split.L.projector()
     exact = np.array([e_l @ np.tensordot(w @ geom.frame_in_chart, d_p, 1)
                       @ mu for w in split.E.basis for mu in split.P.basis])
-    d_h, d_h2 = (np.linalg.norm(gamma_values_fd(spec, split, h) - exact)
-                 for h in (1e-3, 5e-4))
+    rows = [gamma_values_fd(spec, split, h) for h in (1e-3, 5e-4)]
+    d_h, d_h2 = (np.linalg.norm(fd - exact) for fd in rows)
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
+    g_h, g_h2 = (gamma_gap_fd(spec, split, fd) for fd in rows)
+    if exercise.expected["r"]:
+        assert 3.2 <= g_h / g_h2 <= 4.8, (g_h, g_h2)
+    else:
+        assert max(g_h, g_h2) < 1e-12, (g_h, g_h2)
+
+
+def turning_rule(amount, a, b):
+    """L spanned by the normal part of a + s b, s the first ruling
+    coordinate of the curve chart before ``sheared(chart, amount)``."""
+    def rule(geom, order):
+        n, sig = geom.n, signature(geom.n, order)
+        u = [jet_variable(n, order, i, geom.x[i]) for i in range(n)]
+        s = u[1] + amount * (u[2] * u[2])
+        table = geom.chart.eval(geom.x, order + 1).coeffs
+        pi_n = -span_projector(sig, partial_jets(table, n, 1, order), 1e-8)[1]
+        pi_n[0] += np.eye(geom.ambient_dim)
+        v = np.outer(s.coeffs, b)[:, :, None]
+        v[0, :, 0] += a
+        return matrix_product(sig, pi_n, v).swapaxes(1, 2)
+    return rule
+
+
+def test_gamma_differentiates_along_e_only():
+    # L turns along the rulings, so P is not parallel along D and the
+    # D-derivatives of P leave Gamma; in sheared coordinates E is not the
+    # Euclidean complement of D, so Gamma must reach E through the metric
+    entry = get_entry("curve-parallel")
+    a, b = np.random.default_rng(1).normal(size=(2, entry.chart.ambient_dim))
+    spec = SplittingSpec(sheared(entry.chart, 0.3),
+                         rule=turning_rule(0.3, a, b))
+    split = spec.at(entry.sampler(np.random.default_rng(7)))
+    assert (split.d, split.Gamma.dim) == (2, 1)
+    along_d = gamma_values_fd(spec, split, 1e-3, split.D.basis)
+    assert np.linalg.norm(split.Gamma.reject(along_d)) > 1e-2
+    g_h, g_h2 = (gamma_gap_fd(spec, split, gamma_values_fd(spec, split, h))
+                 for h in (1e-3, 5e-4))
+    assert 3.2 <= g_h / g_h2 <= 4.8, (g_h, g_h2)
 
 
 def test_one_point_geometry_per_extension_point(monkeypatch):
@@ -269,25 +362,13 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
     assert 3.2 <= j_h / j_h2 <= 4.8, (j_h, j_h2)
 
 
-def sheared(chart, amount):
-    """The same immersion in the coordinates x_i + amount * x_(i+1)^2, in
-    which D is no longer spanned by coordinate directions."""
-    n = chart.intrinsic_dim
-
-    def fn(v):
-        return chart.fn([v[i] + amount * (v[(i + 1) % n] * v[(i + 1) % n])
-                         for i in range(n)])
-    return ImmersionChart(chart.name + "-sheared", n, chart.ambient_dim,
-                          chart.domain, fn, chart.max_order)
-
-
 def test_exact_commutator_against_fd_oracle():
     # the chart partials of Q_D converge under central differences of the
     # order-0 projector, and with them the projector identity and the frame
     # stencil agree that D is integrable (the stencil at its rounding floor)
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(sheared(entry.chart, 0.2))
-    split = spec.at(entry.sampler(np.random.default_rng(7)))
+    split = spec.at(entry.sampler(np.random.default_rng(7)), 2)
     n = split.geom.n
     assert split.d == 2
     exact = first_partials(split.q_d[:n + 1])
