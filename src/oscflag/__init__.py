@@ -9,7 +9,7 @@ from .jets import (DerivativeTensor, Jet, VectorJet, jet_constant,
 from .nonparallel import (NonparallelData, PhiTensor, classify_case,
                           nonparallel_data, phi_frame_fd, phi_pairing)
 from .ruled_extension import (RuledExtension, SplittingSpec, build_extension,
-                              gamma_tensor, lambda_delta, verify_extension)
+                              verify_extension)
 from .subspaces import (Subspace, complement_within, kernel_of,
                         principal_angles, span_of)
 from .verify import Report, RunConfig, run_verification
@@ -21,9 +21,8 @@ __all__ = [
     "OscflagError", "PhiTensor", "PointGeometry", "Report", "RuledExtension",
     "RunConfig", "SplittingSpec", "Subspace", "VectorJet", "box",
     "build_extension", "classify_case", "complement_within", "eval_jet",
-    "gamma_tensor", "jet_constant", "jet_variable", "kernel_of",
-    "lambda_delta", "nonparallel_data", "phi_frame_fd", "phi_pairing",
-    "point_geometry", "principal_angles", "relative_nullity", "ricci",
-    "run_verification", "s_nullity", "sectional_curvature", "span_of",
-    "variables", "verify_extension",
+    "jet_constant", "jet_variable", "kernel_of", "nonparallel_data",
+    "phi_frame_fd", "phi_pairing", "point_geometry", "principal_angles",
+    "relative_nullity", "ricci", "run_verification", "s_nullity",
+    "sectional_curvature", "span_of", "variables", "verify_extension",
 ]

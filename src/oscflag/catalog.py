@@ -434,14 +434,17 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                 name="rotating-line",
                 rule=witness_rule((w, w + 1), rotate=True),
                 expected={"k": 2, "r": 0},
-                lambda_radius=0.08),
-            SplitExercise(
+                lambda_radius=0.08)]
+        if big_n >= n + 4:
+            # mixed-pair's L has rank 2, so P has rank N - n - 2; Gamma is
+            # the image of P under derivatives along E, the curve direction
+            # alone, so k <= N - n - 2 and k = 2 needs N >= n + 4
+            exercises.append(SplitExercise(
                 name="mixed-pair",
                 rule=witness_rule((w, w + 1, w + 2), rotate=True),
                 expected={"k": 2, "r": 1, "n1f_rank": 1, "nu_ext": n,
                           "script_l_rank": 1},
-                lambda_radius=0.08),
-        ]
+                lambda_radius=0.08))
 
     return CatalogEntry(
         name="curve-parallel", params={"n": n, "N": big_n},

@@ -19,8 +19,8 @@ from .geometry import (PointGeometry, frame_derivative, point_geometry,
 from .nonparallel import (CaseClassification, NonparallelData,
                           codazzi_residual, nonparallel_data, p_parallel_drift,
                           phi_difference, phi_frame_fd, phi_pairing)
-from .ruled_extension import (SplittingSpec, build_extension, gamma_tensor,
-                              integrate_leaf, lambda_delta, verify_extension)
+from .ruled_extension import (SplittingSpec, build_extension, integrate_leaf,
+                              verify_extension)
 
 
 @dataclass
@@ -585,29 +585,33 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
                                 "s_drift": worst_s})
 
 
-def check_split_exercise(ctx: VerifyContext, index: int,
-                         verify_samples: int = 3,
-                         roundtrip_points: int = 100) -> CheckResult:
-    """Full ruled-extension pipeline for one declared splitting exercise."""
+def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
+    """Full ruled-extension pipeline for one declared splitting exercise.
+
+    k, r and the lemma angle are read at every sampled point; the extension
+    is built and audited at the first three.  The splitting lemma bounds the
+    angle between Lambda and the tangent space away from zero, so a small
+    angle falsifies the implementation rather than the construction.
+    """
     exercise = ctx.entry.split_exercises[index]
     spec = SplittingSpec(ctx.chart, rule=exercise.rule, tol=ctx.rank_tol)
     details: dict = {"exercise": exercise.name}
     failures: list[str] = []
 
-    base_points = [rec.x for rec in ctx.records[:max(verify_samples, 2)]]
     k_seen, r_seen = set(), set()
     band_ok, rform_ok = True, True
     par_angle_min = np.pi / 2
-    for x in base_points:
-        gamma = gamma_tensor(spec, x)
-        lam = lambda_delta(spec, x, gamma)
-        k_seen.add(gamma.k)
-        r_seen.add(lam.r)
-        n, d, ell = gamma.split.geom.n, gamma.split.d, gamma.split.ell
-        band_ok = band_ok and (n - d <= gamma.k <= n - d + ell)
-        rform_ok = rform_ok and (lam.r == n - d + ell - gamma.k)
-        if lam.r:
-            par_angle_min = min(par_angle_min, lam.lemma_par_angle)
+    for rec in ctx.records:
+        split = spec.at(rec.x)
+        k, r = split.Gamma.dim, split.Lambda.dim
+        k_seen.add(k)
+        r_seen.add(r)
+        n, d, ell = split.geom.n, split.d, split.ell
+        band_ok = band_ok and (n - d <= k <= n - d + ell)
+        rform_ok = rform_ok and (r == n - d + ell - k)
+        if r:
+            par_angle_min = min(par_angle_min, sub.smallest_angle_between(
+                split.Lambda, split.geom.tangent))
     details.update(k=sorted(k_seen), r=sorted(r_seen),
                    band_holds=band_ok, r_formula_exact=rform_ok,
                    lambda_tangent_angle=float(par_angle_min))
@@ -622,25 +626,15 @@ def check_split_exercise(ctx: VerifyContext, index: int,
     if max(r_seen) and par_angle_min < 1e-6:
         failures.append("lambda-meets-tangent")
 
+    base_points = [rec.x for rec in ctx.records[:3]]
     ext = build_extension(spec, exercise.lambda_radius, base_points)
     details["trivial"] = ext.trivial
     details["lambda_radius"] = ext.lambda_radius
 
-    diag = verify_extension(ext, base_points[:verify_samples],
-                            tol=1e-5, seed=ctx.seed)
+    checks = verify_extension(ext, base_points, tol=1e-5, seed=ctx.seed)
     details["extension_checks"] = {c.name: [c.residual, c.tolerance]
-                                   for c in diag.checks}
-    failures.extend(c.name for c in diag.failures)
-
-    rng = ctx.rng(300 + index)
-    worst_rt = 0.0
-    for _ in range(roundtrip_points):
-        x = ctx.entry.sampler(rng)
-        worst_rt = max(worst_rt, float(np.linalg.norm(
-            ext.eval(x, np.zeros(ext.r)) - ctx.chart.position(x))))
-    details["roundtrip"] = worst_rt
-    if worst_rt >= 1e-12:
-        failures.append("roundtrip")
+                                   for c in checks}
+    failures.extend(c.name for c in checks if not c.passed)
 
     if not ext.trivial:
         _check_extension_ranks(ctx, ext, base_points[0], exercise.expected,
@@ -673,8 +667,7 @@ def _check_extension_ranks(ctx, ext, x, expected, details, failures):
             failures.append(f"{key}={got} expected {expected[key]}")
 
     if expected.get("delta_in_nullity"):
-        delta = lambda_delta(ext.spec, x, gamma_tensor(ext.spec, x, split))
-        resid = sub.containment_residual(delta.Delta, sub.Subspace(
+        resid = sub.containment_residual(split.Delta, sub.Subspace(
             geom.ambient_dim, nullity.basis @ geom.frame))
         details["delta_in_nullity_residual"] = resid
         if resid > 1e-8:

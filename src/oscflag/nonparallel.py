@@ -19,9 +19,6 @@ from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
                        point_geometry, projection_frame,
                        flattened_alpha_restricted, relative_nullity, to_frame)
 
-CASE_LABELS = ("parallel", "case-i", "case-ii", "case-iii", "case-iii-a",
-               "case-iii-b", "out-of-theorem-scope")
-
 
 @dataclass(frozen=True)
 class PhiTensor:

@@ -91,6 +91,14 @@ class PointSplit:
         return sub.Subspace(self.geom.ambient_dim,
                             self.E.basis @ self.geom.frame, self.E.tol_used)
 
+    @property
+    def Delta(self) -> sub.Subspace:
+        """The ruling bundle D + Lambda in ambient coordinates, at the
+        split's tolerance; needs Lambda, so a split of order 1 or more."""
+        d_ambient = sub.Subspace(self.geom.ambient_dim,
+                                 self.D.basis @ self.geom.frame)
+        return sub.direct_sum(d_ambient, self.Lambda, self.geom.tol)
+
 
 def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
                tol: float) -> PointSplit:
@@ -193,10 +201,9 @@ class SplittingSpec:
         self.rule = rule or default_splitting_rule
         self.tol = tol
 
-    def at(self, x, order: int = 1,
-           geom: PointGeometry | None = None) -> PointSplit:
-        if geom is None:  # its order-3 jet serves the default rule at order 0
-            geom = point_geometry(self.chart, x, 2, self.tol)
+    def at(self, x, order: int = 1) -> PointSplit:
+        # the order-3 jet of geom serves the default rule at order 0
+        geom = point_geometry(self.chart, x, 2, self.tol)
         size, big_n = signature(geom.n, order).size, geom.ambient_dim
         rows = np.asarray(self.rule(geom, order), dtype=float)
         if rows.ndim != 3 or rows.shape[0] != size or rows.shape[2] != big_n:
@@ -204,52 +211,6 @@ class SplittingSpec:
                 f"splitting rule returned shape {rows.shape}, expected "
                 f"({size}, m, {big_n})")
         return split_jets(geom, rows, order, self.tol)
-
-
-@dataclass(frozen=True)
-class GammaData:
-    split: PointSplit = field(repr=False)
-    Gamma: sub.Subspace         # ambient
-    k: int
-
-
-def gamma_tensor(spec: SplittingSpec, x,
-                 split: PointSplit | None = None) -> GammaData:
-    """Span of the E+L components of ambient derivatives of P-sections.
-
-    Read at x from the split's projector jets (``split_jets``); the
-    dimension k has been checked against the band
-    n - d <= k <= n - d + ell.
-    """
-    if split is None:
-        split = spec.at(x)
-    return GammaData(split=split, Gamma=split.Gamma, k=split.Gamma.dim)
-
-
-@dataclass(frozen=True)
-class LambdaData:
-    Lambda: sub.Subspace        # ambient
-    Delta: sub.Subspace         # ambient
-    r: int
-    lemma_par_angle: float      # smallest angle between Lambda and the tangent
-
-
-def lambda_delta(spec: SplittingSpec, x, gamma: GammaData) -> LambdaData:
-    """Complement Lambda of Gamma inside E + L, and the ruling bundle Delta.
-
-    The smallest principal angle between Lambda and the tangent space is
-    returned as a diagnostic: the splitting lemma predicts it is bounded away
-    from zero, and a violation falsifies the implementation rather than the
-    construction.
-    """
-    split = gamma.split
-    lam = split.Lambda
-    r = lam.dim
-    d_ambient = sub.Subspace(lam.ambient_dim, split.D.basis @ split.geom.frame)
-    delta = sub.direct_sum(d_ambient, lam, spec.tol)
-    angle = sub.smallest_angle_between(lam, split.geom.tangent) if r \
-        else np.pi / 2
-    return LambdaData(Lambda=lam, Delta=delta, r=r, lemma_par_angle=angle)
 
 
 @lru_cache(maxsize=None)
@@ -361,12 +322,11 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     """
     if not probe_points:
         raise ParameterError("build_extension needs at least one probe point")
-    base = np.asarray(probe_points[0], dtype=float)
-    lam = lambda_delta(spec, base, gamma_tensor(spec, base))
-    if lam.r == 0:
+    lam = spec.at(np.asarray(probe_points[0], dtype=float)).Lambda
+    if lam.dim == 0:
         return RuledExtension(spec, (), 0, 0.0)
-    _, pivots = projection_frame(lam.Lambda)
-    ext = RuledExtension(spec, pivots, lam.r, lambda_radius)
+    _, pivots = projection_frame(lam)
+    ext = RuledExtension(spec, pivots, lam.dim, lambda_radius)
 
     def feasible(radius: float) -> bool:
         # eval is affine in the translation coordinates, so the Jacobian
@@ -448,18 +408,9 @@ class ExtensionCheck:
         return self.residual < self.tolerance
 
 
-@dataclass
-class ExtensionDiagnostics:
-    checks: list[ExtensionCheck]
-
-    @property
-    def failures(self) -> list[ExtensionCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                      tol: float = 1e-5, seed: int = 0,
-                     leaf_arc: float = 0.02) -> ExtensionDiagnostics:
+                     leaf_arc: float = 0.02) -> list[ExtensionCheck]:
     """Numerical audit of the advertised extension properties.
 
     At each sampled base point (with a seeded translation coordinate):
@@ -496,7 +447,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                                   spec.tol)
         split = _lambda_split(spec, ext.r, ext._splits, x, 1)
         geom = split.geom
-        delta = lambda_delta(spec, x, gamma_tensor(spec, x, split)).Delta
+        delta = split.Delta
 
         fx = base.position(x)
         roundtrip = max(roundtrip, float(np.linalg.norm(
@@ -516,10 +467,8 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                 np.linalg.norm(delta.reject(reach)) / max(np.linalg.norm(reach),
                                                           1e-12)))
             split_end = spec.at(y_end)
-            lam_end = lambda_delta(spec, y_end,
-                                   gamma_tensor(spec, y_end, split_end))
             delta_parallel = max(delta_parallel,
-                                 sub.subspace_gap(lam_end.Delta, delta))
+                                 sub.subspace_gap(split_end.Delta, delta))
             p_constancy = max(p_constancy,
                               sub.subspace_gap(split_end.P, split.P))
 
@@ -546,7 +495,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         ExtensionCheck("delta-is-kernel-of-alpha-p", kernel_angle, tol),
         ExtensionCheck("d-integrability", commutator, tol),
         ExtensionCheck("p-constant-along-rulings", p_constancy, leaf_tol)]
-    return ExtensionDiagnostics(checks)
+    return checks
 
 
 def _commutator_residual(split: PointSplit) -> float:

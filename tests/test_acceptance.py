@@ -141,9 +141,9 @@ def test_criterion_07_extension_round_trips(reports):
                 continue
             assert v["passed"], (name, v["name"], v["details"])
             det = v["details"]
-            assert det["roundtrip"] < 1e-12
             assert det["band_holds"] and det["r_formula_exact"]
             ext_checks = det["extension_checks"]
+            assert ext_checks["roundtrip-zero-section"][0] < 1e-12
             assert ext_checks["delta-is-kernel-of-alpha-p"][0] < 1e-5
             seen.append(f"{name}:{det['exercise']}(k={det['k']},"
                         f"r={det['r']})")

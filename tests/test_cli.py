@@ -33,6 +33,13 @@ def test_verify_sphere_exit_zero(capsys):
     assert "findings: 0" in out
 
 
+def test_verify_curve_parallel_n2_big_n5_exit_zero(capsys):
+    # at N = n + 3 the mixed-pair splitting cannot reach k = 2, so the
+    # entry does not declare it and the remaining exercises pass
+    assert main(["verify", "curve-parallel", "--param", "n=2", "--param",
+                 "N=5", "--samples", "3"]) == 0
+
+
 def test_verify_unknown_entry_exit_two(capsys):
     assert main(["verify", "does-not-exist"]) == 2
 

@@ -6,7 +6,7 @@ import pytest
 from commutator_fd import commutator_residual_fd
 from extension_fd import extension_second_fd
 from gamma_fd import gamma_values_fd
-from oscflag import ruled_extension, verify
+from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.errors import ParameterError, ShapeError
@@ -17,7 +17,6 @@ from oscflag.jets import (first_partials, jet_variable, matrix_product,
                           partial_jets, signature)
 from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
                                      _commutator_residual, build_extension,
-                                     gamma_tensor, lambda_delta,
                                      verify_extension)
 
 
@@ -90,12 +89,10 @@ def test_torus_split_dimension_arithmetic():
         x = np.array(x)
         split = spec.at(x)
         assert split.d == 1 and split.ell == 1
-        gamma = gamma_tensor(spec, x, split=split)
-        lam = lambda_delta(spec, x, gamma)
-        n = split.geom.n
-        assert split.d + lam.r == n + split.ell - gamma.k
-        assert lam.Delta.dim == split.d + lam.r
-        assert n - split.d <= gamma.k <= n - split.d + split.ell
+        n, k, r = split.geom.n, split.Gamma.dim, split.Lambda.dim
+        assert split.d + r == n + split.ell - k
+        assert split.Delta.dim == split.d + r
+        assert n - split.d <= k <= n - split.d + split.ell
 
 
 @pytest.mark.parametrize("exercise_index,expected_k,expected_r",
@@ -107,12 +104,11 @@ def test_curve_exercises_hit_expected_ranks(curve_entry, exercise_index,
     rng = np.random.default_rng(3)
     x = curve_entry.sampler(rng)
     split = spec.at(x)
-    gamma = gamma_tensor(spec, x, split=split)
-    lam = lambda_delta(spec, x, gamma)
-    assert gamma.k == expected_k
-    assert lam.r == expected_r
-    if lam.r:
-        assert lam.lemma_par_angle > 1e-6  # Lambda meets the tangent trivially
+    assert split.Gamma.dim == expected_k
+    assert split.Lambda.dim == expected_r
+    if expected_r:  # Lambda meets the tangent trivially
+        assert sub.smallest_angle_between(split.Lambda,
+                                          split.geom.tangent) > 1e-6
 
 
 def test_trivial_extension_is_base_chart(curve_entry):
@@ -148,8 +144,9 @@ def test_extension_verify_parallel_line(curve_entry):
     pts = [curve_entry.sampler(rng) for _ in range(3)]
     ext = build_extension(spec, exercise.lambda_radius, pts)
     assert ext.r == 1
-    diag = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
-    failures = {c.name: (c.residual, c.tolerance) for c in diag.failures}
+    checks = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
+    failures = {c.name: (c.residual, c.tolerance)
+                for c in checks if not c.passed}
     assert not failures, failures
     # the extension adds back a parallel direction: a curve chart one
     # dimension up, whose nullity exceeds the ruling bundle by construction
@@ -168,8 +165,9 @@ def test_extension_needs_chart_order_four():
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
     ext = build_extension(spec, exercise.lambda_radius, pts)
-    diag = verify_extension(ext, pts, tol=1e-5, seed=0)
-    assert not diag.failures, diag.failures
+    checks = verify_extension(ext, pts, tol=1e-5, seed=0)
+    failures = [c for c in checks if not c.passed]
+    assert not failures, failures
     geom = point_geometry(ext.chart, np.append(pts[0], 0.03), 1, 1e-8)
     assert relative_nullity(geom)[1] == 2 and geom.first_normal.dim == 1
 
@@ -203,8 +201,7 @@ def test_gamma_rank_band_guard():
     spec = SplittingSpec(entry.chart, rule=bad_rule)
     split = spec.at(np.array([1.0, 1.5]))
     assert split.d == 2  # kernel is the whole tangent space
-    gamma = gamma_tensor(spec, np.array([1.0, 1.5]), split=split)
-    assert gamma.k == 0  # no E directions at all: empty span, band [0, 2]
+    assert split.Gamma.dim == 0  # no E directions: empty span, band [0, 2]
 
 
 def sheared(chart, amount):
@@ -240,8 +237,7 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     x = entry.sampler(np.random.default_rng(7))
     split = spec.at(x)
-    gamma = gamma_tensor(spec, x, split=split)
-    assert gamma.k == exercise.expected["k"]
+    assert split.Gamma.dim == exercise.expected["k"]
     geom = split.geom
     # (Pi_E + Pi_L)(d_w Pi_P) mu at the point, from the order-1 jets
     d_p = first_partials(split.pi_p[:geom.n + 1])
@@ -297,9 +293,8 @@ def test_one_point_geometry_per_extension_point(monkeypatch):
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(entry.chart)
     rng = np.random.default_rng(7)
-    base = entry.sampler(rng)
-    lam = lambda_delta(spec, base, gamma_tensor(spec, base))
-    ext = RuledExtension(spec, projection_frame(lam.Lambda)[1], lam.r, 0.08)
+    lam = spec.at(entry.sampler(rng)).Lambda
+    ext = RuledExtension(spec, projection_frame(lam)[1], lam.dim, 0.08)
     calls = []
     real = ruled_extension.point_geometry
 
@@ -379,3 +374,43 @@ def test_exact_commutator_against_fd_oracle():
     residual = _commutator_residual(split)
     stencil = commutator_residual_fd(spec, split, 1e-3)
     assert residual < 1e-10 and stencil < 1e-8, (residual, stencil)
+
+
+def test_extension_evaluated_only_at_vetted_points(monkeypatch):
+    # every point at which the extension chart reads a split is a sampled
+    # point, and k and r are read off an order-1 split at every one of them
+    vetted, lambda_points, order_one = [], set(), set()
+    real_exercise = checks.check_split_exercise
+    real_lambda_split = ruled_extension._lambda_split
+    real_at = SplittingSpec.at
+
+    def exercise(ctx, index):
+        vetted.extend(rec.x.tobytes() for rec in ctx.records)
+        return real_exercise(ctx, index)
+
+    def lambda_split(spec, r, splits, x, order):
+        lambda_points.add(np.asarray(x, dtype=float).tobytes())
+        return real_lambda_split(spec, r, splits, x, order)
+
+    def at(self, x, order=1):
+        if order == 1:
+            order_one.add(np.asarray(x, dtype=float).tobytes())
+        return real_at(self, x, order)
+
+    monkeypatch.setattr(checks, "check_split_exercise", exercise)
+    monkeypatch.setattr(ruled_extension, "_lambda_split", lambda_split)
+    monkeypatch.setattr(SplittingSpec, "at", at)
+    report = verify.run_verification(verify.RunConfig(
+        "curve-parallel", {}, samples=5, seed=7))
+    assert report.passed, report.findings
+    assert len(vetted) == 3 * 5  # three exercises, five records each
+    assert lambda_points and lambda_points <= set(vetted)
+    assert set(vetted) <= order_one
+
+
+def test_section4_m3_run_has_no_findings():
+    # the exercise splits at the sampled points only, where the default
+    # rule's rank of L holds
+    report = verify.run_verification(verify.RunConfig(
+        "section4-ruled", {"m": 3}, samples=3, seed=7))
+    assert not report.findings, report.findings
