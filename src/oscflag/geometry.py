@@ -19,7 +19,8 @@ from . import subspaces as sub
 from .errors import (CapabilityError, DataError, DomainError, FrameError,
                      NotImmersionError, ParameterError, RegularityError)
 from .jets import (DerivativeTensor, Jet, JetSignature, VectorJet,
-                   matrix_inverse, matrix_product, variables)
+                   first_partials, matrix_inverse, matrix_product,
+                   partial_jets, signature, variables)
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,47 @@ def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
     return space, matrix_product(sig, f_t, matrix_product(sig, gram_inv, f))
 
 
+def kernel_projector(sig: JetSignature, pi_u: np.ndarray, pi_t: np.ndarray,
+                     tangent: np.ndarray, rank: int,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jets in ``sig``, one order below ``pi_t``, of the projectors onto the
+    kernel K of c -> sum_i c_i Pi_U (d_i Pi_T) Pi_T: Q_K in chart
+    coordinates and Pi_K in ambient ones.
+
+    For tangent Y, Pi_U (d_X Pi_T) Y = alpha_U(X, Y) when U is normal, so K
+    is the kernel of alpha restricted to U; U = I - Pi_T gives the relative
+    nullity.  ``tangent`` holds the first partials (the rows of Q_K's image
+    in R^N) and ``rank`` = dim K is read elsewhere, at the point.
+    """
+    n, big_n = tangent.shape[1], tangent.shape[2]
+    # rows over (a, b) of the matrices sum_i c_i [Pi_U (d_i Pi_T) Pi_T]_ab
+    # span the complement of K in chart coordinates
+    d_t = np.moveaxis(partial_jets(pi_t, n, 1, sig.order), 1, 0)
+    rows = np.moveaxis(matrix_product(
+        sig, pi_u[:sig.size], matrix_product(sig, d_t, pi_t[:sig.size])),
+        0, -1)
+    q_k = -span_projector(sig, rows.reshape(sig.size, big_n * big_n, n), tol,
+                          rank=n - rank)[1]
+    q_k[0] += np.eye(n)
+    _, pi_k = span_projector(sig, matrix_product(sig, q_k, tangent[:sig.size]),
+                             tol, rank=rank)
+    return q_k, pi_k
+
+
+def drift(pi_jet: np.ndarray, directions: np.ndarray) -> float:
+    """Largest Frobenius norm of sum_j c_j d_(w_j) Pi over unit c, for the
+    rows w_j of ``directions``: chart directions of orthonormal ambient
+    vectors, so the largest derivative of the projector field Pi along a
+    unit vector of their span.  ``pi_jet`` is a jet of order 1 or more; a
+    subspace field of constant rank is constant along a curve exactly when
+    this derivative vanishes along it."""
+    if len(directions) == 0:
+        return 0.0
+    n = directions.shape[1]
+    stacked = np.tensordot(directions, first_partials(pi_jet[:n + 1]), 1)
+    return float(np.linalg.norm(stacked.reshape(len(directions), -1), 2))
+
+
 def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,
                      directions, h: float,
                      richardson: bool = False) -> np.ndarray:
@@ -251,9 +293,6 @@ class PointGeometry:
     def first_normal_complement(self) -> sub.Subspace:
         """Orthogonal complement of the first normal space inside the normal space."""
         return sub.complement_within(self.first_normal, self.normal_space)
-
-    def tangent_coords(self, ambient_vec) -> np.ndarray:
-        return self.frame @ np.asarray(ambient_vec, dtype=float)
 
     def alpha_of(self, xv, yv) -> np.ndarray:
         """alpha evaluated on two tangent vectors in frame coordinates."""
@@ -351,6 +390,23 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
         normal_space=normal_space, alpha=alpha, higher_forms=higher,
         normal_flag=normal_flag,
         osculating_dims=[s.dim for s in osculating], derivs=derivs, tol=tol)
+
+
+def chart_table(geom: PointGeometry, order: int) -> np.ndarray:
+    """The chart's coefficient table at ``order``: a prefix of the jet behind
+    ``geom`` when that reaches far enough, else a chart evaluation."""
+    if order <= geom.derivs.order:
+        return geom.derivs.coeffs[:signature(geom.n, order).size]
+    return geom.chart.eval(geom.x, order).coeffs
+
+
+def tangent_jets(geom: PointGeometry,
+                 order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first partials and Pi_T as order-``order`` jets, from the chart
+    jet at order + 1."""
+    tangent = partial_jets(chart_table(geom, order + 1), geom.n, 1, order)
+    return tangent, span_projector(signature(geom.n, order), tangent,
+                                   geom.tol, rank=geom.n)[1]
 
 
 def flattened_alpha_restricted(geom: PointGeometry,

@@ -15,9 +15,11 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import ParameterError, RegularityError
-from .geometry import (ImmersionChart, PointGeometry, frame_derivative,
-                       point_geometry, projection_frame,
-                       flattened_alpha_restricted, relative_nullity, to_frame)
+from .geometry import (ImmersionChart, PointGeometry, chart_table,
+                       flattened_alpha_restricted, frame_derivative,
+                       point_geometry, projection_frame, relative_nullity,
+                       span_projector, to_frame)
+from .jets import matrix_product, partial_jets, signature
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,33 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
                               geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
     return PhiTensor(values, mu_frame, pivots, n1.basis, "frame-fd")
+
+
+def s_projector(geom: PointGeometry, order: int,
+                rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Jets of Pi_N1 and Pi_S at ``order``, from the chart jet at order + 3.
+
+    Pi_N1 is Pi_osc2 - Pi_T.  For mu in the complement C of the second
+    osculating space, phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row
+    span of Pi_C (d_i Pi_osc2) Pi_N1 over the chart partials i; as
+    Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.  The
+    rank of S is read at the point at ``geom.tol`` unless ``rank`` gives it
+    (s, as ``nonparallel_data`` decides it); a rank equal to that of N1
+    makes Pi_S = Pi_N1, from the chart jet at order + 2.
+    """
+    n, tol = geom.n, geom.tol
+    whole = rank == geom.first_normal.dim
+    up = order + (not whole)
+    sig, sig_up = signature(n, order), signature(n, up)
+    rows = partial_jets(chart_table(geom, up + 2), n, 2, up)
+    _, osc = span_projector(sig_up, rows, tol)
+    n1 = osc[:sig.size] - span_projector(sig, rows[:sig.size, :n], tol)[1]
+    if whole:
+        return n1, n1
+    d_osc = partial_jets(osc, n, 1, order).reshape(sig.size, -1,
+                                                   geom.ambient_dim)
+    return n1, span_projector(sig, matrix_product(sig, d_osc, n1), tol,
+                              rank=rank)[1]
 
 
 @dataclass(frozen=True)
@@ -294,7 +323,7 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
     n = geom.n
 
     frame_at = _complement_frame_field(chart, pivots, geom.tol)
-    worst = 0.0
+    residuals = []
     for _ in range(pairs):
         xv = rng.standard_normal(n)
         xv /= np.linalg.norm(xv)
@@ -309,38 +338,6 @@ def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
         for m in range(mu_frame.shape[0]):
             lhs = geom.shape_operator(dx[m]) @ yv
             rhs = geom.shape_operator(dy[m]) @ xv
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+            residuals.append(np.linalg.norm(lhs - rhs))
+    return sub.worst(residuals)
 
-
-def p_parallel_drift(chart: ImmersionChart, geom: PointGeometry,
-                     nd: NonparallelData, h: float = 1e-3,
-                     tol: float | None = None) -> float:
-    """Residual of P being parallel along D, through its L-component.
-
-    P denotes the sum of S and the first-normal complement.  For Y in D and
-    mu a P-frame section, the component of the derivative of mu inside the
-    first normal space but orthogonal to S must vanish; the finite-difference
-    estimate is second-order small.
-    """
-    tol = geom.tol if tol is None else tol
-    if nd.D.dim == 0 or nd.s == nd.p:
-        return 0.0
-
-    def p_space_at(x) -> sub.Subspace:
-        g_y = point_geometry(chart, x, max_normal_order=2, tol=tol)
-        phi_y = phi_pairing(g_y, tol)
-        nd_y = nonparallel_data(g_y, phi_y, tol)
-        comp = g_y.first_normal_complement()
-        return sub.direct_sum(nd_y.S, comp, tol)
-
-    p_center = sub.direct_sum(nd.S, geom.first_normal_complement(), tol)
-    _, pivots = projection_frame(p_center)
-    l_basis = sub.complement_within(nd.S, geom.first_normal)
-
-    def frame_at(y):
-        return projection_frame(p_space_at(y), pivots=pivots)[0]
-
-    d_mu = frame_derivative(frame_at, geom.x,
-                            [v @ geom.frame_in_chart for v in nd.D.basis], h)
-    return max(float(np.max(np.abs(d @ l_basis.basis.T))) for d in d_mu)

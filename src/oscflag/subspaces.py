@@ -49,8 +49,12 @@ class Subspace:
         """Component of v orthogonal to the subspace."""
         return np.asarray(v, dtype=float) - self.project(v)
 
-    def contains(self, other: Subspace, tol: float = 1e-8) -> bool:
-        return containment_residual(other, self) < tol
+
+def worst(values, initial: float = 0.0) -> float:
+    """Largest of the residuals ``values`` (``initial`` when there are none),
+    NaN when any is NaN, so a non-finite residual fails the gate
+    ``residual < tol`` it is judged by."""
+    return float(np.max(np.fromiter(values, float), initial=initial))
 
 
 def trivial(ambient_dim: int, tol: float = DEFAULT_RANK_TOL) -> Subspace:

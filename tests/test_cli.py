@@ -9,6 +9,7 @@ from oscflag import catalog
 from oscflag.catalog import CatalogEntry, Expectation
 from oscflag.cli import main
 from oscflag.errors import NumericalRankError, UsageError
+from oscflag.ruled_extension import SplittingSpec
 from oscflag.verify import RunConfig, run_verification
 
 
@@ -166,3 +167,34 @@ def test_numerical_failure_during_run_exit_three(capsys):
         assert "NumericalRankError" in err and "Traceback" not in err
     finally:
         del catalog.BUILDERS["rank-failure-test"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-parallel", "--samples", "5", "--seed", "4"],
+    ["curve-parallel", "--param", "n=4", "--param", "N=8", "--samples", "3",
+     "--seed", "7"]])
+def test_ruling_checks_stay_at_the_sampled_points(argv, capsys):
+    # constancy along the rulings is read at each sampled point, so no
+    # check walks a leaf out of the chart box (these runs once exited 3)
+    assert main(["verify", *argv]) == 0
+    assert "findings: 0" in capsys.readouterr().out
+
+
+def test_gamma_band_violation_is_a_finding(monkeypatch, capsys):
+    # split_jets raises when dim Gamma leaves its band; at a sampled point
+    # that is the exercise's gamma-band failure, not a degeneracy exit
+    real_at = SplittingSpec.at
+    calls = []
+
+    def at(self, x, order=1):
+        calls.append(order)
+        if len(calls) == 2:
+            raise NumericalRankError("dim Gamma = 9 outside the band [1, 2]")
+        return real_at(self, x, order)
+
+    monkeypatch.setattr(SplittingSpec, "at", at)
+    assert main(["verify", "curve-parallel", "--param", "n=2", "--param",
+                 "N=5", "--samples", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] split_exercise:parallel-line" in out
+    assert "findings: 1" in out
