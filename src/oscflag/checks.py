@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import subspaces as sub
-from .errors import NumericalRankError
+from .errors import GammaBandError, NumericalRankError
 from .geometry import (PointGeometry, drift, frame_derivative,
                        kernel_projector, point_geometry, projection_frame,
                        relative_nullity, ricci, sectional_curvature,
@@ -57,30 +57,11 @@ class PointRecord:
     k: int | None = None
     classification: CaseClassification | None = None
 
-    # Projector jets at the point for the constancy checks along the
-    # rulings, built on first use: the first partials and Pi_T to order 2,
-    # and Pi_N1 and Pi_S (of rank s) to order 1.
-
     @cached_property
-    def t_jets(self) -> tuple[np.ndarray, np.ndarray]:
-        return tangent_jets(self.geom, 2)
-
-    @cached_property
-    def s_jets(self) -> tuple[np.ndarray, np.ndarray]:
-        return s_projector(self.geom, 1, rank=self.nd.s)
-
-    @property
     def pi_s(self) -> np.ndarray:
-        return self.s_jets[1]
-
-    @property
-    def pi_p(self) -> np.ndarray:
-        """Order-1 jet of Pi_P = I - Pi_T - Pi_N1 + Pi_S, P the sum of S
-        and the complement of the first normal space."""
-        n1, pi_s = self.s_jets
-        pi_p = pi_s - n1 - self.t_jets[1][:n1.shape[0]]
-        pi_p[0] += np.eye(self.geom.ambient_dim)
-        return pi_p
+        """Order-1 jet of Pi_S, of rank s, shared by the constancy checks
+        along the rulings."""
+        return s_projector(self.geom, 1, rank=self.nd.s)[1]
 
 
 @dataclass
@@ -108,7 +89,7 @@ class VerifyContext:
         """Order-1 jet of the ambient projector onto the ruling space: the
         kernel of alpha restricted to U = S (D) or to U = I - Pi_T (the
         relative nullity)."""
-        tangent, pi_t = rec.t_jets
+        tangent, pi_t = tangent_jets(rec.geom, 2)
         if self.entry.ruling_from == "D":
             pi_u, rank = rec.pi_s, rec.nd.D.dim
         else:
@@ -116,9 +97,6 @@ class VerifyContext:
             pi_u[0] += np.eye(rec.geom.ambient_dim)
         return kernel_projector(signature(rec.geom.n, 1), pi_u, pi_t, tangent,
                                 rank, rec.geom.tol)[1]
-
-    def ruling_directions(self, rec: PointRecord) -> np.ndarray:
-        return _chart_directions(rec.geom, self.ruling_space(rec))
 
 
 def _chart_directions(geom: PointGeometry, space: sub.Subspace) -> np.ndarray:
@@ -137,6 +115,18 @@ def _equal(name, got, expected, description="", **details) -> CheckResult:
     details = {"got": got, "expected": expected, **details}
     return CheckResult(name, bool(got == expected), None, None, description,
                        details)
+
+
+def _angles(name, pairs, tol, description="") -> CheckResult:
+    """Largest principal angle over ``pairs`` of subspaces; the first pair
+    whose dimensions differ fails the check, naming its index and both."""
+    angles = []
+    for i, (a, b) in enumerate(pairs):
+        if a.dim != b.dim:
+            return CheckResult(name, False, description=description,
+                               details={"pair": i, "dims": [a.dim, b.dim]})
+        angles.append(np.max(sub.principal_angles(a, b), initial=0.0))
+    return _bound(name, sub.worst(angles), tol, description)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +262,9 @@ def check_flag_coordinate_planes_at_origin(ctx: VerifyContext,
     geom = point_geometry(ctx.chart, np.zeros(2), ctx.entry.max_normal_order,
                           ctx.rank_tol)
     big_n = ctx.chart.ambient_dim
-    angles = [np.max(sub.principal_angles(
-        geom.tangent, _coordinate_plane(big_n, 0)))]
-    for k, stage in enumerate(geom.normal_flag, start=1):
-        plane = _coordinate_plane(big_n, k)
-        if stage.dim != 2:
-            return CheckResult("flag_coordinate_planes_at_origin", False,
-                               details={"stage": k, "dim": stage.dim})
-        angles.append(np.max(sub.principal_angles(stage, plane)))
-    return _bound("flag_coordinate_planes_at_origin", sub.worst(angles), tol)
+    return _angles("flag_coordinate_planes_at_origin",
+                   ((space, _coordinate_plane(big_n, k)) for k, space
+                    in enumerate([geom.tangent, *geom.normal_flag])), tol)
 
 
 def _coordinate_plane(big_n: int, k: int) -> sub.Subspace:
@@ -298,56 +282,40 @@ def _base_geometry(ctx: VerifyContext, rec: PointRecord) -> PointGeometry:
 
 def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
                                tol: float) -> CheckResult:
-    angles = []
-    for rec in ctx.records:
-        base_stage = _base_geometry(ctx, rec).normal_flag[stage - 1]
-        if base_stage.dim != rec.nd.S.dim:
-            return CheckResult("s_matches_base_stage", False,
-                               details={"base_dim": base_stage.dim,
-                                        "s": rec.nd.S.dim})
-        angles.append(np.max(sub.principal_angles(rec.nd.S, base_stage)))
-    return _bound("s_matches_base_stage", sub.worst(angles), tol)
+    return _angles("s_matches_base_stage",
+                   ((rec.nd.S, _base_geometry(ctx, rec).normal_flag[stage - 1])
+                    for rec in ctx.records), tol)
 
 
 def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
     m = ctx.entry.aux["m"]
-    angles = []
-    for rec in ctx.records:
-        lhs = sub.direct_sum(rec.geom.tangent, rec.geom.first_normal,
-                             ctx.rank_tol)
+
+    def pair(rec):
         base = _base_geometry(ctx, rec)
         rows = [base.tangent.basis]
         rows.extend(base.normal_flag[j].basis for j in range(m + 1))
-        rhs = sub.span_of(np.vstack(rows), ctx.rank_tol)
-        if lhs.dim != rhs.dim:
-            return CheckResult("osculating_identity", False,
-                               details={"lhs_dim": lhs.dim,
-                                        "rhs_dim": rhs.dim})
-        angles.append(np.max(sub.principal_angles(lhs, rhs)))
-    return _bound("osculating_identity", sub.worst(angles), tol)
+        return (sub.direct_sum(rec.geom.tangent, rec.geom.first_normal,
+                               ctx.rank_tol),
+                sub.span_of(np.vstack(rows), ctx.rank_tol))
+    return _angles("osculating_identity", map(pair, ctx.records), tol)
 
 
 def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
     """Mixed alpha values over the rulings span the expected slice of the
     first normal space: the intersection with (base tangent + stage m)."""
     m = ctx.entry.aux["m"]
-    angles = []
-    for rec in ctx.records:
+
+    def pair(rec):
         vals = np.einsum("va,abN->vbN", rec.nd.D.basis,
                          rec.geom.alpha).reshape(-1, rec.geom.ambient_dim)
-        lhs = sub.span_of(vals, ctx.rank_tol,
-                          ambient_dim=rec.geom.ambient_dim)
         base = _base_geometry(ctx, rec)
         slab = sub.direct_sum(base.tangent, base.normal_flag[m - 1],
                               ctx.rank_tol)
-        rhs = sub.intersection(slab, rec.geom.first_normal,
-                               angle_tol=max(tol, 1e-7))
-        if lhs.dim != rhs.dim:
-            return CheckResult("vertical_alpha_span", False,
-                               details={"lhs_dim": lhs.dim,
-                                        "rhs_dim": rhs.dim})
-        angles.append(np.max(sub.principal_angles(lhs, rhs)))
-    return _bound("vertical_alpha_span", sub.worst(angles), tol)
+        return (sub.span_of(vals, ctx.rank_tol,
+                            ambient_dim=rec.geom.ambient_dim),
+                sub.intersection(slab, rec.geom.first_normal,
+                                 angle_tol=max(tol, 1e-7)))
+    return _angles("vertical_alpha_span", map(pair, ctx.records), tol)
 
 
 def check_rulings_alpha_nonzero(ctx: VerifyContext, tol: float) -> CheckResult:
@@ -411,17 +379,9 @@ def check_nu_s_monotone(ctx: VerifyContext) -> CheckResult:
 
 
 def check_lemma_parallel_i(ctx: VerifyContext, tol: float = 1e-6) -> CheckResult:
-    angles = []
-    for rec in ctx.records:
-        if rec.nd.phi_kernel.dim != rec.nd.D.dim:
-            return CheckResult("lemma_parallel_i", False,
-                               details={"kernel_dim": rec.nd.phi_kernel.dim,
-                                        "d_dim": rec.nd.D.dim})
-        if rec.nd.D.dim:
-            angles.append(np.max(sub.principal_angles(
-                rec.nd.phi_kernel, rec.nd.D), initial=0.0))
-    return _bound("lemma_parallel_i", sub.worst(angles), tol,
-                  "kernel of phi equals kernel of alpha restricted to S")
+    return _angles("lemma_parallel_i",
+                   ((rec.nd.phi_kernel, rec.nd.D) for rec in ctx.records), tol,
+                   "kernel of phi equals kernel of alpha restricted to S")
 
 
 def check_d_bound(ctx: VerifyContext) -> CheckResult:
@@ -477,10 +437,17 @@ def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
     constant along D: the largest derivative of Pi_P along a unit D vector.
     Its tangent part vanishes because D is the kernel of alpha restricted to
     P, so what it measures is the forbidden L-component of the derivatives
-    of P-sections."""
-    worst = sub.worst(drift(rec.pi_p, _chart_directions(rec.geom, rec.nd.D))
-                      for rec in ctx.records[:points]
-                      if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim)
+    of P-sections.  Pi_P is the jet of the default splitting's ``PointSplit``.
+    """
+    spec = SplittingSpec(ctx.chart, tol=ctx.rank_tol)
+    try:
+        worst = sub.worst(drift(spec.at(rec.x, 1).pi_p,
+                                _chart_directions(rec.geom, rec.nd.D))
+                          for rec in ctx.records[:points]
+                          if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim)
+    except NumericalRankError as exc:
+        return CheckResult("p_parallel_drift", False,
+                           details={"error": str(exc)})
     return _bound("p_parallel_drift", worst, 1e-8, "P is parallel along D")
 
 
@@ -512,7 +479,7 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool,
     for rec in ctx.records[:points]:
         if ctx.ruling_space(rec).dim == 0 or rec.nd.s == 0:
             continue
-        directions = ctx.ruling_directions(rec)
+        directions = _chart_directions(rec.geom, ctx.ruling_space(rec))
         exact.append(drift(rec.pi_s, directions))
         if ratio:
             d_h = fd_drift(rec.x, directions, h)
@@ -575,7 +542,7 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
         if ctx.ruling_space(rec).dim == 0:
             return CheckResult("d_ruled_leaves", False,
                                details={"reason": "no ruling directions"})
-        directions = ctx.ruling_directions(rec)
+        directions = _chart_directions(rec.geom, ctx.ruling_space(rec))
         leaf.append(drift(ctx.ruling_jet(rec), directions))
         if rec.nd.s:
             s_drift.append(drift(rec.pi_s, directions))
@@ -610,9 +577,11 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
         except NumericalRankError as exc:
             # split_jets raises where d = 0 or dim Gamma leaves the band
             # n - d <= k <= n - d + ell; there is no extension to build
+            band = isinstance(exc, GammaBandError)
+            details.update(error=str(exc), band_holds=not band)
             return CheckResult(name, False, description=description,
-                               details={**details, "error": str(exc),
-                                        "failures": ["gamma-band"]})
+                               details={**details, "failures": [
+                                   "gamma-band" if band else "d-zero"]})
         k, r = split.Gamma.dim, split.Lambda.dim
         k_seen.add(k)
         r_seen.add(r)

@@ -65,6 +65,10 @@ class NumericalRankError(OscflagError):
     """A computed rank violates a dimension bound beyond tolerance."""
 
 
+class GammaBandError(NumericalRankError):
+    """dim Gamma leaves the band n - d <= k <= n - d + ell."""
+
+
 class DegenerateExtensionError(OscflagError):
     """No tubular radius above the floor keeps the extension an immersion."""
 

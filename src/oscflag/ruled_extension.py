@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import subspaces as sub
-from .errors import (DegenerateExtensionError, NumericalRankError,
-                     ParameterError, ShapeError)
+from .errors import (DegenerateExtensionError, GammaBandError,
+                     NumericalRankError, ParameterError, ShapeError)
 from .geometry import (ImmersionChart, PointGeometry, box, drift, eval_jet,
                        flattened_alpha_restricted, kernel_projector,
                        point_geometry, projection_frame, span_projector,
@@ -154,7 +154,7 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
         lo, np.moveaxis(rows, 0, 1).reshape(lo.size, n * big_n, big_n), tol)
     k, ell = gamma.dim, l_space.dim
     if not n - d <= k <= n - d + ell:
-        raise NumericalRankError(
+        raise GammaBandError(
             f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
     lam = sub.complement_within(
         gamma, sub.direct_sum(split.e_ambient(), l_space, tol))

@@ -8,7 +8,7 @@ import pytest
 from oscflag import catalog
 from oscflag.catalog import CatalogEntry, Expectation
 from oscflag.cli import main
-from oscflag.errors import NumericalRankError, UsageError
+from oscflag.errors import GammaBandError, NumericalRankError, UsageError
 from oscflag.ruled_extension import SplittingSpec
 from oscflag.verify import RunConfig, run_verification
 
@@ -180,21 +180,31 @@ def test_ruling_checks_stay_at_the_sampled_points(argv, capsys):
     assert "findings: 0" in capsys.readouterr().out
 
 
-def test_gamma_band_violation_is_a_finding(monkeypatch, capsys):
-    # split_jets raises when dim Gamma leaves its band; at a sampled point
-    # that is the exercise's gamma-band failure, not a degeneracy exit
+@pytest.mark.parametrize("error,failure", [
+    (GammaBandError("dim Gamma = 9 outside the band [1, 2]"), "gamma-band"),
+    (NumericalRankError("alpha restricted to P has trivial kernel (d = 0)"),
+     "d-zero")])
+def test_split_rank_violation_is_a_finding(error, failure, monkeypatch,
+                                           tmp_path, capsys):
+    # split_jets raises when d = 0 or dim Gamma leaves its band; at a
+    # sampled point that is the exercise's failure of that name, not a
+    # degeneracy exit
     real_at = SplittingSpec.at
     calls = []
 
     def at(self, x, order=1):
         calls.append(order)
         if len(calls) == 2:
-            raise NumericalRankError("dim Gamma = 9 outside the band [1, 2]")
+            raise error
         return real_at(self, x, order)
 
     monkeypatch.setattr(SplittingSpec, "at", at)
+    out_path = tmp_path / "report.json"
     assert main(["verify", "curve-parallel", "--param", "n=2", "--param",
-                 "N=5", "--samples", "2"]) == 1
+                 "N=5", "--samples", "2", "--out", str(out_path)]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] split_exercise:parallel-line" in out
     assert "findings: 1" in out
+    details = json.loads(out_path.read_text())["findings"][0]["details"]
+    assert details["failures"] == [failure]
+    assert details["band_holds"] == (failure != "gamma-band")

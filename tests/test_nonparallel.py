@@ -16,6 +16,7 @@ from oscflag.jets import first_partials
 from oscflag.nonparallel import (NonparallelData, PhiTensor, classify_case,
                                  codazzi_residual, nonparallel_data,
                                  phi_difference, phi_frame_fd, phi_pairing)
+from oscflag.ruled_extension import SplittingSpec
 from p_parallel_fd import p_l_components, p_parallel_drift
 
 
@@ -120,8 +121,8 @@ def test_p_parallel_drift_second_order():
     x = entry.sampler(rng)
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
     nd = nonparallel_data(geom, phi_pairing(geom))
-    rec = PointRecord(0, x, geom, nd.phi, nd, [])
-    d_p = first_partials(rec.pi_p[:geom.n + 1])
+    pi_p = SplittingSpec(entry.chart).at(x, 1).pi_p
+    d_p = first_partials(pi_p[:geom.n + 1])
     l_basis = sub.complement_within(nd.S, geom.first_normal).basis
     e_basis = sub.complement_within(nd.D, sub.full(geom.n)).basis
     fd = [p_l_components(entry.chart, geom, nd, h, e_basis)
@@ -133,7 +134,7 @@ def test_p_parallel_drift_second_order():
     d_h, d_h2 = (np.linalg.norm(values - exact) for values, _ in fd)
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
     along_d = nd.D.basis @ geom.frame_in_chart
-    identity = drift(rec.pi_p, along_d)
+    identity = drift(pi_p, along_d)
     r1 = p_parallel_drift(entry.chart, geom, nd, 1e-3)
     r2 = p_parallel_drift(entry.chart, geom, nd, 5e-4)
     assert identity < 1e-10
@@ -185,8 +186,9 @@ def test_ruling_checks_are_basis_independent():
     # same residuals: the checks sample the space, not its basis vectors
     entry = get_entry("section4-ruled", {"m": 2})
     c, s = np.cos(0.7), np.sin(0.7)
+    rotation = np.array([[c, s], [-s, c]])
 
-    def context(rotation):
+    def context(rotation, space=lambda nd: nd.D):
         records = []
         for i in range(2):
             x = entry.sampler(np.random.default_rng(10 + i))
@@ -194,24 +196,30 @@ def test_ruling_checks_are_basis_independent():
             phi = phi_pairing(geom)
             nd = nonparallel_data(geom, phi)
             nd = dataclasses.replace(nd, D=sub.Subspace(
-                geom.n, rotation @ nd.D.basis))
+                geom.n, rotation @ space(nd).basis))
             records.append(PointRecord(i, x, geom, phi, nd, []))
         return VerifyContext(entry, None, records, 0, 1e-3, 1e-8)
 
-    plain = context(np.eye(2))
-    rotated = context(np.array([[c, s], [-s, c]]))
-    for check in (lambda ctx: check_s_constancy(ctx, ratio=True),
-                  check_ricci_rulings):
-        a, b = check(plain), check(rotated)
-        assert a.passed and b.passed
-        # the s_constancy residual is an exact derivative at the rounding
-        # floor (~1e-13), which a rotated basis moves in its last digits
-        np.testing.assert_allclose(b.residual, a.residual, rtol=1e-12,
-                                   atol=1e-15)
-        if "fd_ratios" in a.details:
-            assert a.details["fd_ratios"]
-            np.testing.assert_allclose(b.details["fd_ratios"],
-                                       a.details["fd_ratios"], rtol=1e-12)
+    plain, rotated = context(np.eye(2)), context(rotation)
+    a, b = check_ricci_rulings(plain), check_ricci_rulings(rotated)
+    assert a.passed and b.passed
+    np.testing.assert_allclose(b.residual, a.residual, rtol=1e-12)
+    a, b = (check_s_constancy(ctx, ratio=True) for ctx in (plain, rotated))
+    assert a.passed and b.passed and a.details["fd_ratios"]
+    np.testing.assert_allclose(b.details["fd_ratios"],
+                               a.details["fd_ratios"], rtol=1e-12)
+
+    # along D the exact S drift sits at the rounding floor (~1e-13), where
+    # the last digits of the direction frame move it; along E, the
+    # complement of D (2-dimensional here too), it is O(1), and a rotated
+    # basis of E must give it to 1e-12
+    def along_e(nd):
+        return sub.complement_within(nd.D, sub.full(nd.D.ambient_dim))
+
+    a, b = (check_s_constancy(context(r, along_e), ratio=False)
+            for r in (np.eye(2), rotation))
+    assert a.residual > 1e-2 and not a.passed
+    np.testing.assert_allclose(b.residual, a.residual, rtol=1e-12)
 
 
 def test_classify_parallel():
