@@ -82,6 +82,10 @@ def _sphere_chart(n: int) -> ImmersionChart:
 
 def make_calibration(kind: str, n: int = 2, seed: int = 0) -> CatalogEntry:
     """Null-hypothesis charts: unit sphere, affine plane, flat product torus."""
+    if n < 1:
+        raise ParameterError("n must be at least 1")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     if kind == "sphere":
         chart = _sphere_chart(n)
         expected = [
@@ -367,6 +371,8 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
     """
     if not 2 <= n <= big_n - 1:
         raise ParameterError("need 2 <= n <= N - 1")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     witnesses = 3 if big_n - 1 >= (n - 1) + 3 else 0
     system = CurveSystem(big_n, n - 1 + witnesses, seed)
 
@@ -570,6 +576,8 @@ def make_section4_example(m: int = 2, t_radius: float = 0.25,
     """
     if m < 2:
         raise ParameterError("m must be at least 2")
+    if not 0.0 < t_radius < math.inf:
+        raise ParameterError("t_radius must be positive and finite")
     n = 2 * m
     comps = m + 3
     big_n = 2 * comps
@@ -692,6 +700,8 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
     """
     if not 2 <= factors <= 4:
         raise ParameterError("factors must be between 2 and 4")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     systems = [CurveSystem(4, 1, seed + 17 * i) for i in range(factors)]
     n = 2 * factors
     big_n = 4 * factors

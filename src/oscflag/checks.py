@@ -80,6 +80,14 @@ class VerifyContext:
     def rng(self, stream: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])
 
+    @cached_property
+    def base_geometries(self) -> list[PointGeometry]:
+        """The base surface's geometry under each record, by record index,
+        for entries built over one (``aux["base_entry"]``)."""
+        base = self.entry.aux["base_entry"]
+        return [point_geometry(base.chart, rec.x[:2], base.max_normal_order,
+                               self.rank_tol) for rec in self.records]
+
     def ruling_space(self, rec: PointRecord) -> sub.Subspace:
         if self.entry.ruling_from == "D":
             return rec.nd.D
@@ -274,16 +282,11 @@ def _coordinate_plane(big_n: int, k: int) -> sub.Subspace:
     return sub.Subspace(big_n, basis)
 
 
-def _base_geometry(ctx: VerifyContext, rec: PointRecord) -> PointGeometry:
-    base_entry = ctx.entry.aux["base_entry"]
-    return point_geometry(base_entry.chart, rec.x[:2],
-                          base_entry.max_normal_order, ctx.rank_tol)
-
-
 def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
                                tol: float) -> CheckResult:
     return _angles("s_matches_base_stage",
-                   ((rec.nd.S, _base_geometry(ctx, rec).normal_flag[stage - 1])
+                   ((rec.nd.S,
+                     ctx.base_geometries[rec.index].normal_flag[stage - 1])
                     for rec in ctx.records), tol)
 
 
@@ -291,7 +294,7 @@ def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
     m = ctx.entry.aux["m"]
 
     def pair(rec):
-        base = _base_geometry(ctx, rec)
+        base = ctx.base_geometries[rec.index]
         rows = [base.tangent.basis]
         rows.extend(base.normal_flag[j].basis for j in range(m + 1))
         return (sub.direct_sum(rec.geom.tangent, rec.geom.first_normal,
@@ -308,7 +311,7 @@ def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
     def pair(rec):
         vals = np.einsum("va,abN->vbN", rec.nd.D.basis,
                          rec.geom.alpha).reshape(-1, rec.geom.ambient_dim)
-        base = _base_geometry(ctx, rec)
+        base = ctx.base_geometries[rec.index]
         slab = sub.direct_sum(base.tangent, base.normal_flag[m - 1],
                               ctx.rank_tol)
         return (sub.span_of(vals, ctx.rank_tol,
@@ -441,7 +444,7 @@ def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
     """
     spec = SplittingSpec(ctx.chart, tol=ctx.rank_tol)
     try:
-        worst = sub.worst(drift(spec.at(rec.x, 1).pi_p,
+        worst = sub.worst(drift(spec.at(rec.geom, 1).pi_p,
                                 _chart_directions(rec.geom, rec.nd.D))
                           for rec in ctx.records[:points]
                           if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim)
@@ -571,9 +574,10 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     k_seen, r_seen = set(), set()
     rform_ok = True
     angles = []
+    splits = []
     for rec in ctx.records:
         try:
-            split = spec.at(rec.x)
+            split = spec.at(rec.geom)
         except NumericalRankError as exc:
             # split_jets raises where d = 0 or dim Gamma leaves the band
             # n - d <= k <= n - d + ell; there is no extension to build
@@ -582,6 +586,7 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
             return CheckResult(name, False, description=description,
                                details={**details, "failures": [
                                    "gamma-band" if band else "d-zero"]})
+        splits.append(split)
         k, r = split.Gamma.dim, split.Lambda.dim
         k_seen.add(k)
         r_seen.add(r)
@@ -604,30 +609,29 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     if max(r_seen) and not par_angle_min >= 1e-6:
         failures.append("lambda-meets-tangent")
 
-    base_points = [rec.x for rec in ctx.records[:3]]
-    ext = build_extension(spec, exercise.lambda_radius, base_points)
+    ext = build_extension(spec, exercise.lambda_radius, splits[:3])
     details["trivial"] = ext.trivial
     details["lambda_radius"] = ext.lambda_radius
 
-    checks = verify_extension(ext, base_points, tol=1e-5, seed=ctx.seed)
+    checks = verify_extension(ext, [rec.x for rec in ctx.records[:3]],
+                              tol=1e-5, seed=ctx.seed)
     details["extension_checks"] = {c.name: [c.residual, c.tolerance]
                                    for c in checks}
     failures.extend(c.name for c in checks if not c.passed)
 
     if not ext.trivial:
-        _check_extension_ranks(ctx, ext, base_points[0], exercise.expected,
+        _check_extension_ranks(ctx, ext, splits[0], exercise.expected,
                                details, failures)
 
     return CheckResult(name, not failures, description=description,
                        details={**details, "failures": failures})
 
 
-def _check_extension_ranks(ctx, ext, x, expected, details, failures):
-    """Ranks of the extension's own geometry at one translated point, read at
-    the run's rank tolerance."""
-    split = ext.data_at(x)
+def _check_extension_ranks(ctx, ext, split, expected, details, failures):
+    """Ranks of the extension's own geometry at one translation of the
+    split's point, read at the run's rank tolerance."""
     lamv = ctx.rng(400).uniform(-0.5, 0.5, ext.r) * ext.lambda_radius
-    geom = point_geometry(ext.chart, np.concatenate([x, lamv]), 1,
+    geom = point_geometry(ext.chart, np.concatenate([split.geom.x, lamv]), 1,
                           ctx.rank_tol)
     nullity, nu_ext = relative_nullity(geom)
     ranks = {"nu_ext": nu_ext, "n1f_rank": geom.first_normal.dim}

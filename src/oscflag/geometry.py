@@ -67,7 +67,6 @@ class ImmersionChart:
         self.domain = domain
         self.fn = fn
         self.max_order = max_order
-        self._cache: dict[tuple[bytes, int], VectorJet] = {}
 
     def eval(self, x, order: int) -> VectorJet:
         x = np.asarray(x, dtype=float)
@@ -79,16 +78,9 @@ class ImmersionChart:
                 f"order {order} requested")
         if not self.domain.contains(x):
             raise DomainError(f"chart {self.name}: point {x} outside domain")
-        key = (x.tobytes(), order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         vjet = VectorJet(self.fn(variables(x, order)))
         if vjet.ambient_dim != self.ambient_dim:
             raise DataError(f"chart {self.name} returned wrong ambient dim")
-        if len(self._cache) > 512:
-            self._cache.clear()
-        self._cache[key] = vjet
         return vjet
 
     def position(self, x) -> np.ndarray:

@@ -153,15 +153,15 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
 
 
 def s_projector(geom: PointGeometry, order: int,
-                rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Jets of Pi_N1 and Pi_S at ``order``, from the chart jet at order + 3.
 
     Pi_N1 is Pi_osc2 - Pi_T.  For mu in the complement C of the second
     osculating space, phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row
     span of Pi_C (d_i Pi_osc2) Pi_N1 over the chart partials i; as
-    Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.  The
-    rank of S is read at the point at ``geom.tol`` unless ``rank`` gives it
-    (s, as ``nonparallel_data`` decides it); a rank equal to that of N1
+    Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.  S has
+    rank ``rank``, s as ``nonparallel_data`` decides it: a rank read off
+    these rows sees rounding noise as rank.  A rank equal to that of N1
     makes Pi_S = Pi_N1, from the chart jet at order + 2.
     """
     n, tol = geom.n, geom.tol

@@ -13,20 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import subspaces as sub
 from .errors import (DegenerateExtensionError, GammaBandError,
                      NumericalRankError, ParameterError, ShapeError)
-from .geometry import (ImmersionChart, PointGeometry, box, drift, eval_jet,
-                       flattened_alpha_restricted, kernel_projector,
+from .geometry import (ImmersionChart, PointGeometry, box, chart_table, drift,
+                       eval_jet, flattened_alpha_restricted, kernel_projector,
                        point_geometry, projection_frame, span_projector,
                        tangent_jets)
 from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
                    partial_jets, signature)
-from .nonparallel import s_projector
+from .nonparallel import nonparallel_data, phi_pairing, s_projector
 
 
 def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
@@ -34,9 +34,11 @@ def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
     normal space (the splitting used by the trichotomy analysis).
 
     Returns the rows of Pi_L = Pi_N1 - Pi_S at ``order``, from the chart jet
-    at order + 3 (``nonparallel.s_projector``).
+    at order + 3 (``nonparallel.s_projector``), with Pi_S of rank s as
+    ``nonparallel_data`` decides it.
     """
-    n1, pi_s = s_projector(geom, order)
+    s = nonparallel_data(geom, phi_pairing(geom)).s
+    n1, pi_s = s_projector(geom, order, rank=s)
     return n1 - pi_s
 
 
@@ -166,7 +168,8 @@ class SplittingSpec:
 
     ``rule(geom, order)`` returns rows spanning L as an order-``order`` jet:
     a table ``(signature(n, order).size, m, N)`` in the layout of
-    ``signature(n, order)``.  ``at(x, order)`` asks the rule for that order
+    ``signature(n, order)``.  ``at(geom, order)``, for a geometry of
+    ``chart`` with its jet to order 3 or more, asks the rule for that order
     and returns P to it, D, E, Gamma and Lambda to one order less; order 0
     serves readers of D alone, order 1 the values of Gamma and Lambda.
     """
@@ -178,9 +181,7 @@ class SplittingSpec:
         self.rule = rule or default_splitting_rule
         self.tol = tol
 
-    def at(self, x, order: int = 1) -> PointSplit:
-        # the order-3 jet of geom serves the default rule at order 0
-        geom = point_geometry(self.chart, x, 2, self.tol)
+    def at(self, geom: PointGeometry, order: int = 1) -> PointSplit:
         size, big_n = signature(geom.n, order).size, geom.ambient_dim
         rows = np.asarray(self.rule(geom, order), dtype=float)
         if rows.ndim != 3 or rows.shape[0] != size or rows.shape[2] != big_n:
@@ -206,13 +207,15 @@ def _ruled_index(n: int, r: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lambda_split(spec: SplittingSpec, r: int, splits: dict, x,
                   order: int) -> PointSplit:
-    """The split at x with Pi_Lambda to at least ``order``, memoised per x."""
+    """The split at x with Pi_Lambda to at least ``order``, memoised per x
+    (a lower-order split there lends its geometry)."""
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
     hit = splits.get(key)
     if hit is not None and hit.order > order:
         return hit
-    split = spec.at(x, order + 1)
+    geom = hit.geom if hit else point_geometry(spec.chart, x, 2, spec.tol)
+    split = spec.at(geom, order + 1)
     if split.Lambda.dim != r:
         raise NumericalRankError(
             f"rank of Lambda changed from {r} to {split.Lambda.dim} at {x}")
@@ -229,10 +232,11 @@ def _ruled_components(spec: SplittingSpec, pivots: list[int], r: int,
     point = np.array([v.value for v in vars_])
     x, lam = point[:n], point[n:]
     size = signature(n, order).size
-    rows = _lambda_split(spec, r, splits, x, order).pi_lambda[:size][:, pivots]
+    split = _lambda_split(spec, r, splits, x, order)
+    rows = split.pi_lambda[:size][:, pivots]
     pure, linear = _ruled_index(n, r, order)
     table = np.zeros((signature(n + r, order).size, base.ambient_dim))
-    table[pure] = base.eval(x, order).coeffs + lam @ rows
+    table[pure] = chart_table(split.geom, order) + lam @ rows
     table[linear] = rows[:linear.shape[1]].swapaxes(0, 1)
     return [Jet(n + r, order, column) for column in table.T]
 
@@ -244,16 +248,17 @@ class RuledExtension:
     base point, not re-orthonormalised, so F is analytic in (x, lam), affine
     in lam, and F(x, 0) = f(x).  ``chart`` is an ``ImmersionChart`` in
     n + r variables with ``max_order`` 2 (the base chart when r = 0) whose
-    jets come from one memo per x of the split and its Pi_Lambda jet.
+    jets come from one memo per x of the split, seeded with ``splits``, and
+    its Pi_Lambda jet.
     """
 
-    def __init__(self, spec: SplittingSpec,
-                 pivots: tuple[int, ...], r: int, lambda_radius: float):
+    def __init__(self, spec: SplittingSpec, pivots: tuple[int, ...], r: int,
+                 lambda_radius: float, splits: Iterable[PointSplit] = ()):
         self.spec = spec
         self.pivots = list(pivots)
         self.r = r
         self.lambda_radius = lambda_radius
-        self._splits: dict[bytes, PointSplit] = {}
+        self._splits = {split.geom.x.tobytes(): split for split in splits}
         base = spec.chart
         if r == 0:
             self.chart = base
@@ -273,10 +278,6 @@ class RuledExtension:
     def trivial(self) -> bool:
         return self.r == 0
 
-    def data_at(self, x) -> PointSplit:
-        """The split at x, with Lambda and its projector there."""
-        return _lambda_split(self.spec, self.r, self._splits, x, 0)
-
     def eval(self, x, lam) -> np.ndarray:
         if np.shape(lam) != (self.r,):
             raise ParameterError(f"lambda coordinates must have length {self.r}")
@@ -288,30 +289,32 @@ class RuledExtension:
 
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,
-                    probe_points: list[np.ndarray],
+                    probe_splits: list[PointSplit],
                     rank_tol: float = 1e-6,
                     min_radius: float = 1e-6) -> RuledExtension:
-    """Assemble the extension and shrink the translation box by bisection
-    until the Jacobian keeps full rank at every probe point.
+    """Assemble the extension from the splits of order 1 or more at the
+    probe points, and shrink the translation box by bisection until the
+    Jacobian keeps full rank at every probe point.
 
     With r = 0 the extension is the base immersion itself, returned as the
     trivial extension.
     """
-    if not probe_points:
+    if not probe_splits:
         raise ParameterError("build_extension needs at least one probe point")
-    lam = spec.at(np.asarray(probe_points[0], dtype=float)).Lambda
+    lam = probe_splits[0].Lambda
     if lam.dim == 0:
-        return RuledExtension(spec, (), 0, 0.0)
+        return RuledExtension(spec, (), 0, 0.0, probe_splits)
     _, pivots = projection_frame(lam)
-    ext = RuledExtension(spec, pivots, lam.dim, lambda_radius)
+    ext = RuledExtension(spec, pivots, lam.dim, lambda_radius, probe_splits)
+    probes = [(split.geom.x, ext.jacobian(split.geom.x, np.zeros(ext.r)))
+              for split in probe_splits]
 
     def feasible(radius: float) -> bool:
         # eval is affine in the translation coordinates, so the Jacobian
         # along each ray is a linear pencil; a dense sweep of its smallest
         # singular value costs two Jacobian builds per ray and catches rank
         # loss anywhere inside the box, not just at probe shells
-        for x in probe_points:
-            jac0 = ext.jacobian(x, np.zeros(ext.r))
+        for x, jac0 in probes:
             floor = np.linalg.svd(jac0, compute_uv=False)[-1]
             for corner in _signed_corners(ext.r):
                 jac1 = ext.jacobian(x, radius * corner) - jac0
@@ -372,7 +375,6 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     """
     rng = np.random.default_rng(seed)
     spec = ext.spec
-    base = spec.chart
     names = (["roundtrip-zero-section"]
              + ["affine-in-translation"] * bool(ext.r)
              + ["leaf-straightness", "delta-parallel-along-leaf",
@@ -392,7 +394,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         geom = split.geom
         delta = split.Delta
 
-        fx = base.position(x)
+        fx = chart_table(geom, 0)[0]
         residuals["roundtrip-zero-section"].append(
             np.linalg.norm(ext.eval(x, np.zeros(ext.r)) - fx))
         if ext.r:

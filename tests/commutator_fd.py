@@ -3,13 +3,14 @@
 Central differences of a D-frame whose pivot order is frozen at the
 stencil centre, in chart coordinates; the part of each bracket outside D
 is second-order accurate in h.  Each stencil point costs one
-``SplittingSpec.at`` at order 0.
+``point_geometry`` and one ``SplittingSpec.at`` at order 0.
 """
 
 import numpy as np
 
 from oscflag import subspaces as sub
-from oscflag.geometry import frame_derivative, projection_frame
+from oscflag.geometry import (frame_derivative, point_geometry,
+                              projection_frame)
 
 
 def commutator_residual_fd(spec, split, h: float) -> float:
@@ -19,7 +20,7 @@ def commutator_residual_fd(spec, split, h: float) -> float:
     _, pivots = projection_frame(split.D)
 
     def d_frame_chart(y) -> np.ndarray:
-        split_y = spec.at(y, 0)
+        split_y = spec.at(point_geometry(spec.chart, y, 2, spec.tol), 0)
         frame_y, _ = projection_frame(split_y.D, pivots=pivots)
         return frame_y @ split_y.geom.frame_in_chart
 

@@ -4,12 +4,13 @@ The L-component of the derivative of each P-frame field is a central
 difference of a projection frame whose pivot order is frozen at the stencil
 centre, so the differentiated field is a smooth section; it is
 second-order accurate in h.  Each stencil point costs one
-``SplittingSpec.at`` at order 0.
+``point_geometry`` and one ``SplittingSpec.at`` at order 0.
 """
 
 import numpy as np
 
-from oscflag.geometry import frame_derivative, projection_frame
+from oscflag.geometry import (frame_derivative, point_geometry,
+                              projection_frame)
 
 
 def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
@@ -27,7 +28,8 @@ def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
         directions = split.E.basis
 
     def frame_at(y):
-        return projection_frame(spec.at(y, 0).P, pivots=pivots)[0]
+        split_y = spec.at(point_geometry(spec.chart, y, 2, spec.tol), 0)
+        return projection_frame(split_y.P, pivots=pivots)[0]
 
     d_frames = frame_derivative(
         frame_at, geom.x, [v @ geom.frame_in_chart for v in directions], h)

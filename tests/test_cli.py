@@ -62,6 +62,20 @@ def test_unknown_param_exit_two(capsys):
     assert "bogus" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry,param", [
+    ("sphere", "n=0"), ("sphere", "n=-2"),
+    ("flat", "seed=-1"), ("curve-parallel", "seed=-1"),
+    ("curve-product", "seed=-1"),
+    ("section4-ruled", "t_radius=0"), ("section4-ruled", "t_radius=-0.1"),
+    ("section4-ruled", "t_radius=inf")])
+def test_out_of_range_param_exit_two(entry, param, capsys):
+    # the registry casts these values, and the entry rejects them by name
+    # before any point is sampled
+    assert main(["verify", entry, "--param", param, "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert param.split("=")[0] in err and "Traceback" not in err
+
+
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2
@@ -192,11 +206,11 @@ def test_split_rank_violation_is_a_finding(error, failure, monkeypatch,
     real_at = SplittingSpec.at
     calls = []
 
-    def at(self, x, order=1):
+    def at(self, geom, order=1):
         calls.append(order)
         if len(calls) == 2:
             raise error
-        return real_at(self, x, order)
+        return real_at(self, geom, order)
 
     monkeypatch.setattr(SplittingSpec, "at", at)
     out_path = tmp_path / "report.json"

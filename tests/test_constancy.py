@@ -125,7 +125,9 @@ def test_nan_residual_fails_leaf_straightness(monkeypatch):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius, pts)
+    ext = build_extension(spec, exercise.lambda_radius,
+                          [spec.at(point_geometry(entry.chart, x, 2))
+                           for x in pts])
     monkeypatch.setattr(ruled_extension, "drift", nan_drift)
     leaf = {c.name: c for c in verify_extension(ext, pts)}["leaf-straightness"]
     assert not leaf.passed and np.isnan(leaf.residual)

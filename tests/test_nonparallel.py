@@ -121,7 +121,7 @@ def test_p_parallel_drift_second_order():
     x = entry.sampler(rng)
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
     nd = nonparallel_data(geom, phi_pairing(geom))
-    pi_p = SplittingSpec(entry.chart).at(x, 1).pi_p
+    pi_p = SplittingSpec(entry.chart).at(geom, 1).pi_p
     d_p = first_partials(pi_p[:geom.n + 1])
     l_basis = sub.complement_within(nd.S, geom.first_normal).basis
     e_basis = sub.complement_within(nd.D, sub.full(geom.n)).basis

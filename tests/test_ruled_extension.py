@@ -15,9 +15,19 @@ from oscflag.geometry import (ImmersionChart, eval_jet, frame_derivative,
                               relative_nullity, span_projector)
 from oscflag.jets import (first_partials, jet_variable, matrix_product,
                           partial_jets, signature)
+from oscflag.nonparallel import nonparallel_data, phi_pairing
 from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
                                      _commutator_residual, build_extension,
                                      verify_extension)
+
+
+def split_at(spec, x, order=1):
+    """The split at a bare point x, from its order-3 geometry."""
+    return spec.at(point_geometry(spec.chart, x, 2, spec.tol), order)
+
+
+def splits_at(spec, points):
+    return [split_at(spec, x) for x in points]
 
 
 def torus_rows(geom, partials, order):
@@ -60,7 +70,7 @@ def test_whole_normal_bundle_is_forbidden():
                          rule=constant_rule(lambda geom:
                                             geom.normal_space.basis))
     with pytest.raises(ParameterError):
-        spec.at(np.array([1.0, 1.5]))
+        split_at(spec, np.array([1.0, 1.5]))
 
 
 def test_l_must_be_normal():
@@ -68,7 +78,7 @@ def test_l_must_be_normal():
     spec = SplittingSpec(entry.chart,
                          rule=constant_rule(lambda geom: geom.frame[0]))
     with pytest.raises(ParameterError):
-        spec.at(np.array([1.0, 1.5]))
+        split_at(spec, np.array([1.0, 1.5]))
 
 
 def test_rule_must_return_order_one_rows():
@@ -78,7 +88,7 @@ def test_rule_must_return_order_one_rows():
                          rule=lambda geom, order:
                          torus_rows(geom, [(2, 0)], order)[0])
     with pytest.raises(ShapeError):
-        spec.at(np.array([1.0, 1.5]))
+        split_at(spec, np.array([1.0, 1.5]))
 
 
 def test_torus_split_dimension_arithmetic():
@@ -87,7 +97,7 @@ def test_torus_split_dimension_arithmetic():
     spec = SplittingSpec(entry.chart, rule=torus_split_rule)
     for x in ([1.0, 1.5], [2.0, 0.7], [0.8, 3.1]):
         x = np.array(x)
-        split = spec.at(x)
+        split = split_at(spec, x)
         assert split.d == 1 and split.ell == 1
         n, k, r = split.geom.n, split.Gamma.dim, split.Lambda.dim
         assert split.d + r == n + split.ell - k
@@ -103,7 +113,7 @@ def test_curve_exercises_hit_expected_ranks(curve_entry, exercise_index,
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(3)
     x = curve_entry.sampler(rng)
-    split = spec.at(x)
+    split = split_at(spec, x)
     assert split.Gamma.dim == expected_k
     assert split.Lambda.dim == expected_r
     if expected_r:  # Lambda meets the tangent trivially
@@ -116,7 +126,7 @@ def test_trivial_extension_is_base_chart(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(4)
     pts = [curve_entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, 0.1, pts)
+    ext = build_extension(spec, 0.1, splits_at(spec, pts))
     assert ext.trivial and ext.r == 0
     x = pts[0]
     np.testing.assert_array_equal(ext.eval(x, np.zeros(0)),
@@ -129,7 +139,7 @@ def test_extension_radius_bisection(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(5)
     pts = [curve_entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, 50.0, pts)
+    ext = build_extension(spec, 50.0, splits_at(spec, pts))
     assert 1e-6 < ext.lambda_radius < 50.0
     for corner in (np.array([1.0]), np.array([-1.0])):
         jac = ext.jacobian(pts[0], ext.lambda_radius * corner)
@@ -142,7 +152,8 @@ def test_extension_verify_parallel_line(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [curve_entry.sampler(rng) for _ in range(3)]
-    ext = build_extension(spec, exercise.lambda_radius, pts)
+    ext = build_extension(spec, exercise.lambda_radius,
+                          splits_at(spec, pts))
     assert ext.r == 1
     checks = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
     failures = {c.name: (c.residual, c.tolerance)
@@ -164,7 +175,8 @@ def test_extension_needs_chart_order_four():
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius, pts)
+    ext = build_extension(spec, exercise.lambda_radius,
+                          splits_at(spec, pts))
     checks = verify_extension(ext, pts, tol=1e-5, seed=0)
     failures = [c for c in checks if not c.passed]
     assert not failures, failures
@@ -199,7 +211,7 @@ def test_gamma_rank_band_guard():
         return torus_rows(geom, [(2, 0), (0, 2)], order)
 
     spec = SplittingSpec(entry.chart, rule=bad_rule)
-    split = spec.at(np.array([1.0, 1.5]))
+    split = split_at(spec, np.array([1.0, 1.5]))
     assert split.d == 2  # kernel is the whole tangent space
     assert split.Gamma.dim == 0  # no E directions: empty span, band [0, 2]
 
@@ -236,7 +248,7 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
     exercise = entry.split_exercises[index]
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     x = entry.sampler(np.random.default_rng(7))
-    split = spec.at(x)
+    split = split_at(spec, x)
     assert split.Gamma.dim == exercise.expected["k"]
     geom = split.geom
     # (Pi_E + Pi_L)(d_w Pi_P) mu at the point, from the order-1 jets
@@ -278,7 +290,7 @@ def test_gamma_differentiates_along_e_only():
     a, b = np.random.default_rng(1).normal(size=(2, entry.chart.ambient_dim))
     spec = SplittingSpec(sheared(entry.chart, 0.3),
                          rule=turning_rule(0.3, a, b))
-    split = spec.at(entry.sampler(np.random.default_rng(7)))
+    split = split_at(spec, entry.sampler(np.random.default_rng(7)))
     assert (split.d, split.Gamma.dim) == (2, 1)
     along_d = gamma_values_fd(spec, split, 1e-3, split.D.basis)
     assert np.linalg.norm(split.Gamma.reject(along_d)) > 1e-2
@@ -293,7 +305,7 @@ def test_one_point_geometry_per_extension_point(monkeypatch):
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(entry.chart)
     rng = np.random.default_rng(7)
-    lam = spec.at(entry.sampler(rng)).Lambda
+    lam = split_at(spec, entry.sampler(rng)).Lambda
     ext = RuledExtension(spec, projection_frame(lam)[1], lam.dim, 0.08)
     calls = []
     real = ruled_extension.point_geometry
@@ -303,16 +315,16 @@ def test_one_point_geometry_per_extension_point(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ruled_extension, "point_geometry", counting)
-    ext.data_at(entry.sampler(rng))
+    ext.eval(entry.sampler(rng), np.zeros(ext.r))
     assert len(calls) == 1
 
 
-def test_order_zero_split_costs_one_chart_evaluation(monkeypatch):
-    # D alone needs Pi_L at order 0 and Pi_T at order 1, both read off the
-    # order-3 jet that point_geometry evaluates anyway
+def test_record_split_evaluates_no_chart(monkeypatch):
+    # the default rule at order 1 needs the chart jet to order 4, which a
+    # section4 record's geometry (max_normal_order 3) already holds
     entry = get_entry("section4-ruled", {"m": 2})
-    spec = SplittingSpec(entry.chart)
     x = entry.sampler(np.random.default_rng(7))
+    geom = point_geometry(entry.chart, x, entry.max_normal_order)
     orders = []
     real = ImmersionChart.eval
 
@@ -321,9 +333,41 @@ def test_order_zero_split_costs_one_chart_evaluation(monkeypatch):
         return real(self, y, order)
 
     monkeypatch.setattr(ImmersionChart, "eval", counting)
-    split = spec.at(x, order=0)
-    assert orders == [3]
-    assert split.d == 2 and split.Lambda is None
+    split = SplittingSpec(entry.chart).at(geom, 1)
+    assert orders == []
+    assert split.d == 2 and split.Lambda.dim == 2
+
+
+@pytest.mark.parametrize("name,params", [("section4-ruled", {"m": 2}),
+                                         ("curve-parallel", {})])
+def test_run_evaluates_no_chart_twice_at_a_point(name, params, monkeypatch):
+    # each record's geometry is the one source of its chart jet, so no
+    # chart is evaluated twice at the same point and order
+    seen = []
+    real = ImmersionChart.eval
+
+    def counting(self, y, order):
+        seen.append((self, np.asarray(y, dtype=float).tobytes(), order))
+        return real(self, y, order)
+
+    monkeypatch.setattr(ImmersionChart, "eval", counting)
+    report = verify.run_verification(verify.RunConfig(name, params,
+                                                      samples=3))
+    assert report.passed, report.findings
+    assert len(set(seen)) == len(seen)
+
+
+def test_default_rule_takes_s_from_phi():
+    # at this section4 m=3 point the rows of Pi_S's jet carry two spurious
+    # singular values near 5e-8, so a rank read off them exceeds s = 2 and
+    # L shrinks to rank 1; with s from phi the split has the sharp ranks
+    entry = get_entry("section4-ruled", {"m": 3})
+    x = np.array([0.110, 0.018, -0.097, 0.032, 0.010, 0.0])
+    geom = point_geometry(entry.chart, x, entry.max_normal_order)
+    assert nonparallel_data(geom, phi_pairing(geom)).s == 2
+    split = SplittingSpec(entry.chart).at(geom, 1)
+    assert (split.ell, split.Gamma.dim, split.Lambda.dim) == (2, 2, 2)
+    assert split.d == 4 == geom.n - 2
 
 
 EXTENSION_CASES = [("section4-ruled", {"m": 2}, 0),
@@ -341,7 +385,8 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(7)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius, pts)
+    ext = build_extension(spec, exercise.lambda_radius,
+                          splits_at(spec, pts))
     lam = 0.5 * ext.lambda_radius * np.ones(ext.r) / np.sqrt(ext.r)
     point = np.concatenate([pts[0], lam])
     normal = point_geometry(ext.chart, point, 1, 1e-8).normal_space
@@ -363,13 +408,13 @@ def test_exact_commutator_against_fd_oracle():
     # stencil agree that D is integrable (the stencil at its rounding floor)
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(sheared(entry.chart, 0.2))
-    split = spec.at(entry.sampler(np.random.default_rng(7)), 2)
+    split = split_at(spec, entry.sampler(np.random.default_rng(7)), 2)
     n = split.geom.n
     assert split.d == 2
     exact = first_partials(split.q_d[:n + 1])
     d_h, d_h2 = (np.linalg.norm(frame_derivative(
-        lambda y: spec.at(y, 0).q_d[0], split.geom.x, np.eye(n), h) - exact)
-        for h in (1e-3, 5e-4))
+        lambda y: split_at(spec, y, 0).q_d[0], split.geom.x, np.eye(n), h)
+        - exact) for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
     residual = _commutator_residual(split)
     stencil = commutator_residual_fd(spec, split, 1e-3)
@@ -392,10 +437,10 @@ def test_extension_evaluated_only_at_vetted_points(monkeypatch):
         lambda_points.add(np.asarray(x, dtype=float).tobytes())
         return real_lambda_split(spec, r, splits, x, order)
 
-    def at(self, x, order=1):
+    def at(self, geom, order=1):
         if order == 1:
-            order_one.add(np.asarray(x, dtype=float).tobytes())
-        return real_at(self, x, order)
+            order_one.add(geom.x.tobytes())
+        return real_at(self, geom, order)
 
     monkeypatch.setattr(checks, "check_split_exercise", exercise)
     monkeypatch.setattr(ruled_extension, "_lambda_split", lambda_split)
