@@ -87,7 +87,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         rank_tol=args.rank_tol,
-        fd_step=args.fd_step,
         out=args.out,
     )
     report = run_verification(config)
@@ -118,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--rank-tol", dest="rank_tol", type=float,
                           default=1e-8)
-    p_verify.add_argument("--fd-step", dest="fd_step", type=float,
-                          default=1e-3)
     p_verify.add_argument("--out", default=None,
                           help="write the JSON report to this path")
     p_verify.set_defaults(fn=cmd_verify)

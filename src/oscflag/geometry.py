@@ -230,21 +230,15 @@ def drift(pi_jet: np.ndarray, directions: np.ndarray) -> float:
 
 
 def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,
-                     directions, h: float,
-                     richardson: bool = False) -> np.ndarray:
+                     directions, h: float) -> np.ndarray:
     """Central differences of an array field along chart-coordinate directions.
 
     out[i] = (frame_at(x + h*w_i) - frame_at(x - h*w_i)) / (2h) for each row
     w_i of ``directions``, so the result has shape
     ``(len(directions),) + frame_at(x).shape``; second-order accurate in h.
-    With ``richardson`` the steps h and h/2 are combined as
-    (4 D(h/2) - D(h)) / 3, which is fourth-order accurate.  ``frame_at`` must
-    be a smooth field: a projection frame keeps the pivot order of the
-    stencil center.
+    ``frame_at`` must be a smooth field: a projection frame keeps the pivot
+    order of the stencil center.
     """
-    if richardson:
-        return (4.0 * frame_derivative(frame_at, x, directions, h / 2.0)
-                - frame_derivative(frame_at, x, directions, h)) / 3.0
     x = np.asarray(x, dtype=float)
     return np.array([(frame_at(x + h * w) - frame_at(x - h * w)) / (2.0 * h)
                      for w in directions])

@@ -72,17 +72,6 @@ def complement_frame(geom: PointGeometry,
     return projection_frame(comp, pivots)
 
 
-def _complement_frame_field(chart: ImmersionChart, pivots: tuple[int, ...],
-                            tol: float):
-    """y -> the complement frame at y with the pivot order frozen, from an
-    order-1 ``point_geometry``: the smooth field the stencils differentiate."""
-    def frame_at(y) -> np.ndarray:
-        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
-        return projection_frame(g_y.first_normal_complement(),
-                                pivots=pivots)[0]
-    return frame_at
-
-
 def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
     p = geom.first_normal.dim
     q = mu_frame.shape[0]
@@ -128,7 +117,7 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None) -> PhiTensor:
                      fit_residual)
 
 
-def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
+def phi_frame_fd(chart: ImmersionChart, x, h: float,
                  tol: float = sub.DEFAULT_RANK_TOL,
                  geom: PointGeometry | None = None) -> PhiTensor:
     """phi from central differences of a smooth complement frame.
@@ -146,8 +135,12 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float = 1e-3,
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame, pivots, "frame-fd")
 
-    derivs = frame_derivative(_complement_frame_field(chart, pivots, tol),
-                              geom.x, geom.frame_in_chart, h)
+    def frame_at(y) -> np.ndarray:
+        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
+        return projection_frame(g_y.first_normal_complement(),
+                                pivots=pivots)[0]
+
+    derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
     return PhiTensor(values, mu_frame, pivots, n1.basis, "frame-fd")
 
@@ -306,38 +299,27 @@ def classify_case(nd: NonparallelData, n: int,
     return CaseClassification(label, tuple(checks))
 
 
-def codazzi_residual(chart: ImmersionChart, geom: PointGeometry,
-                     h: float = 1e-3,
-                     rng: np.random.Generator | None = None,
-                     pairs: int = 3) -> float:
+def codazzi_residual(geom: PointGeometry, phi: PhiTensor,
+                     rng: np.random.Generator) -> float:
     """Spot-check of the Codazzi symmetry for complement sections.
 
-    For delta in the complement frame and random tangent vectors X, Y, the
-    shape operators applied to the swapped finite-difference connection
-    derivatives must agree: A_{(D_X delta)} Y = A_{(D_Y delta)} X.
+    For delta in the complement frame of ``phi`` and three random pairs of
+    unit tangent vectors X, Y, the shape operators of the swapped connection
+    derivatives must agree: A_{(D_X delta)} Y = A_{(D_Y delta)} X.  A shape
+    operator sees only the first-normal part of D_X delta, which is
+    phi(delta, X) = sum_a X_a phi(delta, e_a), so the values of ``phi`` on
+    the tangent frame serve every pair.
     """
-    rng = rng or np.random.default_rng(0)
-    mu_frame, pivots = complement_frame(geom)
-    if mu_frame.shape[0] == 0:
+    if phi.is_empty:
         return 0.0
-    n = geom.n
-
-    frame_at = _complement_frame_field(chart, pivots, geom.tol)
+    ambient = phi.values @ phi.n1_basis          # (q, n, N)
     residuals = []
-    for _ in range(pairs):
-        xv = rng.standard_normal(n)
+    for _ in range(3):
+        xv = rng.standard_normal(geom.n)
         xv /= np.linalg.norm(xv)
-        yv = rng.standard_normal(n)
+        yv = rng.standard_normal(geom.n)
         yv /= np.linalg.norm(yv)
-        d_mu = frame_derivative(frame_at, geom.x,
-                                [xv @ geom.frame_in_chart,
-                                 yv @ geom.frame_in_chart], h,
-                                richardson=True)
-        dx = geom.normal_space.project(d_mu[0])
-        dy = geom.normal_space.project(d_mu[1])
-        for m in range(mu_frame.shape[0]):
-            lhs = geom.shape_operator(dx[m]) @ yv
-            rhs = geom.shape_operator(dy[m]) @ xv
-            residuals.append(np.linalg.norm(lhs - rhs))
+        for dx, dy in zip(xv @ ambient, yv @ ambient):
+            residuals.append(np.linalg.norm(geom.shape_operator(dx) @ yv
+                                            - geom.shape_operator(dy) @ xv))
     return sub.worst(residuals)
-

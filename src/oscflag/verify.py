@@ -10,7 +10,6 @@ once timings are stripped.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .errors import (CapabilityError, DegeneracyError, NotImmersionError,
 from .geometry import point_geometry, s_nullity
 from .nonparallel import classify_case, nonparallel_data, phi_pairing
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 @dataclass
@@ -36,7 +35,6 @@ class RunConfig:
     samples: int = 20
     seed: int = 7
     rank_tol: float = 1e-8
-    fd_step: float = 1e-3
     out: str | None = None
 
     def __post_init__(self):
@@ -44,9 +42,6 @@ class RunConfig:
             raise UsageError("sample count must be at least 1")
         if not 0.0 < self.rank_tol < 1.0:
             raise UsageError("rank tolerance must lie in (0, 1)")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise UsageError("finite-difference step must be positive and "
-                             "finite")
 
     def to_dict(self) -> dict:
         return {
@@ -55,7 +50,6 @@ class RunConfig:
             "samples": self.samples,
             "seed": self.seed,
             "rank_tol": self.rank_tol,
-            "fd_step": self.fd_step,
             "out": self.out,
         }
 
@@ -187,8 +181,7 @@ def run_verification(config: RunConfig) -> Report:
         rec.nu_s = _nu_s_table(rec, config)
     timings["nu_s_s"] = round(time.perf_counter() - t0, 4)
 
-    ctx = chk.VerifyContext(entry=entry, config=config, records=records,
-                            seed=config.seed, fd_step=config.fd_step,
+    ctx = chk.VerifyContext(entry=entry, records=records, seed=config.seed,
                             rank_tol=config.rank_tol)
 
     verdicts: list[chk.CheckResult] = []

@@ -79,16 +79,17 @@ def test_out_of_range_param_exit_two(entry, param, capsys):
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2
-    for step in ("nan", "inf"):
-        assert main(["verify", "curve-product", "--fd-step", step]) == 2
 
 
 def test_max_normal_order_flag_rejected(capsys):
-    # the flag stages always run to the entry's own max_normal_order
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "flat", "--max-normal-order", "2"])
-    assert exc.value.code == 2
-    assert "--max-normal-order" in capsys.readouterr().err
+    # the flag stages always run to the entry's own max_normal_order, and
+    # the frame-difference oracles use the step their window is set for
+    for flag, value in (("--max-normal-order", "2"), ("--fd-step", "1e-3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "flat", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
 
 def test_report_file_schema(tmp_path, capsys):
@@ -97,8 +98,9 @@ def test_report_file_schema(tmp_path, capsys):
                  "--out", str(out_path)])
     assert code == 0
     data = json.loads(out_path.read_text())
-    assert data["schema_version"] == "2"
+    assert data["schema_version"] == "3"
     assert data["config"]["entry"] == "flat"
+    assert "fd_step" not in data["config"]
     assert len(data["points"]) == 3
     assert all("tolerance" in v for v in data["verdicts"])
     assert data["findings"] == []
@@ -109,7 +111,7 @@ def test_report_file_schema(tmp_path, capsys):
 
 def test_run_config_round_trip():
     cfg = RunConfig(entry="sphere", params={"n": 3}, samples=5, seed=9,
-                    rank_tol=1e-7, fd_step=2e-3, out="r.json")
+                    rank_tol=1e-7, out="r.json")
     again = RunConfig(**cfg.to_dict())
     assert again == cfg
     with pytest.raises(UsageError):

@@ -25,7 +25,7 @@ def context(name, params, seeds):
         geom = point_geometry(entry.chart, x, entry.max_normal_order)
         nd = nonparallel_data(geom, phi_pairing(geom))
         records.append(PointRecord(i, x, geom, nd.phi, nd, []))
-    return VerifyContext(entry, None, records, 0, 1e-3, 1e-8)
+    return VerifyContext(entry, records, 0, 1e-8)
 
 
 def test_walk_residual_is_first_order_with_the_identity_as_slope():
@@ -101,7 +101,7 @@ class ERulings(VerifyContext):
 def test_check_fed_e_as_ruling_fails():
     plain = context("section4-ruled", {"m": 2}, [8, 9])
     assert check_d_ruled_leaves(plain).passed
-    fed_e = ERulings(plain.entry, None, plain.records, 0, 1e-3, 1e-8)
+    fed_e = ERulings(plain.entry, plain.records, 0, 1e-8)
     result = check_d_ruled_leaves(fed_e)
     assert not result.passed
     assert result.details["leaf_residual"] > 1e-2

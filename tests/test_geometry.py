@@ -280,16 +280,13 @@ def test_frame_derivative_orders_and_layout():
     directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     exact = np.array([_rotating_frame_derivative(x, w) for w in directions])
 
-    def error(h, richardson):
-        got = frame_derivative(_rotating_frame, x, directions, h, richardson)
+    def error(h):
+        got = frame_derivative(_rotating_frame, x, directions, h)
         assert got.shape == (len(directions),) + _rotating_frame(x).shape
         return float(np.max(np.abs(got - exact)))
 
     h = 0.05
-    central = error(h, False) / error(h / 2.0, False)
-    extrapolated = error(h, True) / error(h / 2.0, True)
-    assert 3.8 < central < 4.2
-    assert 14.0 < extrapolated < 18.0
+    assert 3.8 < error(h) / error(h / 2.0) < 4.2
     # one direction, one row of the output
     single = frame_derivative(_rotating_frame, x, directions[2:], h)
     np.testing.assert_array_equal(

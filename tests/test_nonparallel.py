@@ -6,9 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oscflag import nonparallel
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
-from oscflag.checks import (PointRecord, VerifyContext, check_ricci_rulings,
+from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
+                            check_phi_convergence, check_ricci_rulings,
                             check_rulings_alpha_nonzero, check_s_constancy)
 from oscflag.errors import ParameterError
 from oscflag.geometry import drift, point_geometry
@@ -107,9 +109,36 @@ def test_product_phi_is_block_diagonal():
 
 def test_codazzi_residual_small(curve_point):
     entry, x, geom = curve_point
-    res = codazzi_residual(entry.chart, geom, 1e-3,
-                           np.random.default_rng(0))
-    assert res < 1e-6
+    fd_h, fd_h2 = (phi_frame_fd(entry.chart, x, h, geom=geom)
+                   for h in (1e-3, 5e-4))
+    values = (4.0 * fd_h2.values - fd_h.values) / 3.0
+    richardson = dataclasses.replace(fd_h2, values=values)
+    assert codazzi_residual(geom, richardson, np.random.default_rng(0)) < 1e-6
+    # one phi(delta, e_a) entry moved by 1e-3 breaks the symmetry
+    shifted = values.copy()
+    shifted[0, 1, 0] += 1e-3
+    shifted = dataclasses.replace(fd_h2, values=shifted)
+    assert codazzi_residual(geom, shifted, np.random.default_rng(0)) > 1e-6
+
+
+def test_frame_difference_checks_share_one_stencil_pair(curve_point,
+                                                         monkeypatch):
+    # phi_convergence and codazzi difference the complement frame at the
+    # same 2n stencil points for each of the two steps
+    entry, x, geom = curve_point
+    phi = phi_pairing(geom)
+    assert not phi.is_empty
+    rec = PointRecord(0, x, geom, phi, nonparallel_data(geom, phi), [])
+    ctx = VerifyContext(entry, [rec], 0, 1e-8)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return point_geometry(*args, **kwargs)
+
+    monkeypatch.setattr(nonparallel, "point_geometry", counting)
+    assert check_phi_convergence(ctx).passed and check_codazzi(ctx).passed
+    assert len(built) == 4 * geom.n
 
 
 def test_p_parallel_drift_second_order():
@@ -162,8 +191,7 @@ def rulings_context(alpha):
     rec = PointRecord(index=0, x=np.zeros(2),
                       geom=SimpleNamespace(alpha=alpha), phi=nd.phi, nd=nd,
                       nu_s=[])
-    return VerifyContext(entry=None, config=None, records=[rec], seed=0,
-                         fd_step=1e-3, rank_tol=1e-8)
+    return VerifyContext(entry=None, records=[rec], seed=0, rank_tol=1e-8)
 
 
 def test_rulings_alpha_nonzero_is_basis_independent():
@@ -198,7 +226,7 @@ def test_ruling_checks_are_basis_independent():
             nd = dataclasses.replace(nd, D=sub.Subspace(
                 geom.n, rotation @ space(nd).basis))
             records.append(PointRecord(i, x, geom, phi, nd, []))
-        return VerifyContext(entry, None, records, 0, 1e-3, 1e-8)
+        return VerifyContext(entry, records, 0, 1e-8)
 
     plain, rotated = context(np.eye(2)), context(rotation)
     a, b = check_ricci_rulings(plain), check_ricci_rulings(rotated)
