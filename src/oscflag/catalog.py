@@ -369,8 +369,12 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
     Three extra parallel witness fields are transported alongside the chart
     fields; they stay normal to the image and feed the splitting exercises.
     """
-    if not 2 <= n <= big_n - 1:
-        raise ParameterError("need 2 <= n <= N - 1")
+    # the entry declares s = 1, which needs a complement of the first
+    # normal space: at N = n + 1 the second osculating space fills R^N
+    if not 2 <= n <= big_n - 2:
+        raise ParameterError(
+            f"need 2 <= n <= N - 2 (n={n}, N={big_n}): at N = n + 1 the "
+            f"first normal space has no complement")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
     witnesses = 3 if big_n - 1 >= (n - 1) + 3 else 0

@@ -301,40 +301,34 @@ def to_frame(t: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return t
 
 
-def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
-                   tol: float = sub.DEFAULT_RANK_TOL) -> PointGeometry:
-    """Tangent frame, metric, fundamental forms and normal flag at one point.
+def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
+                tol: float = sub.DEFAULT_RANK_TOL
+                ) -> tuple[DerivativeTensor, list[tuple]]:
+    """The chart jet at order ``max_normal_order + 1`` and one row SVD per
+    osculating prefix (the partials of order <= k, for k = 1, 2, ...).
 
-    Raises NotImmersionError when the Jacobian drops rank, and
-    RegularityError when any flag rank is ambiguous across the tolerance
-    band (tol/10, tol*10): such points must be rejected and resampled.
+    The same SVDs serve the immersion check, the rank audit at all three
+    thresholds and the osculating spaces.  Raises NotImmersionError when
+    the Jacobian drops rank, and RegularityError when any flag rank is
+    ambiguous across the tolerance band (tol/10, tol*10): such points must
+    be rejected and resampled.
     """
     if chart.max_order < max_normal_order + 1:
         raise CapabilityError(
             f"chart order {chart.max_order} cannot supply normal order "
             f"{max_normal_order}")
     derivs = eval_jet(chart, x, max_normal_order + 1)
-    n, big_n = chart.intrinsic_dim, chart.ambient_dim
+    n = chart.intrinsic_dim
 
-    # One SVD per osculating prefix (partials of order <= k) serves the
-    # immersion check, the rank audit at all three thresholds and the
-    # osculating spaces.
-    d1 = derivs.tensor(1)
-    svds = [sub.row_svd(d1)]
+    stacked = derivs.tensor(1)
+    svds = [sub.row_svd(stacked)]
     if sub.numerical_rank(svds[0][0], tol) < n:
         raise NotImmersionError(
             f"chart {chart.name}: Jacobian rank < {n} at {np.asarray(x)}")
-    frame, coeff = _gram_schmidt_rows(d1)
-    metric = d1 @ d1.T
-    tangent = sub.Subspace(big_n, frame, tol)
-    normal_space = sub.kernel_of(frame, tol)
-
-    stacked = d1
     for k in range(2, max_normal_order + 2):
         stacked = np.vstack([stacked, derivs.partials_of_order(k)[1]])
         svds.append(sub.row_svd(stacked))
 
-    # Rank-stability audit across the tolerance band.
     dims = [sub.numerical_rank(svals, tol) for svals, _ in svds]
     for band_tol in (tol / 10.0, tol * 10.0):
         band_dims = [sub.numerical_rank(svals, band_tol) for svals, _ in svds]
@@ -344,6 +338,22 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
             raise RegularityError(
                 f"ambiguous rank of normal stage {level} across tolerance band "
                 f"({band_dims[level]} vs {dims[level]})", level=level)
+    return derivs, svds
+
+
+def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
+                   tol: float = sub.DEFAULT_RANK_TOL) -> PointGeometry:
+    """Tangent frame, metric, fundamental forms and normal flag at one point.
+
+    Raises as ``audited_jet``, whose jet and SVDs it reads.
+    """
+    derivs, svds = audited_jet(chart, x, max_normal_order, tol)
+    big_n = chart.ambient_dim
+    d1 = derivs.tensor(1)
+    frame, coeff = _gram_schmidt_rows(d1)
+    metric = d1 @ d1.T
+    tangent = sub.Subspace(big_n, frame, tol)
+    normal_space = sub.kernel_of(frame, tol)
 
     osculating = [tangent]
     normal_flag: list[sub.Subspace] = []
@@ -413,10 +423,17 @@ def relative_nullity(geom: PointGeometry,
     return kernel, kernel.dim
 
 
-def _nullity_for(a_n1: np.ndarray, u_rows: np.ndarray, tol: float) -> int:
-    restricted = np.einsum("ji,abi->abj", u_rows, a_n1)
-    mat = restricted.transpose(1, 2, 0).reshape(-1, restricted.shape[0])
-    return sub.kernel_of(mat, tol).dim
+def _plane_kernels(a_n1: np.ndarray, planes: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel dimension of alpha projected to each s-plane of ``planes``
+    ``(c, s, p)``, and the right singular vectors, whose last rows span
+    that kernel: one batched SVD of the ``(c, n*s, n)`` matrices."""
+    n = a_n1.shape[0]
+    restricted = np.einsum("cji,abi->cabj", planes, a_n1)
+    mats = restricted.transpose(0, 2, 3, 1).reshape(len(planes), -1, n)
+    _, svals, vt = np.linalg.svd(mats, full_matrices=False)
+    # as sub.numerical_rank: an all-zero matrix has rank 0
+    return n - np.sum(svals > tol * svals[:, :1], axis=1), vt
 
 
 def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,
@@ -426,11 +443,13 @@ def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,
     """Certified lower bound for the s-nullity.
 
     Maximizes the kernel dimension of alpha projected to an s-plane inside
-    the first normal space, over seeded random starts plus an alternating
-    refinement that grows a candidate kernel and re-fits the plane.  Any
-    plane found witnesses its kernel dimension, so the result is a lower
-    bound; for s equal to the first normal rank it is the relative nullity
-    exactly.
+    the first normal space, over the hints, two coordinate planes and
+    seeded random starts, plus an alternating refinement that grows a
+    candidate kernel and re-fits the plane.  All candidates are scored in
+    one batched SVD, and each refinement round runs on the candidates that
+    still improve.  Any plane found witnesses its kernel dimension, so the
+    result is a lower bound; for s equal to the first normal rank it is the
+    relative nullity exactly.
     """
     tol = geom.tol if tol is None else tol
     p = geom.first_normal.dim
@@ -444,40 +463,33 @@ def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,
     a_n1 = np.einsum("abN,iN->abi", geom.alpha, n1.basis)
     n = geom.n
 
-    def refined(u_rows: np.ndarray) -> int:
-        best = _nullity_for(a_n1, u_rows, tol)
-        current = u_rows
-        for _ in range(4):
-            restricted = np.einsum("ji,abi->abj", current, a_n1)
-            mat = restricted.transpose(1, 2, 0).reshape(-1, n)
-            _, _, vt = np.linalg.svd(mat)
-            target = min(best + 1, n)
-            cand_kernel = vt[n - target:]
-            vals = np.einsum("ka,abi->kbi", cand_kernel, a_n1).reshape(-1, p)
-            gram = vals.T @ vals
-            evals, evecs = np.linalg.eigh(gram)
-            u_new = evecs[:, :s].T
-            got = _nullity_for(a_n1, u_new, tol)
-            if got > best:
-                best, current = got, u_new
-            else:
-                break
-        return best
-
-    candidates: list[np.ndarray] = []
-    for hint in hints or []:
-        rows = hint.basis @ n1.basis.T
-        q = sub.span_of(rows, tol, ambient_dim=p)
-        if q.dim == s:
-            candidates.append(q.basis)
+    planes = [q.basis for q in (sub.span_of(hint.basis @ n1.basis.T, tol,
+                                            ambient_dim=p)
+                                for hint in hints or []) if q.dim == s]
     eye = np.eye(p)
-    candidates.append(eye[:s])
-    candidates.append(eye[p - s:])
-    for _ in range(max(restarts, 1)):
-        q, _ = np.linalg.qr(rng.standard_normal((p, s)))
-        candidates.append(q.T)
+    restart, _ = np.linalg.qr(rng.standard_normal((max(restarts, 1), p, s)))
+    planes = np.concatenate([np.reshape(planes, (-1, s, p)),
+                             [eye[:s], eye[p - s:]],
+                             restart.transpose(0, 2, 1)])
 
-    return max(refined(u) for u in candidates)
+    best, vt = _plane_kernels(a_n1, planes, tol)
+    live = np.arange(len(planes))
+    for _ in range(4):
+        # the last min(best + 1, n) singular vectors of each live plane
+        # span its candidate kernel; rows above are masked out
+        target = np.minimum(best[live] + 1, n)
+        kernel = vt[live] * (np.arange(n) >= n - target[:, None])[..., None]
+        vals = np.einsum("cka,abi->ckbi", kernel, a_n1).reshape(
+            len(live), -1, p)
+        _, evecs = np.linalg.eigh(vals.transpose(0, 2, 1) @ vals)
+        got, vt_new = _plane_kernels(
+            a_n1, evecs[:, :, :s].transpose(0, 2, 1), tol)
+        grew = got > best[live]
+        live = live[grew]
+        if not live.size:
+            break
+        best[live], vt[live] = got[grew], vt_new[grew]
+    return int(best.max())
 
 
 def ricci(geom: PointGeometry, xv) -> float:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import ParameterError, RegularityError
-from .geometry import (ImmersionChart, PointGeometry, chart_table,
-                       flattened_alpha_restricted, frame_derivative,
-                       point_geometry, projection_frame, relative_nullity,
-                       span_projector, to_frame)
+from .geometry import (ImmersionChart, PointGeometry, audited_jet,
+                       chart_table, flattened_alpha_restricted,
+                       frame_derivative, point_geometry, projection_frame,
+                       relative_nullity, span_projector, to_frame)
 from .jets import matrix_product, partial_jets, signature
 
 
@@ -123,10 +123,12 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
     """phi from central differences of a smooth complement frame.
 
     Builds the complement frame at the stencil points by projecting the
-    standard basis with the pivot order fixed at the center, differentiates
-    each frame field along the tangent frame directions, and projects the
-    ambient derivative onto the center first normal space.  Second-order
-    accurate in h; retained as the independent oracle for phi_pairing.
+    standard basis with the pivot order fixed at the center (each stencil
+    point passes the immersion check and the rank audit of
+    ``audited_jet``), differentiates each frame field along the tangent
+    frame directions, and projects the ambient derivative onto the center
+    first normal space.  Second-order accurate in h; retained as the
+    independent oracle for phi_pairing.
     """
     if geom is None:
         geom = point_geometry(chart, x, max_normal_order=1, tol=tol)
@@ -136,8 +138,10 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
         return _empty_phi(geom, mu_frame, pivots, "frame-fd")
 
     def frame_at(y) -> np.ndarray:
-        g_y = point_geometry(chart, y, max_normal_order=1, tol=tol)
-        return projection_frame(g_y.first_normal_complement(),
+        # the complement of the second osculating space, off the audited
+        # SVD of its prefix: no PointGeometry at a stencil point
+        osc2 = sub.span_from_svd(audited_jet(chart, y, 1, tol)[1][1], tol)
+        return projection_frame(sub.kernel_of(osc2.basis, tol),
                                 pivots=pivots)[0]
 
     derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)

@@ -76,6 +76,17 @@ def test_out_of_range_param_exit_two(entry, param, capsys):
     assert param.split("=")[0] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_curve_parallel_without_complement_exit_two(n, capsys):
+    # N = n + 1 leaves no complement of the first normal space (s = 0), so
+    # the entry rejects it by name before any point is sampled
+    args = ["verify", "curve-parallel", "--param", f"n={n}",
+            "--param", f"N={n + 1}", "--samples", "2"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"N={n + 1}" in err and "Traceback" not in err
+
+
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2

@@ -8,11 +8,13 @@ from oscflag.catalog import get_entry
 from oscflag.errors import (CapabilityError, FrameError, NotImmersionError,
                             ParameterError, RegularityError)
 from oscflag import geometry
-from oscflag.geometry import (ImmersionChart, box, frame_derivative,
-                              point_geometry, projection_frame,
-                              relative_nullity, ricci, s_nullity,
-                              sectional_curvature, to_frame)
+from oscflag.geometry import (ImmersionChart, audited_jet, box,
+                              frame_derivative, point_geometry,
+                              projection_frame, relative_nullity, ricci,
+                              s_nullity, sectional_curvature, to_frame)
 from oscflag.jets import jet_constant, jet_cos, jet_sin
+from oscflag.verify import RunConfig, _sample_points
+from s_nullity_loop import s_nullity_loop
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +81,41 @@ def test_cylinder_nullity_is_ruling():
     np.testing.assert_allclose(np.abs(ambient), [[0, 0, 1]], atol=1e-12)
 
 
-def test_not_immersion_raises():
+def _degenerate_chart() -> ImmersionChart:
     def fn(v):
         return [v[0], v[0] * 1.0, jet_constant(v[0].num_vars, v[0].order, 0.0)]
 
-    chart = ImmersionChart("degenerate", 2, 3, box([-1, -1], [1, 1]), fn, 4)
+    return ImmersionChart("degenerate", 2, 3, box([-1, -1], [1, 1]), fn, 4)
+
+
+def _ambiguous_chart() -> ImmersionChart:
+    # (u, v, u^2, eps v^2): the second-order prefix has a singular value of
+    # about 2 eps against O(1), which the band (tol/10, tol*10) straddles
+    def fn(v):
+        u, w = v
+        return [u, w, u * u, w * w * 1e-8]
+
+    return ImmersionChart("ambiguous", 2, 4, box([-1, -1], [1, 1]), fn, 4)
+
+
+def test_not_immersion_raises():
     with pytest.raises(NotImmersionError):
-        point_geometry(chart, [0.1, 0.1], 1)
+        point_geometry(_degenerate_chart(), [0.1, 0.1], 1)
+
+
+def test_audited_jet_raises_as_point_geometry():
+    # the stencil frames read audited_jet alone, so it must reject exactly
+    # the points point_geometry rejects, with the same error and level
+    for chart, error in ((_degenerate_chart(), NotImmersionError),
+                         (_ambiguous_chart(), RegularityError)):
+        with pytest.raises(error) as helper:
+            audited_jet(chart, [0.1, 0.2], 1, 1e-8)
+        with pytest.raises(error) as whole:
+            point_geometry(chart, [0.1, 0.2], 1, 1e-8)
+        assert str(helper.value) == str(whole.value)
+        assert getattr(helper.value, "level", None) == \
+            getattr(whole.value, "level", None)
+    assert whole.value.level == 1
 
 
 def test_capability_precondition():
@@ -188,11 +218,21 @@ def test_normal_space_decomposition_on_ruled_example():
         assert np.linalg.norm(resid) < 1e-12
 
 
+def _checked_s_nullity(geom, s, seed, **kwargs) -> int:
+    """``s_nullity``, asserted equal to the per-candidate loop oracle on a
+    twin generator, which it must leave in the same state."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = s_nullity(geom, s, seed=rng, **kwargs)
+    assert got == s_nullity_loop(geom, s, seed=twin, **kwargs)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return got
+
+
 def test_s_nullity_examples():
     entry = get_entry("sphere", {"n": 2})
     rng = np.random.default_rng(2)
     geom = point_geometry(entry.chart, entry.sampler(rng), 2)
-    assert s_nullity(geom, 1, restarts=4, seed=0) == \
+    assert _checked_s_nullity(geom, 1, 0, restarts=4) == \
         relative_nullity(geom)[1] == 0
     with pytest.raises(ParameterError):
         s_nullity(geom, 2)
@@ -200,7 +240,7 @@ def test_s_nullity_examples():
     # s = p equals the relative nullity exactly on any chart
     entry = get_entry("product-torus")
     geom = point_geometry(entry.chart, entry.sampler(rng), 2)
-    assert s_nullity(geom, 2, restarts=4, seed=0) == \
+    assert _checked_s_nullity(geom, 2, 0, restarts=4) == \
         relative_nullity(geom)[1]
 
 
@@ -209,12 +249,31 @@ def test_s_nullity_monotone_on_product():
     rng = np.random.default_rng(3)
     geom = point_geometry(entry.chart, entry.sampler(rng), 2)
     p = geom.first_normal.dim
-    table = [s_nullity(geom, s, restarts=12, seed=s) for s in
+    table = [_checked_s_nullity(geom, s, s, restarts=12) for s in
              range(1, p + 1)]
     assert table[-1] == relative_nullity(geom)[1]
     for s in range(1, p):
         # lower bounds may interleave, but the cascaded table is monotone
         assert max(table[s - 1:]) >= table[s]
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig("section4-ruled", {"m": 2}, samples=20, seed=7),
+    RunConfig("section4-ruled", {"m": 3}, samples=3, seed=7),
+    RunConfig("holomorphic-curve", {"m": 2}, samples=5, seed=3),
+    RunConfig("product-torus", samples=4, seed=3),
+    RunConfig("curve-product", samples=4, seed=3),
+], ids=lambda config: f"{config.entry}-{config.params}")
+def test_batched_s_nullity_matches_loop_oracle(config):
+    # every record of the acceptance config, every s, with the restarts,
+    # seeds and hints of verify._nu_s_table
+    entry = get_entry(config.entry, config.params)
+    records, _ = _sample_points(entry, config)
+    for rec in records:
+        hints = [rec.nd.S] if rec.nd.s else []
+        for s in range(1, rec.nd.p + 1):
+            _checked_s_nullity(rec.geom, s, [config.seed, 7000 + rec.index, s],
+                               restarts=16, tol=config.rank_tol, hints=hints)
 
 
 def test_ricci_normalizes_with_warning(sphere_geom):

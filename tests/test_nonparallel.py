@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oscflag import nonparallel
+from oscflag import geometry, nonparallel
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
@@ -124,21 +124,30 @@ def test_codazzi_residual_small(curve_point):
 def test_frame_difference_checks_share_one_stencil_pair(curve_point,
                                                          monkeypatch):
     # phi_convergence and codazzi difference the complement frame at the
-    # same 2n stencil points for each of the two steps
+    # same 2n stencil points for each of the two steps: one chart
+    # evaluation per stencil point, and no PointGeometry built at any
     entry, x, geom = curve_point
     phi = phi_pairing(geom)
     assert not phi.is_empty
     rec = PointRecord(0, x, geom, phi, nonparallel_data(geom, phi), [])
     ctx = VerifyContext(entry, [rec], 0, 1e-8)
-    built = []
+    evaluated, built = [], []
 
-    def counting(*args, **kwargs):
-        built.append(args[1])
-        return point_geometry(*args, **kwargs)
+    def recording(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(nonparallel, "point_geometry", counting)
+    monkeypatch.setattr(entry.chart, "eval",
+                        recording(entry.chart.eval, evaluated))
+    monkeypatch.setattr(geometry, "PointGeometry",
+                        recording(geometry.PointGeometry, built))
+    monkeypatch.setattr(nonparallel, "point_geometry",
+                        recording(nonparallel.point_geometry, built))
     assert check_phi_convergence(ctx).passed and check_codazzi(ctx).passed
-    assert len(built) == 4 * geom.n
+    assert len(evaluated) == 4 * geom.n
+    assert not built
 
 
 def test_p_parallel_drift_second_order():
