@@ -302,8 +302,7 @@ def to_frame(t: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
-                tol: float = sub.DEFAULT_RANK_TOL
-                ) -> tuple[DerivativeTensor, list[tuple]]:
+                tol: float) -> tuple[DerivativeTensor, list[tuple]]:
     """The chart jet at order ``max_normal_order + 1`` and one row SVD per
     osculating prefix (the partials of order <= k, for k = 1, 2, ...).
 

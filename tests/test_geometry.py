@@ -263,7 +263,8 @@ def test_s_nullity_monotone_on_product():
     RunConfig("holomorphic-curve", {"m": 2}, samples=5, seed=3),
     RunConfig("product-torus", samples=4, seed=3),
     RunConfig("curve-product", samples=4, seed=3),
-], ids=lambda config: f"{config.entry}-{config.params}")
+], ids=["section4-ruled-m2", "section4-ruled-m3", "holomorphic-curve",
+        "product-torus", "curve-product"])
 def test_batched_s_nullity_matches_loop_oracle(config):
     # every record of the acceptance config, every s, with the restarts,
     # seeds and hints of verify._nu_s_table
