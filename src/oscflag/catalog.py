@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DegenerateExtensionError, ParameterError
+from .errors import DataError, ParameterError
 from .geometry import ImmersionChart, box
 from .jets import (Jet, JetSignature, jet_constant, jet_cos, jet_reciprocal,
                    jet_rsqrt, jet_sin, product, series_powers, signature)
@@ -39,7 +39,6 @@ class SplitExercise:
     name: str
     rule: Callable  # (geom, order) -> rows spanning L, see SplittingSpec
     expected: dict  # k, r, and optional n1f_rank / nu_ext / delta_in_nullity
-    lambda_radius: float = 0.1
 
 
 @dataclass
@@ -438,13 +437,11 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                 name="parallel-line",
                 rule=witness_rule((w,)),
                 expected={"k": 1, "r": 1, "n1f_rank": 1, "nu_ext": n,
-                          "delta_in_nullity": True},
-                lambda_radius=0.08),
+                          "delta_in_nullity": True}),
             SplitExercise(
                 name="rotating-line",
                 rule=witness_rule((w, w + 1), rotate=True),
-                expected={"k": 2, "r": 0},
-                lambda_radius=0.08)]
+                expected={"k": 2, "r": 0})]
         if big_n >= n + 4:
             # mixed-pair's L has rank 2, so P has rank N - n - 2; Gamma is
             # the image of P under derivatives along E, the curve direction
@@ -453,8 +450,7 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                 name="mixed-pair",
                 rule=witness_rule((w, w + 1, w + 2), rotate=True),
                 expected={"k": 2, "r": 1, "n1f_rank": 1, "nu_ext": n,
-                          "script_l_rank": 1},
-                lambda_radius=0.08))
+                          "script_l_rank": 1}))
 
     return CatalogEntry(
         name="curve-parallel", params={"n": n, "N": big_n},
@@ -567,8 +563,12 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
         sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
 
 
-def make_section4_example(m: int = 2, t_radius: float = 0.25,
-                          seed: int = 0) -> CatalogEntry:
+# Half-width of the section4-ruled box in each vertical coordinate; sampling
+# rejects any point of it where the chart is not an immersion.
+SECTION4_RADIUS = 0.25
+
+
+def make_section4_example(m: int = 2) -> CatalogEntry:
     """Ruled thickening of the holomorphic curve surface over its lower
     normal stages.
 
@@ -580,8 +580,6 @@ def make_section4_example(m: int = 2, t_radius: float = 0.25,
     """
     if m < 2:
         raise ParameterError("m must be at least 2")
-    if not 0.0 < t_radius < math.inf:
-        raise ParameterError("t_radius must be positive and finite")
     n = 2 * m
     comps = m + 3
     big_n = 2 * comps
@@ -599,12 +597,11 @@ def make_section4_example(m: int = 2, t_radius: float = 0.25,
         moved = powers[1:] + product(sig, taus[:, None], units).sum(axis=0)
         return _real_components(sig, moved)
 
-    radius = _shrink_radius_for_immersion(fn, m, t_radius)
-    lo = [-0.4, -0.4] + [-radius] * verticals
-    hi = [0.4, 0.4] + [radius] * verticals
+    lo = [-0.4, -0.4] + [-SECTION4_RADIUS] * verticals
+    hi = [0.4, 0.4] + [SECTION4_RADIUS] * verticals
     chart = ImmersionChart(f"section4-ruled-{m}", n, big_n, box(lo, hi), fn,
                            max_order=6)
-    t_min = 0.3 * radius
+    t_min = 0.3 * SECTION4_RADIUS
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         for _ in range(256):
@@ -652,43 +649,16 @@ def make_section4_example(m: int = 2, t_radius: float = 0.25,
         name="default",
         rule=None,  # default splitting
         expected={"k": 2, "r": 2, "n1f_rank": 2, "nu_ext": n - 2 + 2,
-                  "delta_in_nullity": True},
-        lambda_radius=0.08)]
+                  "delta_in_nullity": True})]
 
     return CatalogEntry(
-        name="section4-ruled", params={"m": m, "t_radius": round(radius, 6)},
+        name="section4-ruled", params={"m": m},
         description="ruled thickening of a holomorphic curve surface over "
                     "its lower normal stages: sharp ruled case",
         chart=chart, max_normal_order=3, substantial=True,
         expected=expected, sampler=sampler, ruled=True, ruling_from="D",
         split_exercises=exercises,
         aux={"base_entry": base_entry, "m": m, "t_min": t_min})
-
-
-def _shrink_radius_for_immersion(fn, m: int, t_radius: float) -> float:
-    """Probe the Jacobian at box corners and shrink until it keeps rank."""
-    from .jets import DerivativeTensor, VectorJet, variables
-    verticals = 2 * (m - 1)
-    radius = t_radius
-    probes_uv = [(-0.35, 0.2), (0.3, -0.3), (0.0, 0.35), (0.1, 0.1)]
-    while radius >= 1e-6:
-        ok = True
-        for (u0, v0) in probes_uv:
-            for corner in (np.ones(verticals), -np.ones(verticals)):
-                x = np.array([u0, v0, *(radius / math.sqrt(verticals)
-                                        * corner)])
-                jac = DerivativeTensor(VectorJet(fn(variables(x, 1)))).tensor(1)
-                svals = np.linalg.svd(jac, compute_uv=False)
-                if svals[-1] < 1e-3 * svals[0]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return radius
-        radius *= 0.7
-    raise DegenerateExtensionError(
-        "no admissible thickening radius above 1e-6")
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +744,7 @@ def _build_holo(params: dict) -> CatalogEntry:
 
 
 def _build_section4(params: dict) -> CatalogEntry:
-    return make_section4_example(m=params["m"], t_radius=params["t_radius"])
+    return make_section4_example(m=params["m"])
 
 
 def _build_product(params: dict) -> CatalogEntry:
@@ -782,7 +752,7 @@ def _build_product(params: dict) -> CatalogEntry:
 
 
 # Each builder receives every key of its schema string "k=default, ...",
-# cast to the type of the default.
+# as an integer.
 BUILDERS: dict[str, tuple[Callable[[dict], CatalogEntry], str, str]] = {
     "sphere": (_build_sphere, "n=2",
                "unit sphere calibration (umbilic, no complement)"),
@@ -796,7 +766,7 @@ BUILDERS: dict[str, tuple[Callable[[dict], CatalogEntry], str, str]] = {
     "holomorphic-curve": (_build_holo, "m=2",
                           "minimal elliptic surface with plane normal "
                           "stages"),
-    "section4-ruled": (_build_section4, "m=2, t_radius=0.25",
+    "section4-ruled": (_build_section4, "m=2",
                        "sharp ruled example: rank-four first normal bundle, "
                        "rank-two nonparallelism constant along rulings"),
     "curve-product": (_build_product, "factors=4, seed=23",
@@ -809,9 +779,8 @@ def entry_names() -> list[str]:
 
 
 def _typed_params(name: str, params: dict) -> dict:
-    """The schema defaults of an entry overridden by ``params``, each cast to
-    its default's type; unknown keys and values that do not cast exactly are
-    rejected."""
+    """The schema defaults of an entry overridden by ``params``, as integers;
+    unknown keys and values that are not integers are rejected."""
     schema = BUILDERS[name][1]
     defaults = dict(item.strip().split("=") for item in schema.split(",")
                     if item.strip())
@@ -822,17 +791,15 @@ def _typed_params(name: str, params: dict) -> dict:
             f"accepted: ({schema})")
     typed = {}
     for key, default in defaults.items():
-        cast = float if "." in default else int
         value = params.get(key, default)
         try:
-            typed[key] = cast(value)
+            typed[key] = int(value)
             exact = typed[key] == float(value)  # no truncation, no NaN
         except (TypeError, ValueError, OverflowError):
             exact = False
         if not exact:
             raise ParameterError(
-                f"entry {name!r}: parameter {key}={value!r} is not "
-                f"{'a number' if cast is float else 'an integer'}")
+                f"entry {name!r}: parameter {key}={value!r} is not an integer")
     return typed
 
 

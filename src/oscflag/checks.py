@@ -33,6 +33,9 @@ from .ruled_extension import SplittingSpec, build_extension, verify_extension
 FD_STEP = 1e-3
 CONVERGENCE_WINDOW = (3.2, 4.8)
 
+# The translation radius build_extension starts each split exercise from.
+LAMBDA_RADIUS = 0.08
+
 
 @dataclass
 class CheckResult:
@@ -59,7 +62,6 @@ class PointRecord:
     index: int
     x: np.ndarray
     geom: PointGeometry
-    phi: object
     nd: NonparallelData
     nu_s: list[int]
     k: int | None = None
@@ -204,12 +206,12 @@ def check_alpha_zero(ctx: VerifyContext, tol: float) -> CheckResult:
 
 
 def check_phi_zero(ctx: VerifyContext, tol: float) -> CheckResult:
-    worst = sub.worst(rec.phi.norm() for rec in ctx.records)
+    worst = sub.worst(rec.nd.phi.norm() for rec in ctx.records)
     return _bound("phi_zero", worst, tol)
 
 
 def check_phi_absent(ctx: VerifyContext) -> CheckResult:
-    qs = {rec.phi.mu_frame.shape[0] for rec in ctx.records}
+    qs = {rec.nd.phi.mu_frame.shape[0] for rec in ctx.records}
     ss = {rec.nd.s for rec in ctx.records}
     return CheckResult(
         "phi_absent", qs == {0} and ss == {0},
@@ -420,9 +422,9 @@ def check_phi_convergence(ctx: VerifyContext) -> CheckResult:
     ratios = []
     diffs = []
     for rec in ctx.records[:3]:
-        if rec.phi.is_empty:
+        if rec.nd.phi.is_empty:
             continue
-        d1, d2 = (phi_difference(rec.phi, fd) for fd in rec.phi_fd)
+        d1, d2 = (phi_difference(rec.nd.phi, fd) for fd in rec.phi_fd)
         diffs.append((d1, d2))
         if max(d1, d2) > 1e-11:
             ratios.append(d1 / d2)
@@ -444,7 +446,7 @@ def check_codazzi(ctx: VerifyContext) -> CheckResult:
 
     worst = sub.worst(codazzi_residual(rec.geom, richardson(rec),
                                        ctx.rng(104 + rec.index))
-                      for rec in ctx.records[:3] if not rec.phi.is_empty)
+                      for rec in ctx.records[:3] if not rec.nd.phi.is_empty)
     return _bound("codazzi", worst, 1e-6,
                   "swapped shape operators of connection derivatives agree")
 
@@ -623,7 +625,7 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     if max(r_seen) and not par_angle_min >= 1e-6:
         failures.append("lambda-meets-tangent")
 
-    ext = build_extension(spec, exercise.lambda_radius, splits[:3])
+    ext = build_extension(spec, LAMBDA_RADIUS, splits[:3])
     details["trivial"] = ext.trivial
     details["lambda_radius"] = ext.lambda_radius
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,9 +39,9 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo + margin) and np.all(x <= self.hi - margin))
+        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
         return rng.uniform(self.lo + margin, self.hi - margin)
@@ -288,6 +289,12 @@ class PointGeometry:
     def shape_operator(self, normal_vec) -> np.ndarray:
         """Matrix of A_nu on the orthonormal frame, from the pairing with alpha."""
         return self.alpha @ np.asarray(normal_vec, dtype=float)
+
+    @cached_property
+    def nd(self):
+        """``nonparallel_data`` at this point, computed once per geometry."""
+        from . import nonparallel  # which imports this module
+        return nonparallel.nonparallel_data(self)
 
 
 def to_frame(t: np.ndarray, coeff: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
                      geom.first_normal.basis, method)
 
 
-def phi_pairing(geom: PointGeometry, tol: float | None = None) -> PhiTensor:
+def phi_pairing(geom: PointGeometry) -> PhiTensor:
     """phi from the pointwise pairing with the third fundamental form.
 
     The defining property: the inner product of phi(mu, X) with any value
@@ -87,7 +87,6 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None) -> PhiTensor:
     (X, Y, Z).  Each phi value is recovered by least squares against the
     alpha values, which span the first normal space for 1-regular points.
     """
-    tol = geom.tol if tol is None else tol
     n1 = geom.first_normal
     p = n1.dim
     mu_frame, pivots = complement_frame(geom)
@@ -102,7 +101,7 @@ def phi_pairing(geom: PointGeometry, tol: float | None = None) -> PhiTensor:
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     a_mat = np.array([geom.alpha[a, b] @ n1.basis.T for a, b in pairs])
     svals = np.linalg.svd(a_mat, compute_uv=False)
-    if svals.size < p or svals[min(p, len(svals)) - 1] <= tol * svals[0]:
+    if svals.size < p or svals[p - 1] <= geom.tol * svals[0]:
         raise RegularityError(
             "alpha values do not span the first normal space", level=1)
 
@@ -192,10 +191,11 @@ class NonparallelData:
     diagnostics: dict[str, float]
 
 
-def nonparallel_data(geom: PointGeometry, phi: PhiTensor,
-                     tol: float | None = None) -> NonparallelData:
-    """Assemble S, s, D and the preliminary trichotomy label from phi."""
-    tol = geom.tol if tol is None else tol
+def nonparallel_data(geom: PointGeometry) -> NonparallelData:
+    """S, s, D and the preliminary trichotomy label from the pairing phi, at
+    the geometry's tolerance; ``geom.nd`` computes it once per geometry."""
+    phi = phi_pairing(geom)
+    tol = geom.tol
     n = geom.n
     big_n = geom.ambient_dim
     p = geom.first_normal.dim

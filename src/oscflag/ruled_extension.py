@@ -26,7 +26,7 @@ from .geometry import (ImmersionChart, PointGeometry, box, chart_table, drift,
                        tangent_jets)
 from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
                    partial_jets, signature)
-from .nonparallel import nonparallel_data, phi_pairing, s_projector
+from .nonparallel import s_projector
 
 
 def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
@@ -34,11 +34,10 @@ def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
     normal space (the splitting used by the trichotomy analysis).
 
     Returns the rows of Pi_L = Pi_N1 - Pi_S at ``order``, from the chart jet
-    at order + 3 (``nonparallel.s_projector``), with Pi_S of rank s as
-    ``nonparallel_data`` decides it.
+    at order + 3 (``nonparallel.s_projector``), with Pi_S of rank s read
+    from the geometry's one nonparallel data (``geom.nd``).
     """
-    s = nonparallel_data(geom, phi_pairing(geom)).s
-    n1, pi_s = s_projector(geom, order, rank=s)
+    n1, pi_s = s_projector(geom, order, rank=geom.nd.s)
     return n1 - pi_s
 
 
@@ -289,12 +288,10 @@ class RuledExtension:
 
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,
-                    probe_splits: list[PointSplit],
-                    rank_tol: float = 1e-6,
-                    min_radius: float = 1e-6) -> RuledExtension:
+                    probe_splits: list[PointSplit]) -> RuledExtension:
     """Assemble the extension from the splits of order 1 or more at the
-    probe points, and shrink the translation box by bisection until the
-    Jacobian keeps full rank at every probe point.
+    probe points, and shrink the translation box by bisection (to no less
+    than 1e-6) until the Jacobian keeps full rank at every probe point.
 
     With r = 0 the extension is the base immersion itself, returned as the
     trivial extension.
@@ -320,7 +317,7 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
                 jac1 = ext.jacobian(x, radius * corner) - jac0
                 for t in np.linspace(0.0, 1.0, 33):
                     svals = np.linalg.svd(jac0 + t * jac1, compute_uv=False)
-                    if svals[-1] <= max(rank_tol * svals[0], 0.2 * floor):
+                    if svals[-1] <= max(1e-6 * svals[0], 0.2 * floor):
                         return False
         return True
 
@@ -329,15 +326,15 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     lo, hi = 0.0, lambda_radius
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if mid < min_radius:
+        if mid < 1e-6:
             break
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    if lo < min_radius:
+    if lo < 1e-6:
         raise DegenerateExtensionError(
-            f"no admissible translation radius above {min_radius}")
+            "no admissible translation radius above 1e-06")
     ext.lambda_radius = 0.5 * lo  # stay clear of the rank boundary
     return ext
 

@@ -20,7 +20,7 @@ from .catalog import CatalogEntry, get_entry
 from .errors import (CapabilityError, DegeneracyError, NotImmersionError,
                      OscflagError, RegularityError, UsageError)
 from .geometry import point_geometry, s_nullity
-from .nonparallel import classify_case, nonparallel_data, phi_pairing
+from .nonparallel import classify_case
 
 SCHEMA_VERSION = "3"
 
@@ -40,6 +40,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise UsageError("sample count must be at least 1")
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
         if not 0.0 < self.rank_tol < 1.0:
             raise UsageError("rank tolerance must lie in (0, 1)")
 
@@ -112,13 +114,12 @@ def _sample_points(entry: CatalogEntry,
         try:
             geom = point_geometry(entry.chart, x, entry.max_normal_order,
                                   config.rank_tol)
-            phi = phi_pairing(geom)
+            nd = geom.nd
         except (NotImmersionError, RegularityError) as exc:
             notes.append(f"rejected sample {attempts}: {exc}")
             continue
-        nd = nonparallel_data(geom, phi, config.rank_tol)
         records.append(chk.PointRecord(index=len(records), x=x, geom=geom,
-                                       phi=phi, nd=nd, nu_s=[]))
+                                       nd=nd, nu_s=[]))
     if len(records) < config.samples:
         raise DegeneracyError(
             f"only {len(records)}/{config.samples} usable points after "

@@ -11,7 +11,7 @@ import numpy as np
 
 from oscflag import subspaces as sub
 from oscflag.geometry import frame_derivative, point_geometry, projection_frame
-from oscflag.nonparallel import nonparallel_data, phi_pairing
+from oscflag.nonparallel import nonparallel_data
 
 
 def p_l_components(chart, geom, nd, h: float, directions,
@@ -24,7 +24,7 @@ def p_l_components(chart, geom, nd, h: float, directions,
 
     def p_space_at(x) -> sub.Subspace:
         g_y = point_geometry(chart, x, max_normal_order=2, tol=tol)
-        nd_y = nonparallel_data(g_y, phi_pairing(g_y, tol), tol)
+        nd_y = nonparallel_data(g_y)
         return sub.direct_sum(nd_y.S, g_y.first_normal_complement(), tol)
 
     p_frame, pivots = projection_frame(

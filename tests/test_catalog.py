@@ -13,7 +13,7 @@ from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.jets import Jet, jet_constant, jet_reciprocal, signature
-from oscflag.nonparallel import nonparallel_data, phi_pairing
+from oscflag.nonparallel import nonparallel_data
 from picard import antiderivative
 from rk4 import rk4_transport
 
@@ -234,7 +234,7 @@ def test_section4_vertical_rulings_match_d():
     rng = np.random.default_rng(2)
     x = entry.sampler(rng)
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
-    nd = nonparallel_data(geom, phi_pairing(geom))
+    nd = nonparallel_data(geom)
     # D in ambient terms equals the span of the translation frame, i.e. the
     # first normal stage of the base surface
     base_geom = point_geometry(entry.aux["base_entry"].chart, x[:2],

@@ -8,10 +8,11 @@ from leaf_rk4 import leaf_residual
 from oscflag import checks, ruled_extension
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
-from oscflag.checks import PointRecord, VerifyContext, check_d_ruled_leaves
+from oscflag.checks import (LAMBDA_RADIUS, PointRecord, VerifyContext,
+                            check_d_ruled_leaves)
 from oscflag.geometry import drift, point_geometry, tangent_jets
 from oscflag.jets import first_partials
-from oscflag.nonparallel import nonparallel_data, phi_pairing
+from oscflag.nonparallel import nonparallel_data
 from oscflag.ruled_extension import (SplittingSpec, build_extension,
                                      verify_extension)
 from oscflag.verify import RunConfig, run_verification
@@ -23,8 +24,8 @@ def context(name, params, seeds):
     for i, seed in enumerate(seeds):
         x = entry.sampler(np.random.default_rng(seed))
         geom = point_geometry(entry.chart, x, entry.max_normal_order)
-        nd = nonparallel_data(geom, phi_pairing(geom))
-        records.append(PointRecord(i, x, geom, nd.phi, nd, []))
+        nd = nonparallel_data(geom)
+        records.append(PointRecord(i, x, geom, nd, []))
     return VerifyContext(entry, records, 0, 1e-8)
 
 
@@ -62,7 +63,7 @@ def test_walk_and_identity_agree_on_d_leaves():
 
     def d_at(y):
         g_y = point_geometry(chart, y, 2)
-        return g_y, nonparallel_data(g_y, phi_pairing(g_y)).D
+        return g_y, nonparallel_data(g_y).D
 
     ref = rec.nd.D.basis[0] @ rec.geom.frame
     assert leaf_residual(chart, d_at, rec.x, ref, 0.02) < 1e-10
@@ -125,7 +126,7 @@ def test_nan_residual_fails_leaf_straightness(monkeypatch):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius,
+    ext = build_extension(spec, LAMBDA_RADIUS,
                           [spec.at(point_geometry(entry.chart, x, 2))
                            for x in pts])
     monkeypatch.setattr(ruled_extension, "drift", nan_drift)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oscflag import geometry, nonparallel
+from oscflag import geometry, nonparallel, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
@@ -37,7 +37,7 @@ def test_sphere_phi_empty():
     geom = point_geometry(entry.chart, entry.sampler(rng), 2)
     phi = phi_pairing(geom)
     assert phi.is_empty
-    nd = nonparallel_data(geom, phi)
+    nd = nonparallel_data(geom)
     assert nd.s == 0 and nd.case_label == "parallel"
     assert nd.phi_kernel.dim == geom.n
 
@@ -51,15 +51,14 @@ def test_torus_phi_vanishes_both_methods():
     assert phi.norm() < 1e-9
     fd = phi_frame_fd(entry.chart, x, 1e-3, geom=geom)
     assert fd.norm() < 1e-9
-    nd = nonparallel_data(geom, phi)
+    nd = nonparallel_data(geom)
     assert nd.s == 0
     assert nd.D.dim == geom.n
 
 
 def test_curve_phi_rank_one(curve_point):
     entry, x, geom = curve_point
-    phi = phi_pairing(geom)
-    nd = nonparallel_data(geom, phi)
+    nd = nonparallel_data(geom)
     assert nd.p == 1 and nd.s == 1
     assert nd.case_label == "case-i"
     assert nd.diagnostics["s_containment_in_n1"] < 1e-8
@@ -98,7 +97,7 @@ def test_product_phi_is_block_diagonal():
     rng = np.random.default_rng(6)
     x = entry.sampler(rng)
     geom = point_geometry(entry.chart, x, 2)
-    nd = nonparallel_data(geom, phi_pairing(geom))
+    nd = nonparallel_data(geom)
     assert nd.p == 2 and nd.s == 2
     assert nd.nu == geom.n - 2
     # each span vector lives in a single factor's ambient block
@@ -129,7 +128,7 @@ def test_frame_difference_checks_share_one_stencil_pair(curve_point,
     entry, x, geom = curve_point
     phi = phi_pairing(geom)
     assert not phi.is_empty
-    rec = PointRecord(0, x, geom, phi, nonparallel_data(geom, phi), [])
+    rec = PointRecord(0, x, geom, nonparallel_data(geom), [])
     ctx = VerifyContext(entry, [rec], 0, 1e-8)
     evaluated, built = [], []
 
@@ -150,6 +149,33 @@ def test_frame_difference_checks_share_one_stencil_pair(curve_point,
     assert not built
 
 
+def test_one_phi_per_geometry(monkeypatch):
+    # each record's geometry computes phi once, during sampling; the default
+    # split exercise, p_parallel_drift and the extension read it from there
+    real, calls, after_sampling = nonparallel.phi_pairing, [], []
+
+    def counting(geom):
+        calls.append(geom)
+        return real(geom)
+
+    def sampling(entry, config):
+        out = real_sampling(entry, config)
+        after_sampling.append(len(calls))
+        return out
+
+    for module in (nonparallel, ruled_extension, verify):
+        # every module binding the name, so no direct import escapes
+        if getattr(module, "phi_pairing", None) is real:
+            monkeypatch.setattr(module, "phi_pairing", counting)
+    real_sampling = verify._sample_points
+    monkeypatch.setattr(verify, "_sample_points", sampling)
+    report = verify.run_verification(verify.RunConfig(
+        "section4-ruled", {"m": 2}, samples=4, seed=11))
+    assert report.passed, report.findings
+    assert after_sampling[0] >= 4
+    assert after_sampling == [len(calls)]
+
+
 def test_p_parallel_drift_second_order():
     # the stencil oracle's L-components of P-frame derivatives converge at
     # second order to L (d_w Pi_P) mu from the exact Pi_P jet; along E they
@@ -158,7 +184,7 @@ def test_p_parallel_drift_second_order():
     rng = np.random.default_rng(8)
     x = entry.sampler(rng)
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
-    nd = nonparallel_data(geom, phi_pairing(geom))
+    nd = nonparallel_data(geom)
     pi_p = SplittingSpec(entry.chart).at(geom, 1).pi_p
     d_p = first_partials(pi_p[:geom.n + 1])
     l_basis = sub.complement_within(nd.S, geom.first_normal).basis
@@ -198,7 +224,7 @@ def synthetic_nd(s, p, n, d_dim, nu):
 def rulings_context(alpha):
     nd = synthetic_nd(s=1, p=2, n=2, d_dim=2, nu=0)
     rec = PointRecord(index=0, x=np.zeros(2),
-                      geom=SimpleNamespace(alpha=alpha), phi=nd.phi, nd=nd,
+                      geom=SimpleNamespace(alpha=alpha), nd=nd,
                       nu_s=[])
     return VerifyContext(entry=None, records=[rec], seed=0, rank_tol=1e-8)
 
@@ -230,11 +256,10 @@ def test_ruling_checks_are_basis_independent():
         for i in range(2):
             x = entry.sampler(np.random.default_rng(10 + i))
             geom = point_geometry(entry.chart, x, 3)
-            phi = phi_pairing(geom)
-            nd = nonparallel_data(geom, phi)
+            nd = nonparallel_data(geom)
             nd = dataclasses.replace(nd, D=sub.Subspace(
                 geom.n, rotation @ space(nd).basis))
-            records.append(PointRecord(i, x, geom, phi, nd, []))
+            records.append(PointRecord(i, x, geom, nd, []))
         return VerifyContext(entry, records, 0, 1e-8)
 
     plain, rotated = context(np.eye(2)), context(rotation)

@@ -9,13 +9,14 @@ from gamma_fd import gamma_values_fd
 from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
+from oscflag.checks import LAMBDA_RADIUS
 from oscflag.errors import ParameterError, ShapeError
 from oscflag.geometry import (ImmersionChart, eval_jet, frame_derivative,
                               point_geometry, projection_frame,
                               relative_nullity, span_projector)
 from oscflag.jets import (first_partials, jet_variable, matrix_product,
                           partial_jets, signature)
-from oscflag.nonparallel import nonparallel_data, phi_pairing
+from oscflag.nonparallel import nonparallel_data
 from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
                                      _commutator_residual, build_extension,
                                      verify_extension)
@@ -152,7 +153,7 @@ def test_extension_verify_parallel_line(curve_entry):
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [curve_entry.sampler(rng) for _ in range(3)]
-    ext = build_extension(spec, exercise.lambda_radius,
+    ext = build_extension(spec, LAMBDA_RADIUS,
                           splits_at(spec, pts))
     assert ext.r == 1
     checks = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
@@ -175,7 +176,7 @@ def test_extension_needs_chart_order_four():
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius,
+    ext = build_extension(spec, LAMBDA_RADIUS,
                           splits_at(spec, pts))
     checks = verify_extension(ext, pts, tol=1e-5, seed=0)
     failures = [c for c in checks if not c.passed]
@@ -364,7 +365,7 @@ def test_default_rule_takes_s_from_phi():
     entry = get_entry("section4-ruled", {"m": 3})
     x = np.array([0.110, 0.018, -0.097, 0.032, 0.010, 0.0])
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
-    assert nonparallel_data(geom, phi_pairing(geom)).s == 2
+    assert nonparallel_data(geom).s == 2
     split = SplittingSpec(entry.chart).at(geom, 1)
     assert (split.ell, split.Gamma.dim, split.Lambda.dim) == (2, 2, 2)
     assert split.d == 4 == geom.n - 2
@@ -385,7 +386,7 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(7)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, exercise.lambda_radius,
+    ext = build_extension(spec, LAMBDA_RADIUS,
                           splits_at(spec, pts))
     lam = 0.5 * ext.lambda_radius * np.ones(ext.r) / np.sqrt(ext.r)
     point = np.concatenate([pts[0], lam])
