@@ -68,10 +68,13 @@ def test_unknown_param_exit_two(capsys):
 @pytest.mark.parametrize("entry,param", [
     ("sphere", "n=0"), ("sphere", "n=-2"),
     ("flat", "seed=-1"), ("curve-parallel", "seed=-1"),
-    ("curve-product", "seed=-1")])
+    ("curve-product", "seed=-1"),
+    ("section4-ruled", "t_radius=0"), ("section4-ruled", "t_radius=-0.1"),
+    ("section4-ruled", "t_radius=inf")])
 def test_out_of_range_param_exit_two(entry, param, capsys):
     # the registry casts these values, and the entry rejects them by name
-    # before any point is sampled
+    # before any point is sampled; the section4 radius is a constant, so no
+    # t_radius value is in range and the registry rejects it as unknown
     assert main(["verify", entry, "--param", param, "--samples", "2"]) == 2
     err = capsys.readouterr().err
     assert param.split("=")[0] in err and "Traceback" not in err
