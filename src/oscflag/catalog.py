@@ -8,6 +8,7 @@ frames, splitting exercises).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -48,21 +49,22 @@ class CatalogEntry:
     description: str
     chart: ImmersionChart
     max_normal_order: int
-    substantial: bool
     expected: list[Expectation]
     sampler: Callable[[np.random.Generator], np.ndarray]
     ruled: bool = False
     ruling_from: str = "none"  # "D" or "nullity"
     split_exercises: list[SplitExercise] = dc_field(default_factory=list)
     aux: dict = dc_field(default_factory=dict)
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
 # Calibration charts
 
 
-def _sphere_chart(n: int) -> ImmersionChart:
+def make_sphere(n: int = 2) -> CatalogEntry:
+    """Null-hypothesis chart: the unit sphere, totally umbilic."""
+    if n < 1:
+        raise ParameterError("n must be at least 1")
     lo, hi = 0.6, math.pi - 0.6
 
     def fn(vars_: list[Jet]) -> list[Jet]:
@@ -75,102 +77,94 @@ def _sphere_chart(n: int) -> ImmersionChart:
         comps.append(running)
         return comps
 
-    return ImmersionChart(f"sphere-{n}", n, n + 1,
-                          box([lo] * n, [hi] * n), fn, max_order=8)
+    chart = ImmersionChart(f"sphere-{n}", n, n + 1,
+                           box([lo] * n, [hi] * n), fn, max_order=8)
+    expected = [
+        Expectation("first_normal_rank", {"expected": 1},
+                    "totally umbilic: rank-one first normal space"),
+        Expectation("flag_dims", {"stages": [1], "total": None},
+                    "flag stops after the first normal space"),
+        Expectation("phi_absent", {},
+                    "no complement: not locally substantial beyond the "
+                    "first normal space"),
+        Expectation("umbilic_sphere", {"tol": 1e-10},
+                    "alpha(X, Y) = -<X, Y> times the position normal"),
+        Expectation("ricci_constant", {"expected": float(n - 1),
+                                       "tol": 1e-9, "count": 50},
+                    "constant Ricci curvature n - 1"),
+        Expectation("case_label", {"expected": "parallel"},
+                    "no nonparallelism data"),
+    ]
+    return CatalogEntry(
+        name="sphere", params={"n": n},
+        description="unit sphere, totally umbilic calibration",
+        chart=chart, max_normal_order=2, expected=expected,
+        sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
 
 
-def make_calibration(kind: str, n: int = 2, seed: int = 0) -> CatalogEntry:
-    """Null-hypothesis charts: unit sphere, affine plane, flat product torus."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+def make_flat(seed: int = 0) -> CatalogEntry:
+    """Null-hypothesis chart: a seeded affine plane, totally geodesic."""
     if seed < 0:
         raise ParameterError("seed must be non-negative")
-    if kind == "sphere":
-        chart = _sphere_chart(n)
-        expected = [
-            Expectation("first_normal_rank", {"expected": 1},
-                        "totally umbilic: rank-one first normal space"),
-            Expectation("flag_dims", {"stages": [1], "total": None},
-                        "flag stops after the first normal space"),
-            Expectation("phi_absent", {},
-                        "no complement: not locally substantial beyond the "
-                        "first normal space"),
-            Expectation("umbilic_sphere", {"tol": 1e-10},
-                        "alpha(X, Y) = -<X, Y> times the position normal"),
-            Expectation("ricci_constant", {"expected": float(n - 1),
-                                           "tol": 1e-9, "count": 50},
-                        "constant Ricci curvature n - 1"),
-            Expectation("case_label", {"expected": "parallel"},
-                        "no nonparallelism data"),
-        ]
-        return CatalogEntry(
-            name="sphere", params={"n": n},
-            description="unit sphere, totally umbilic calibration",
-            chart=chart, max_normal_order=2, substantial=True,
-            expected=expected,
-            sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
+    rng = np.random.default_rng(seed)
+    big_n = 5
+    basis, _ = np.linalg.qr(rng.standard_normal((big_n, 2)))
+    shift = rng.standard_normal(big_n)
 
-    if kind == "flat":
-        rng = np.random.default_rng(seed)
-        big_n = 5
-        basis, _ = np.linalg.qr(rng.standard_normal((big_n, 2)))
-        shift = rng.standard_normal(big_n)
+    def fn(vars_: list[Jet]) -> list[Jet]:
+        return [vars_[0] * basis[j, 0] + vars_[1] * basis[j, 1] + shift[j]
+                for j in range(big_n)]
 
-        def fn(vars_: list[Jet]) -> list[Jet]:
-            return [vars_[0] * basis[j, 0] + vars_[1] * basis[j, 1] + shift[j]
-                    for j in range(big_n)]
+    chart = ImmersionChart("flat-plane", 2, big_n,
+                           box([-1.0, -1.0], [1.0, 1.0]), fn, max_order=8)
+    expected = [
+        Expectation("alpha_zero", {"tol": 1e-12},
+                    "totally geodesic: vanishing second fundamental form"),
+        Expectation("flag_dims", {"stages": [], "total": None},
+                    "empty normal flag"),
+        Expectation("nu", {"expected": 2}, "full relative nullity"),
+        Expectation("case_label", {"expected": "parallel"},
+                    "nothing to be nonparallel"),
+    ]
+    return CatalogEntry(
+        name="flat", params={},
+        description="affine plane, totally geodesic calibration",
+        chart=chart, max_normal_order=2, expected=expected,
+        sampler=lambda rng: chart.domain.sample(rng, margin=0.05),
+        ruled=True, ruling_from="nullity")
 
-        chart = ImmersionChart("flat-plane", 2, big_n,
-                               box([-1.0, -1.0], [1.0, 1.0]), fn, max_order=8)
-        expected = [
-            Expectation("alpha_zero", {"tol": 1e-12},
-                        "totally geodesic: vanishing second fundamental form"),
-            Expectation("flag_dims", {"stages": [], "total": None},
-                        "empty normal flag"),
-            Expectation("nu", {"expected": 2}, "full relative nullity"),
-            Expectation("case_label", {"expected": "parallel"},
-                        "nothing to be nonparallel"),
-        ]
-        return CatalogEntry(
-            name="flat", params={},
-            description="affine plane, totally geodesic calibration",
-            chart=chart, max_normal_order=2, substantial=False,
-            expected=expected,
-            sampler=lambda rng: chart.domain.sample(rng, margin=0.05),
-            ruled=True, ruling_from="nullity")
 
-    if kind == "product-torus":
-        consts = (0.3, -0.2)
+def make_product_torus() -> CatalogEntry:
+    """Null-hypothesis chart: a flat torus with parallel first normal
+    bundle."""
+    consts = (0.3, -0.2)
 
-        def fn(vars_: list[Jet]) -> list[Jet]:
-            u, v = vars_
-            return [jet_cos(u), jet_sin(u), jet_cos(v), jet_sin(v),
-                    jet_constant(u.num_vars, u.order, consts[0]),
-                    jet_constant(u.num_vars, u.order, consts[1])]
+    def fn(vars_: list[Jet]) -> list[Jet]:
+        u, v = vars_
+        return [jet_cos(u), jet_sin(u), jet_cos(v), jet_sin(v),
+                jet_constant(u.num_vars, u.order, consts[0]),
+                jet_constant(u.num_vars, u.order, consts[1])]
 
-        chart = ImmersionChart("flat-torus-r4-in-r6", 2, 6,
-                               box([0.3, 0.3], [5.9, 5.9]), fn, max_order=8)
-        expected = [
-            Expectation("first_normal_rank", {"expected": 2},
-                        "product of two circles"),
-            Expectation("phi_zero", {"tol": 1e-9},
-                        "parallel first normal bundle: phi vanishes"),
-            Expectation("case_label", {"expected": "parallel"},
-                        "parallel case"),
-            Expectation("sectional_flat", {"tol": 1e-10, "count": 10},
-                        "intrinsically flat"),
-            Expectation("flag_dims", {"stages": [2], "total": None},
-                        "flag stops inside the four-dimensional factor"),
-        ]
-        return CatalogEntry(
-            name="product-torus", params={},
-            description="flat torus in a four-space, included in six-space: "
-                        "parallel first normal bundle",
-            chart=chart, max_normal_order=2, substantial=False,
-            expected=expected,
-            sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
-
-    raise ParameterError(f"unknown calibration kind {kind!r}")
+    chart = ImmersionChart("flat-torus-r4-in-r6", 2, 6,
+                           box([0.3, 0.3], [5.9, 5.9]), fn, max_order=8)
+    expected = [
+        Expectation("first_normal_rank", {"expected": 2},
+                    "product of two circles"),
+        Expectation("phi_zero", {"tol": 1e-9},
+                    "parallel first normal bundle: phi vanishes"),
+        Expectation("case_label", {"expected": "parallel"},
+                    "parallel case"),
+        Expectation("sectional_flat", {"tol": 1e-10, "count": 10},
+                    "intrinsically flat"),
+        Expectation("flag_dims", {"stages": [2], "total": None},
+                    "flag stops inside the four-dimensional factor"),
+    ]
+    return CatalogEntry(
+        name="product-torus", params={},
+        description="flat torus in a four-space, included in six-space: "
+                    "parallel first normal bundle",
+        chart=chart, max_normal_order=2, expected=expected,
+        sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +354,7 @@ def _curve_chart_fn(system: CurveSystem, n: int):
     return fn
 
 
-def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
+def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
                                   seed: int = 11) -> CatalogEntry:
     """Normal-exponential image of a parallel rank-(n-1) normal subbundle
     along a seeded curve with nonvanishing curvature.
@@ -370,23 +364,30 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
     """
     # the entry declares s = 1, which needs a complement of the first
     # normal space: at N = n + 1 the second osculating space fills R^N
-    if not 2 <= n <= big_n - 2:
+    if not 2 <= n <= N - 2:
         raise ParameterError(
-            f"need 2 <= n <= N - 2 (n={n}, N={big_n}): at N = n + 1 the "
+            f"need 2 <= n <= N - 2 (n={n}, N={N}): at N = n + 1 the "
             f"first normal space has no complement")
+    # the curve's derivatives span at most two directions per frequency
+    # (FREQS = 1, 2, 3) and the fields' t-derivatives lie in that span, so
+    # the flag stops at n - 1 + 6 = n + 5
+    if N > n + 5:
+        raise ParameterError(
+            f"need N <= n + 5 (n={n}, N={N}): the curve's derivatives span "
+            f"at most six directions, so the flag cannot fill R^N")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
-    witnesses = 3 if big_n - 1 >= (n - 1) + 3 else 0
-    system = CurveSystem(big_n, n - 1 + witnesses, seed)
+    witnesses = 3 if N - 1 >= (n - 1) + 3 else 0
+    system = CurveSystem(N, n - 1 + witnesses, seed)
 
     s_radius = 0.08
     lo = [system.window[0] + 0.05] + [-s_radius] * (n - 1)
     hi = [system.window[1] - 0.05] + [s_radius] * (n - 1)
-    chart = ImmersionChart(f"curve-parallel-{n}-{big_n}", n, big_n,
+    chart = ImmersionChart(f"curve-parallel-{n}-{N}", n, N,
                            box(lo, hi), _curve_chart_fn(system, n),
-                           max_order=big_n - 1)
+                           max_order=N - 1)
 
-    max_normal_order = big_n - n  # flag exhausts the ambient space
+    max_normal_order = N - n  # flag exhausts the ambient space
     expected = [
         Expectation("first_normal_rank", {"expected": 1},
                     "curvature spans a single normal direction"),
@@ -400,7 +401,7 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                     "flat induced metric"),
         Expectation("transport_orthonormality", {"tol": 1e-9},
                     "parallel transport preserves inner products"),
-        Expectation("flag_dims", {"stages": None, "total": big_n},
+        Expectation("flag_dims", {"stages": None, "total": N},
                     "osculating flag exhausts the ambient space"),
     ]
 
@@ -442,7 +443,7 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                 name="rotating-line",
                 rule=witness_rule((w, w + 1), rotate=True),
                 expected={"k": 2, "r": 0})]
-        if big_n >= n + 4:
+        if N >= n + 4:
             # mixed-pair's L has rank 2, so P has rank N - n - 2; Gamma is
             # the image of P under derivatives along E, the curve direction
             # alone, so k <= N - n - 2 and k = 2 needs N >= n + 4
@@ -453,11 +454,11 @@ def make_curve_parallel_subbundle(n: int = 3, big_n: int = 8,
                           "script_l_rank": 1}))
 
     return CatalogEntry(
-        name="curve-parallel", params={"n": n, "N": big_n},
+        name="curve-parallel", params={"n": n, "N": N},
         description="image of a parallel normal subbundle over a curve with "
                     "nonvanishing curvature (rank-one nonparallel case)",
-        chart=chart, max_normal_order=max_normal_order, substantial=True,
-        expected=expected, sampler=sampler, ruled=True, ruling_from="nullity",
+        chart=chart, max_normal_order=max_normal_order, expected=expected,
+        sampler=sampler, ruled=True, ruling_from="nullity",
         split_exercises=exercises, aux={"system": system})
 
 
@@ -558,8 +559,7 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
         name="holomorphic-curve", params={"m": m},
         description="holomorphic monomial curve surface (minimal, elliptic); "
                     "base for the ruled construction",
-        chart=chart, max_normal_order=m + 2, substantial=True,
-        expected=expected,
+        chart=chart, max_normal_order=m + 2, expected=expected,
         sampler=lambda rng: chart.domain.sample(rng, margin=0.05))
 
 
@@ -655,8 +655,8 @@ def make_section4_example(m: int = 2) -> CatalogEntry:
         name="section4-ruled", params={"m": m},
         description="ruled thickening of a holomorphic curve surface over "
                     "its lower normal stages: sharp ruled case",
-        chart=chart, max_normal_order=3, substantial=True,
-        expected=expected, sampler=sampler, ruled=True, ruling_from="D",
+        chart=chart, max_normal_order=3, expected=expected, sampler=sampler,
+        ruled=True, ruling_from="D",
         split_exercises=exercises,
         aux={"base_entry": base_entry, "m": m, "t_min": t_min})
 
@@ -712,8 +712,7 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
         name="curve-product", params={"factors": factors},
         description="product of rank-one nonparallel curve charts: "
                     "realizes the full-rank nullity case",
-        chart=chart, max_normal_order=2, substantial=True,
-        expected=expected,
+        chart=chart, max_normal_order=2, expected=expected,
         sampler=lambda rng: chart.domain.sample(rng, margin=0.01),
         ruled=True, ruling_from="nullity")
 
@@ -722,54 +721,24 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
 # Registry
 
 
-def _build_sphere(params: dict) -> CatalogEntry:
-    return make_calibration("sphere", n=params["n"])
-
-
-def _build_flat(params: dict) -> CatalogEntry:
-    return make_calibration("flat", seed=params["seed"])
-
-
-def _build_torus(params: dict) -> CatalogEntry:
-    return make_calibration("product-torus")
-
-
-def _build_curve(params: dict) -> CatalogEntry:
-    return make_curve_parallel_subbundle(n=params["n"], big_n=params["N"],
-                                         seed=params["seed"])
-
-
-def _build_holo(params: dict) -> CatalogEntry:
-    return make_holomorphic_curve_surface(m=params["m"])
-
-
-def _build_section4(params: dict) -> CatalogEntry:
-    return make_section4_example(m=params["m"])
-
-
-def _build_product(params: dict) -> CatalogEntry:
-    return make_curve_product(factors=params["factors"], seed=params["seed"])
-
-
-# Each builder receives every key of its schema string "k=default, ...",
-# as an integer.
-BUILDERS: dict[str, tuple[Callable[[dict], CatalogEntry], str, str]] = {
-    "sphere": (_build_sphere, "n=2",
+# Each maker takes its parameters as integer keywords; their defaults are
+# the entry's defaults.
+BUILDERS: dict[str, tuple[Callable[..., CatalogEntry], str]] = {
+    "sphere": (make_sphere,
                "unit sphere calibration (umbilic, no complement)"),
-    "flat": (_build_flat, "seed=0",
-             "affine plane calibration (totally geodesic)"),
-    "product-torus": (_build_torus, "",
+    "flat": (make_flat, "affine plane calibration (totally geodesic)"),
+    "product-torus": (make_product_torus,
                       "flat torus with parallel first normal bundle"),
-    "curve-parallel": (_build_curve, "n=3, N=8, seed=11",
+    "curve-parallel": (make_curve_parallel_subbundle,
                        "parallel normal subbundle over a curve "
                        "(rank-one nonparallel, flat)"),
-    "holomorphic-curve": (_build_holo, "m=2",
+    "holomorphic-curve": (make_holomorphic_curve_surface,
                           "minimal elliptic surface with plane normal "
                           "stages"),
-    "section4-ruled": (_build_section4, "m=2",
+    "section4-ruled": (make_section4_example,
                        "sharp ruled example: rank-four first normal bundle, "
                        "rank-two nonparallelism constant along rulings"),
-    "curve-product": (_build_product, "factors=4, seed=23",
+    "curve-product": (make_curve_product,
                       "product of rank-one factors: full-rank nullity case"),
 }
 
@@ -778,17 +747,26 @@ def entry_names() -> list[str]:
     return sorted(BUILDERS)
 
 
+def _defaults(name: str) -> dict:
+    """Each parameter of an entry and its default, off the maker's signature."""
+    return {key: p.default for key, p in
+            inspect.signature(BUILDERS[name][0]).parameters.items()}
+
+
+def entry_schema(name: str) -> str:
+    """The parameters of an entry with their defaults, "k=default, ..."."""
+    return ", ".join(f"{k}={v}" for k, v in _defaults(name).items())
+
+
 def _typed_params(name: str, params: dict) -> dict:
-    """The schema defaults of an entry overridden by ``params``, as integers;
+    """The maker defaults of an entry overridden by ``params``, as integers;
     unknown keys and values that are not integers are rejected."""
-    schema = BUILDERS[name][1]
-    defaults = dict(item.strip().split("=") for item in schema.split(",")
-                    if item.strip())
+    defaults = _defaults(name)
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ParameterError(
             f"entry {name!r} has no parameter {', '.join(unknown)}; "
-            f"accepted: ({schema})")
+            f"accepted: ({entry_schema(name)})")
     typed = {}
     for key, default in defaults.items():
         value = params.get(key, default)
@@ -807,4 +785,4 @@ def get_entry(name: str, params: dict | None = None) -> CatalogEntry:
     if name not in BUILDERS:
         raise ParameterError(f"unknown catalog entry {name!r}; "
                              f"known: {', '.join(entry_names())}")
-    return BUILDERS[name][0](_typed_params(name, params or {}))
+    return BUILDERS[name][0](**_typed_params(name, params or {}))

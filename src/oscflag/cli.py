@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import BUILDERS, get_entry
+from .catalog import BUILDERS, entry_schema, get_entry
 from .errors import OscflagError, ParameterError, UsageError
 from .verify import Report, RunConfig, run_verification
 
@@ -44,9 +44,8 @@ def _parse_params(pairs: list[str]) -> dict:
 def cmd_list(args: argparse.Namespace) -> int:
     print("catalog entries:")
     for name in sorted(BUILDERS):
-        _, schema, summary = BUILDERS[name]
-        print(f"\n  {name}({schema})")
-        print(f"      {summary}")
+        print(f"\n  {name}({entry_schema(name)})")
+        print(f"      {BUILDERS[name][1]}")
         if args.verbose:
             entry = get_entry(name)
             for exp in entry.expected:
@@ -91,7 +90,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     report = run_verification(config)
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write the report to {args.out}: "
+                             f"{exc.strerror}") from exc
         print(f"report written to {args.out}")
     _print_summary(report)
     return EXIT_OK if report.passed else EXIT_FINDINGS

@@ -1,10 +1,9 @@
-"""Pointwise invariants of an immersion: frames, fundamental forms, normal flag.
+"""Pointwise invariants of an immersion: frame, second fundamental form,
+normal flag.
 
 The osculating flag is built from exact jet derivatives: the order-k
 osculating space is the span of all partials of order <= k, and the k-th
-normal space is the complement of consecutive flag stages.  Higher
-fundamental forms are normal-flag projections of raw partials, which agrees
-with the iterated normal-connection definition for 1-regular immersions.
+normal space is the complement of consecutive flag stages.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import numpy as np
 from . import subspaces as sub
 from .errors import (CapabilityError, DataError, DomainError, FrameError,
                      NotImmersionError, ParameterError, RegularityError)
-from .jets import (DerivativeTensor, Jet, JetSignature, VectorJet,
-                   first_partials, matrix_inverse, matrix_product,
-                   partial_jets, signature, variables)
+from .jets import (DerivativeTensor, Jet, JetSignature, first_partials,
+                   matrix_inverse, matrix_product, partial_jets, signature,
+                   variables)
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ class Box:
     def __post_init__(self):
         self.lo.flags.writeable = False
         self.hi.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -69,7 +64,8 @@ class ImmersionChart:
         self.fn = fn
         self.max_order = max_order
 
-    def eval(self, x, order: int) -> VectorJet:
+    def eval(self, x, order: int) -> DerivativeTensor:
+        """All ambient partial derivatives of the chart at x, to ``order``."""
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise DataError(f"chart {self.name}: non-finite evaluation point")
@@ -79,18 +75,16 @@ class ImmersionChart:
                 f"order {order} requested")
         if not self.domain.contains(x):
             raise DomainError(f"chart {self.name}: point {x} outside domain")
-        vjet = VectorJet(self.fn(variables(x, order)))
-        if vjet.ambient_dim != self.ambient_dim:
+        comps = self.fn(variables(x, order))
+        if len(comps) != self.ambient_dim:
             raise DataError(f"chart {self.name} returned wrong ambient dim")
-        return vjet
+        for c in comps[1:]:
+            comps[0]._check_same(c)
+        return DerivativeTensor(np.column_stack([c.coeffs for c in comps]),
+                                comps[0].sig)
 
     def position(self, x) -> np.ndarray:
-        return np.array([c.value for c in self.eval(x, 0).components])
-
-
-def eval_jet(chart: ImmersionChart, x, order: int) -> DerivativeTensor:
-    """All ambient partial derivatives of the chart at x, to the given order."""
-    return DerivativeTensor(chart.eval(x, order))
+        return self.eval(x, 0).coeffs[0]
 
 
 def _gram_schmidt_rows(rows: np.ndarray, rel_tol: float = 1e-10):
@@ -254,12 +248,9 @@ class PointGeometry:
     tangent: sub.Subspace
     frame: np.ndarray            # (n, N) distinguished orthonormal tangent frame
     frame_in_chart: np.ndarray   # C with frame = C @ (first derivatives)
-    metric: np.ndarray           # Gram matrix of coordinate fields
     normal_space: sub.Subspace
     alpha: np.ndarray            # (n, n, N) second fundamental form on the frame
-    higher_forms: list[np.ndarray] = field(repr=False)
     normal_flag: list[sub.Subspace]
-    osculating_dims: list[int]
     derivs: DerivativeTensor = field(repr=False)
     tol: float = sub.DEFAULT_RANK_TOL
 
@@ -323,7 +314,7 @@ def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
         raise CapabilityError(
             f"chart order {chart.max_order} cannot supply normal order "
             f"{max_normal_order}")
-    derivs = eval_jet(chart, x, max_normal_order + 1)
+    derivs = chart.eval(x, max_normal_order + 1)
     n = chart.intrinsic_dim
 
     stacked = derivs.tensor(1)
@@ -349,7 +340,7 @@ def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
 
 def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
                    tol: float = sub.DEFAULT_RANK_TOL) -> PointGeometry:
-    """Tangent frame, metric, fundamental forms and normal flag at one point.
+    """Tangent frame, second fundamental form and normal flag at one point.
 
     Raises as ``audited_jet``, whose jet and SVDs it reads.
     """
@@ -357,18 +348,17 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     big_n = chart.ambient_dim
     d1 = derivs.tensor(1)
     frame, coeff = _gram_schmidt_rows(d1)
-    metric = d1 @ d1.T
     tangent = sub.Subspace(big_n, frame, tol)
     normal_space = sub.kernel_of(frame, tol)
 
-    osculating = [tangent]
+    osculating = tangent
     normal_flag: list[sub.Subspace] = []
     for svd in svds[1:]:
         nxt = sub.span_from_svd(svd, tol)
-        stage = sub.complement_within(osculating[-1], nxt)
+        stage = sub.complement_within(osculating, nxt)
         if stage.dim == 0:
             break
-        osculating.append(nxt)
+        osculating = nxt
         normal_flag.append(stage)
 
     # Second fundamental form: normal projection of second derivatives,
@@ -379,19 +369,10 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     # residual built on alpha by rounding
     alpha = np.einsum("ai,bj,ijN->abN", coeff, coeff, alpha_chart)
 
-    higher: list[np.ndarray] = []
-    for ell in range(3, len(normal_flag) + 2):
-        stage = normal_flag[ell - 2]
-        t_ell = derivs.tensor(ell)
-        proj = np.einsum("...N,kN,kM->...M", t_ell, stage.basis, stage.basis)
-        higher.append(to_frame(proj, coeff))
-
     return PointGeometry(
         chart=chart, x=np.asarray(x, dtype=float), tangent=tangent,
-        frame=frame, frame_in_chart=coeff, metric=metric,
-        normal_space=normal_space, alpha=alpha, higher_forms=higher,
-        normal_flag=normal_flag,
-        osculating_dims=[s.dim for s in osculating], derivs=derivs, tol=tol)
+        frame=frame, frame_in_chart=coeff, normal_space=normal_space,
+        alpha=alpha, normal_flag=normal_flag, derivs=derivs, tol=tol)
 
 
 def chart_table(geom: PointGeometry, order: int) -> np.ndarray:

@@ -368,36 +368,20 @@ def first_partials(table: np.ndarray) -> np.ndarray:
     return table[_tensor_index(table.shape[0] - 1, 1, 1)]
 
 
-class VectorJet:
-    """Jet of an ambient-space-valued map: one coefficient table per component."""
-
-    def __init__(self, components: list[Jet]):
-        if not components:
-            raise ShapeError("vector jet needs at least one component")
-        first = components[0]
-        for c in components[1:]:
-            first._check_same(c)
-        self.components = list(components)
-        self.num_vars = first.num_vars
-        self.order = first.order
-        self.coeffs = np.column_stack([c.coeffs for c in components])
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.components)
-
-
 class DerivativeTensor:
-    """All ambient-valued partial derivatives of a chart map at one point."""
+    """All ambient-valued partial derivatives of a chart map at one point.
 
-    def __init__(self, vjet: VectorJet):
-        self._sig = signature(vjet.num_vars, vjet.order)
-        self.num_vars = vjet.num_vars
-        self.order = vjet.order
-        self.ambient_dim = vjet.ambient_dim
-        self.coeffs = vjet.coeffs
-        # rows: monomials, cols: ambient components; scaled to derivatives
-        self.values = vjet.coeffs * self._sig.factorials[:, None]
+    ``coeffs`` is the ``(sig.size, N)`` coefficient table, one column per
+    ambient component; ``values`` scales its rows to derivatives.
+    """
+
+    def __init__(self, coeffs: np.ndarray, sig: JetSignature):
+        self._sig = sig
+        self.num_vars = sig.num_vars
+        self.order = sig.order
+        self.ambient_dim = coeffs.shape[1]
+        self.coeffs = coeffs
+        self.values = coeffs * sig.factorials[:, None]
 
     def partial(self, multi_index) -> np.ndarray:
         """d^|I| f / du^I as an ambient vector."""

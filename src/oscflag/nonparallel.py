@@ -29,9 +29,7 @@ class PhiTensor:
 
     values: np.ndarray           # (q, n, p)
     mu_frame: np.ndarray         # (q, N) orthonormal sections of the complement
-    mu_pivots: tuple[int, ...]
     n1_basis: np.ndarray         # (p, N)
-    method: str
     residual: float = 0.0
 
     def __post_init__(self):
@@ -65,18 +63,17 @@ def phi_difference(a: PhiTensor, b: PhiTensor) -> float:
     return float(np.linalg.norm(a.values - b.values))
 
 
-def complement_frame(geom: PointGeometry,
-                     pivots: tuple[int, ...] | None = None):
-    """Deterministic orthonormal frame of the first-normal complement."""
-    comp = geom.first_normal_complement()
-    return projection_frame(comp, pivots)
+def complement_frame(geom: PointGeometry):
+    """Deterministic orthonormal frame of the first-normal complement, and
+    its pivots."""
+    return projection_frame(geom.first_normal_complement())
 
 
-def _empty_phi(geom: PointGeometry, mu_frame, pivots, method: str) -> PhiTensor:
+def _empty_phi(geom: PointGeometry, mu_frame) -> PhiTensor:
     p = geom.first_normal.dim
     q = mu_frame.shape[0]
-    return PhiTensor(np.zeros((q, geom.n, p)), mu_frame, pivots,
-                     geom.first_normal.basis, method)
+    return PhiTensor(np.zeros((q, geom.n, p)), mu_frame,
+                     geom.first_normal.basis)
 
 
 def phi_pairing(geom: PointGeometry) -> PhiTensor:
@@ -89,10 +86,10 @@ def phi_pairing(geom: PointGeometry) -> PhiTensor:
     """
     n1 = geom.first_normal
     p = n1.dim
-    mu_frame, pivots = complement_frame(geom)
+    mu_frame, _ = complement_frame(geom)
     q = mu_frame.shape[0]
     if p == 0 or q == 0:
-        return _empty_phi(geom, mu_frame, pivots, "pairing")
+        return _empty_phi(geom, mu_frame)
     if geom.derivs.order < 3:
         raise ParameterError(
             "phi_pairing needs third derivatives (max_normal_order >= 2)")
@@ -112,8 +109,7 @@ def phi_pairing(geom: PointGeometry) -> PhiTensor:
     solution, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     fit_residual = float(np.max(np.abs(a_mat @ solution - rhs)))
     values = solution.reshape(p, q, n).transpose(1, 2, 0)
-    return PhiTensor(values, mu_frame, pivots, n1.basis, "pairing",
-                     fit_residual)
+    return PhiTensor(values, mu_frame, n1.basis, fit_residual)
 
 
 def phi_frame_fd(chart: ImmersionChart, x, h: float,
@@ -134,7 +130,7 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
     n1 = geom.first_normal
     mu_frame, pivots = complement_frame(geom)
     if n1.dim == 0 or mu_frame.shape[0] == 0:
-        return _empty_phi(geom, mu_frame, pivots, "frame-fd")
+        return _empty_phi(geom, mu_frame)
 
     def frame_at(y) -> np.ndarray:
         # the complement of the second osculating space, off the audited
@@ -145,7 +141,7 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
 
     derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
-    return PhiTensor(values, mu_frame, pivots, n1.basis, "frame-fd")
+    return PhiTensor(values, mu_frame, n1.basis)
 
 
 def s_projector(geom: PointGeometry, order: int,

@@ -21,7 +21,7 @@ from . import subspaces as sub
 from .errors import (DegenerateExtensionError, GammaBandError,
                      NumericalRankError, ParameterError, ShapeError)
 from .geometry import (ImmersionChart, PointGeometry, box, chart_table, drift,
-                       eval_jet, flattened_alpha_restricted, kernel_projector,
+                       flattened_alpha_restricted, kernel_projector,
                        point_geometry, projection_frame, span_projector,
                        tangent_jets)
 from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
@@ -284,7 +284,7 @@ class RuledExtension:
 
     def jacobian(self, x, lam) -> np.ndarray:
         """Exact first partials of F at (x, lam), one row per coordinate."""
-        return eval_jet(self.chart, np.concatenate([x, lam]), 1).tensor(1)
+        return self.chart.eval(np.concatenate([x, lam]), 1).tensor(1)
 
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,

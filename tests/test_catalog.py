@@ -7,9 +7,9 @@ import pytest
 
 from oscflag import subspaces as sub
 from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
-                             make_calibration, make_curve_parallel_subbundle,
+                             make_curve_parallel_subbundle, make_flat,
                              make_holomorphic_curve_surface,
-                             make_section4_example)
+                             make_section4_example, make_sphere)
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.jets import Jet, jet_constant, jet_reciprocal, signature
@@ -34,7 +34,11 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         make_curve_parallel_subbundle(1, 8)
     with pytest.raises(ParameterError):
-        make_calibration("nonsense")
+        make_curve_parallel_subbundle(2, 8)  # N > n + 5
+    with pytest.raises(ParameterError):
+        make_sphere(0)
+    with pytest.raises(ParameterError):
+        make_flat(-1)
 
 
 def test_entry_regeneration_is_bitwise_deterministic():
@@ -170,15 +174,16 @@ def test_section4_frame_is_orthonormal_basis_of_lower_stages():
             assert np.linalg.norm(lower.reject(disp)) < 1e-10
         # the chart is affine in t, so its t_a-partial is the frame vector as
         # a jet in (u, v); the Gram matrix of those jets is constant
-        vjet = entry.chart.eval(np.array([*uv, *np.zeros(verticals)]), order)
-        sig = vjet.components[0].sig
+        derivs = entry.chart.eval(np.array([*uv, *np.zeros(verticals)]),
+                                  order)
+        sig = signature(2 + verticals, order)
         uv_monos = signature(2, order - 1).monomials
         frame = []
         for a in range(verticals):
             t_exp = tuple(int(i == a) for i in range(verticals))
             rows = [sig.index[mono + t_exp] for mono in uv_monos]
-            frame.append([Jet(2, order - 1, vjet.coeffs[rows, c].copy())
-                          for c in range(vjet.ambient_dim)])
+            frame.append([Jet(2, order - 1, derivs.coeffs[rows, c].copy())
+                          for c in range(derivs.ambient_dim)])
         for a in range(verticals):
             for b in range(verticals):
                 gram = sum(fa * fb for fa, fb in zip(frame[a], frame[b]))
@@ -206,13 +211,15 @@ def test_every_entry_produces_consistent_geometry():
                 if stages[i].dim and stages[j].dim:
                     prods = stages[i].basis @ stages[j].basis.T
                     assert np.max(np.abs(prods)) < 1e-8, name
-        if entry.substantial:
+        # the flag fills R^N on these entries
+        if name in ("sphere", "curve-parallel", "holomorphic-curve",
+                    "section4-ruled", "curve-product"):
             total = geom.n + sum(s.dim for s in geom.normal_flag)
             assert total == geom.ambient_dim, name
 
 
 def test_catalog_listing_metadata():
-    for name, (_, schema, summary) in BUILDERS.items():
+    for name, (_, summary) in BUILDERS.items():
         assert summary
         entry = get_entry(name)
         assert entry.description
@@ -224,7 +231,8 @@ def test_holomorphic_surface_conformal():
     entry = get_entry("holomorphic-curve", {"m": 3})
     rng = np.random.default_rng(1)
     geom = point_geometry(entry.chart, entry.sampler(rng), 1)
-    g = geom.metric
+    d1 = geom.derivs.tensor(1)
+    g = d1 @ d1.T
     assert abs(g[0, 0] - g[1, 1]) < 1e-12
     assert abs(g[0, 1]) < 1e-12
 

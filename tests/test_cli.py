@@ -15,9 +15,13 @@ from oscflag.verify import RunConfig, run_verification
 
 def test_list_shows_entries(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "section4-ruled(m=2)" in out
-    assert "curve-parallel(n=3, N=8, seed=11)" in out
+    lines = capsys.readouterr().out.splitlines()
+    # each entry's parameters and defaults, as its maker declares them
+    for line in ("curve-parallel(n=3, N=8, seed=11)",
+                 "curve-product(factors=4, seed=23)", "flat(seed=0)",
+                 "holomorphic-curve(m=2)", "product-torus()",
+                 "section4-ruled(m=2)", "sphere(n=2)"):
+        assert f"  {line}" in lines
 
 
 def test_list_verbose_shows_expectations(capsys):
@@ -91,6 +95,27 @@ def test_curve_parallel_without_complement_exit_two(n, capsys):
     assert f"N={n + 1}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n,big_n", [(2, 8), (3, 9), (4, 10)])
+def test_curve_parallel_flag_short_of_ambient_exit_two(n, big_n, capsys):
+    # the curve's derivatives span at most six directions, so the flag
+    # stops at n + 5 and cannot fill a larger R^N: rejected by name
+    args = ["verify", "curve-parallel", "--param", f"n={n}",
+            "--param", f"N={big_n}", "--samples", "2"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"N={big_n}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+def test_unwritable_report_path_exit_two(target, tmp_path, capsys):
+    # a report path in a missing directory, or a directory itself, is a
+    # usage error named by its path, not a traceback with exit 1
+    path = str(tmp_path / target)
+    assert main(["verify", "sphere", "--samples", "2", "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
 def test_bad_config_exit_two():
     assert main(["verify", "sphere", "--samples", "0"]) == 2
     assert main(["verify", "sphere", "--rank-tol", "2.0"]) == 2
@@ -136,18 +161,17 @@ def test_run_config_round_trip():
 
 def test_findings_drive_exit_code_one(capsys):
     # a deliberately impossible expectation must fail the run, not crash it
-    def bad_builder(params):
-        entry = catalog.get_entry("sphere", params)
+    def bad_builder():
+        entry = catalog.get_entry("sphere")
         return CatalogEntry(
             name="sphere-bad", params=entry.params,
             description="sphere with an impossible declared rank",
             chart=entry.chart, max_normal_order=entry.max_normal_order,
-            substantial=entry.substantial,
             expected=[Expectation("first_normal_rank", {"expected": 99},
                                   "impossible on purpose")],
             sampler=entry.sampler)
 
-    catalog.BUILDERS["sphere-bad"] = (bad_builder, "", "test-only")
+    catalog.BUILDERS["sphere-bad"] = (bad_builder, "test-only")
     try:
         assert main(["verify", "sphere-bad", "--samples", "3"]) == 1
         out = capsys.readouterr().out
@@ -167,12 +191,12 @@ def test_exit_zero_iff_findings_empty():
 def test_degenerate_sampling_exit_three(capsys):
     # an entry whose sampler always lands on rank-unstable points must end
     # with the degeneracy exit code, not a crash or a fake report
-    def bad_builder(params):
+    def bad_builder():
         entry = catalog.get_entry("section4-ruled", {"m": 2})
         entry.sampler = lambda rng: np.array([0.1, 0.2, 1e-7, 1e-7])
         return entry
 
-    catalog.BUILDERS["degenerate-test"] = (bad_builder, "", "test-only")
+    catalog.BUILDERS["degenerate-test"] = (bad_builder, "test-only")
     try:
         assert main(["verify", "degenerate-test", "--samples", "2"]) == 3
         err = capsys.readouterr().err
@@ -184,7 +208,7 @@ def test_degenerate_sampling_exit_three(capsys):
 def test_numerical_failure_during_run_exit_three(capsys):
     # a numerical error raised mid-run is not a usage error: exit 3, with
     # the error class named on stderr
-    def failing_builder(params):
+    def failing_builder():
         entry = catalog.get_entry("sphere", {"n": 2})
 
         def sampler(rng):
@@ -192,7 +216,7 @@ def test_numerical_failure_during_run_exit_three(capsys):
         entry.sampler = sampler
         return entry
 
-    catalog.BUILDERS["rank-failure-test"] = (failing_builder, "", "test-only")
+    catalog.BUILDERS["rank-failure-test"] = (failing_builder, "test-only")
     try:
         assert main(["verify", "rank-failure-test", "--samples", "2"]) == 3
         err = capsys.readouterr().err

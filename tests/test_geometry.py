@@ -153,7 +153,7 @@ def test_one_svd_per_flag_prefix(monkeypatch):
     entry = get_entry("section4-ruled", {"m": 2})
     x = entry.sampler(np.random.default_rng(4))
     order = 3
-    derivs = geometry.eval_jet(entry.chart, x, order + 1)
+    derivs = entry.chart.eval(x, order + 1)
     prefixes = [derivs.tensor(1)]
     for k in range(2, order + 2):
         prefixes.append(np.vstack([prefixes[-1],
@@ -187,21 +187,6 @@ def test_to_frame_matches_einsum():
             got = to_frame(t, coeff)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_higher_forms_live_in_their_stage():
-    entry = get_entry("curve-parallel")
-    rng = np.random.default_rng(5)
-    geom = point_geometry(entry.chart, entry.sampler(rng),
-                          entry.max_normal_order)
-    for ell, form in enumerate(geom.higher_forms, start=3):
-        stage = geom.normal_flag[ell - 2]
-        vals = form.reshape(-1, geom.ambient_dim)
-        resid = vals - stage.project(vals)
-        assert np.max(np.abs(resid)) < 1e-9
-        span = sub.span_of(vals, 1e-8, ambient_dim=geom.ambient_dim)
-        assert span.dim == stage.dim
-        assert np.max(sub.principal_angles(span, stage)) < 1e-8
 
 
 def test_normal_space_decomposition_on_ruled_example():

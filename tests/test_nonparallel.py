@@ -210,8 +210,8 @@ def test_p_parallel_drift_second_order():
 
 
 def synthetic_nd(s, p, n, d_dim, nu):
-    phi = PhiTensor(np.zeros((1, n, max(p, 1))), np.zeros((1, 8)), (0,),
-                    np.zeros((max(p, 1), 8)), "pairing")
+    phi = PhiTensor(np.zeros((1, n, max(p, 1))), np.zeros((1, 8)),
+                    np.zeros((max(p, 1), 8)))
     basis = np.eye(n)
     return NonparallelData(
         phi=phi, S=sub.Subspace(8, np.eye(8)[:s].copy()), s=s,

@@ -11,7 +11,7 @@ from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import LAMBDA_RADIUS
 from oscflag.errors import ParameterError, ShapeError
-from oscflag.geometry import (ImmersionChart, eval_jet, frame_derivative,
+from oscflag.geometry import (ImmersionChart, frame_derivative,
                               point_geometry, projection_frame,
                               relative_nullity, span_projector)
 from oscflag.jets import (first_partials, jet_variable, matrix_product,
@@ -391,7 +391,7 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
     lam = 0.5 * ext.lambda_radius * np.ones(ext.r) / np.sqrt(ext.r)
     point = np.concatenate([pts[0], lam])
     normal = point_geometry(ext.chart, point, 1, 1e-8).normal_space
-    exact = normal.project(eval_jet(ext.chart, point, 2).tensor(2))
+    exact = normal.project(ext.chart.eval(point, 2).tensor(2))
     d_h, d_h2 = (np.linalg.norm(normal.project(
         extension_second_fd(ext, pts[0], lam, h)) - exact)
         for h in (1e-3, 5e-4))
