@@ -51,7 +51,6 @@ class CatalogEntry:
     max_normal_order: int
     expected: list[Expectation]
     sampler: Callable[[np.random.Generator], np.ndarray]
-    ruled: bool = False
     ruling_from: str = "none"  # "D" or "nullity"
     split_exercises: list[SplitExercise] = dc_field(default_factory=list)
     aux: dict = dc_field(default_factory=dict)
@@ -131,7 +130,7 @@ def make_flat(seed: int = 0) -> CatalogEntry:
         description="affine plane, totally geodesic calibration",
         chart=chart, max_normal_order=2, expected=expected,
         sampler=lambda rng: chart.domain.sample(rng, margin=0.05),
-        ruled=True, ruling_from="nullity")
+        ruling_from="nullity")
 
 
 def make_product_torus() -> CatalogEntry:
@@ -187,13 +186,11 @@ class CurveSystem:
     FREQS = (1, 2, 3)
     ORDER = 16
     STEP_TOL = 1e-16
+    WINDOW = (0.0, 1.0)
 
-    def __init__(self, ambient_dim: int, num_fields: int, seed: int,
-                 window: tuple[float, float] = (0.0, 1.0)):
+    def __init__(self, ambient_dim: int, num_fields: int, seed: int):
         self.ambient_dim = ambient_dim
         self.num_fields = num_fields
-        self.seed = seed
-        self.window = window
         for attempt in range(16):
             rng = np.random.default_rng(seed + 1000 * attempt)
             scale = 1.0 / math.sqrt(ambient_dim)
@@ -237,7 +234,7 @@ class CurveSystem:
                 + self.sin_coef @ (scale * np.sin(arg)))
 
     def _generic_enough(self) -> bool:
-        ts = np.linspace(*self.window, 101)
+        ts = np.linspace(*self.WINDOW, 101)
         for t in ts:
             d1 = self.curve_derivative(t, 1)
             d2 = self.curve_derivative(t, 2)
@@ -252,7 +249,7 @@ class CurveSystem:
     # -- parallel transport ------------------------------------------------
 
     def _init_fields(self, rng: np.random.Generator):
-        t0 = self.window[0]
+        t0 = self.WINDOW[0]
         d1 = self.curve_derivative(t0, 1)
         unit = d1 / np.linalg.norm(d1)
         raw = rng.standard_normal((self.num_fields, self.ambient_dim))
@@ -298,7 +295,7 @@ class CurveSystem:
         orders j = ORDER - 1 and ORDER (Jorba & Zou 2005, section 3.2).
         """
         powers = np.arange(self.ORDER + 1)
-        t, t_end = self.window
+        t, t_end = self.WINDOW
         fields = self._fields0
         times, series = [], []
         while True:
@@ -381,8 +378,8 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
     system = CurveSystem(N, n - 1 + witnesses, seed)
 
     s_radius = 0.08
-    lo = [system.window[0] + 0.05] + [-s_radius] * (n - 1)
-    hi = [system.window[1] - 0.05] + [s_radius] * (n - 1)
+    lo = [system.WINDOW[0] + 0.05] + [-s_radius] * (n - 1)
+    hi = [system.WINDOW[1] - 0.05] + [s_radius] * (n - 1)
     chart = ImmersionChart(f"curve-parallel-{n}-{N}", n, N,
                            box(lo, hi), _curve_chart_fn(system, n),
                            max_order=N - 1)
@@ -458,7 +455,7 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
         description="image of a parallel normal subbundle over a curve with "
                     "nonvanishing curvature (rank-one nonparallel case)",
         chart=chart, max_normal_order=max_normal_order, expected=expected,
-        sampler=sampler, ruled=True, ruling_from="nullity",
+        sampler=sampler, ruling_from="nullity",
         split_exercises=exercises, aux={"system": system})
 
 
@@ -656,9 +653,9 @@ def make_section4_example(m: int = 2) -> CatalogEntry:
         description="ruled thickening of a holomorphic curve surface over "
                     "its lower normal stages: sharp ruled case",
         chart=chart, max_normal_order=3, expected=expected, sampler=sampler,
-        ruled=True, ruling_from="D",
+        ruling_from="D",
         split_exercises=exercises,
-        aux={"base_entry": base_entry, "m": m, "t_min": t_min})
+        aux={"base_entry": base_entry, "t_min": t_min})
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +711,7 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
                     "realizes the full-rank nullity case",
         chart=chart, max_normal_order=2, expected=expected,
         sampler=lambda rng: chart.domain.sample(rng, margin=0.01),
-        ruled=True, ruling_from="nullity")
+        ruling_from="nullity")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .jets import signature
 from .nonparallel import (CaseClassification, NonparallelData, PhiTensor,
                           codazzi_residual, phi_difference, phi_frame_fd,
                           s_projector)
-from .ruled_extension import SplittingSpec, build_extension, verify_extension
+from .ruled_extension import (SPLIT_ORDER, SplittingSpec, build_extension,
+                              verify_extension)
 
 # Step h of the frame-difference oracles, which also difference at h/2.  The
 # ratio of their errors at h and h/2 must fall in CONVERGENCE_WINDOW, around
@@ -35,6 +36,20 @@ CONVERGENCE_WINDOW = (3.2, 4.8)
 
 # The translation radius build_extension starts each split exercise from.
 LAMBDA_RADIUS = 0.08
+
+# A split exercise builds and audits its extension at its first PROBES
+# records; the constancy checks along the rulings read the first
+# CONSTANCY_POINTS.
+PROBES = 3
+CONSTANCY_POINTS = 2
+
+# Gates of the checks the run adds itself; ricci_rulings spreads about
+# RICCI_SAMPLES unit rulings over the records.
+D_RULED_TOL = 1e-8
+LEMMA_ANGLE_TOL = 1e-6
+RICCI_SAMPLES = 50
+RICCI_ZERO_TOL = 1e-8
+NULLITY_ANGLE_TOL = 1e-4
 
 
 @dataclass
@@ -179,8 +194,7 @@ def check_nu(ctx: VerifyContext, expected: int) -> CheckResult:
 
 def check_case_label(ctx: VerifyContext, expected: str) -> CheckResult:
     # consequence failures are aggregated by check_trichotomy_consequences
-    labels = sorted({rec.classification.label if rec.classification else
-                     rec.nd.case_label for rec in ctx.records})
+    labels = sorted({rec.classification.label for rec in ctx.records})
     return _equal("case_label", labels, [expected])
 
 
@@ -307,7 +321,7 @@ def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
 
 
 def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
-    m = ctx.entry.aux["m"]
+    m = ctx.entry.params["m"]
 
     def pair(rec):
         base = ctx.base_geometries[rec.index]
@@ -322,7 +336,7 @@ def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
 def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
     """Mixed alpha values over the rulings span the expected slice of the
     first normal space: the intersection with (base tangent + stage m)."""
-    m = ctx.entry.aux["m"]
+    m = ctx.entry.params["m"]
 
     def pair(rec):
         vals = np.einsum("va,abN->vbN", rec.nd.D.basis,
@@ -376,8 +390,6 @@ def check_trichotomy_consequences(ctx: VerifyContext) -> CheckResult:
     failures = []
     names = set()
     for rec in ctx.records:
-        if rec.classification is None:
-            continue
         for c in rec.classification.checks:
             names.add(c.name)
             if not c.passed:
@@ -397,9 +409,10 @@ def check_nu_s_monotone(ctx: VerifyContext) -> CheckResult:
                        details={"tables": [rec.nu_s for rec in ctx.records]})
 
 
-def check_lemma_parallel_i(ctx: VerifyContext, tol: float = 1e-6) -> CheckResult:
+def check_lemma_parallel_i(ctx: VerifyContext) -> CheckResult:
     return _angles("lemma_parallel_i",
-                   ((rec.nd.phi_kernel, rec.nd.D) for rec in ctx.records), tol,
+                   ((rec.nd.phi_kernel, rec.nd.D) for rec in ctx.records),
+                   LEMMA_ANGLE_TOL,
                    "kernel of phi equals kernel of alpha restricted to S")
 
 
@@ -451,7 +464,7 @@ def check_codazzi(ctx: VerifyContext) -> CheckResult:
                   "swapped shape operators of connection derivatives agree")
 
 
-def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
+def check_p_parallel_drift(ctx: VerifyContext) -> CheckResult:
     """P, the sum of S and the complement of the first normal space, is
     constant along D: the largest derivative of Pi_P along a unit D vector.
     Its tangent part vanishes because D is the kernel of alpha restricted to
@@ -462,7 +475,7 @@ def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
     try:
         worst = sub.worst(drift(spec.at(rec.geom, 1).pi_p,
                                 _chart_directions(rec.geom, rec.nd.D))
-                          for rec in ctx.records[:points]
+                          for rec in ctx.records[:CONSTANCY_POINTS]
                           if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim)
     except NumericalRankError as exc:
         return CheckResult("p_parallel_drift", False,
@@ -470,8 +483,7 @@ def check_p_parallel_drift(ctx: VerifyContext, points: int = 2) -> CheckResult:
     return _bound("p_parallel_drift", worst, 1e-8, "P is parallel along D")
 
 
-def check_s_constancy(ctx: VerifyContext, ratio: bool,
-                      points: int = 2) -> CheckResult:
+def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
     """Drift of the S-projector along the ruling space.
 
     The drift is the largest over unit ruling directions.  The exact jet of
@@ -494,7 +506,7 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool,
         return float(np.linalg.norm(
             stacked.reshape(len(directions), -1), 2))
 
-    for rec in ctx.records[:points]:
+    for rec in ctx.records[:CONSTANCY_POINTS]:
         if ctx.ruling_space(rec).dim == 0 or rec.nd.s == 0:
             continue
         directions = _chart_directions(rec.geom, ctx.ruling_space(rec))
@@ -516,13 +528,11 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool,
                        details={"fd_ratios": ratios})
 
 
-def check_ricci_rulings(ctx: VerifyContext, count: int = 50,
-                        zero_tol: float = 1e-8,
-                        angle_tol: float = 1e-4) -> CheckResult:
+def check_ricci_rulings(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng(105)
     ok = True
     rics, angles = [], []
-    per_point = max(1, count // len(ctx.records))
+    per_point = max(1, RICCI_SAMPLES // len(ctx.records))
     for rec in ctx.records:
         ruling = ctx.ruling_space(rec)
         if ruling.dim == 0:
@@ -532,8 +542,8 @@ def check_ricci_rulings(ctx: VerifyContext, count: int = 50,
             xv /= np.linalg.norm(xv)
             ric = ricci(rec.geom, xv)
             rics.append(ric)
-            ok = ok and ric <= zero_tol
-            if abs(ric) < zero_tol:
+            ok = ok and ric <= RICCI_ZERO_TOL
+            if abs(ric) < RICCI_ZERO_TOL:
                 if rec.nd.nullity.dim == 0:
                     ok = False
                     angles.append(np.pi / 2)
@@ -541,23 +551,22 @@ def check_ricci_rulings(ctx: VerifyContext, count: int = 50,
                     line = sub.Subspace(rec.geom.n, xv[None, :])
                     ang = float(sub.principal_angles(line, rec.nd.nullity)[0])
                     angles.append(ang)
-                    ok = ok and ang < angle_tol
+                    ok = ok and ang < NULLITY_ANGLE_TOL
     return CheckResult("ricci_rulings", ok, sub.worst(rics, -np.inf),
-                       zero_tol,
+                       RICCI_ZERO_TOL,
                        description="Ricci non-positive along rulings, zero "
                                    "only inside the relative nullity",
                        details={"worst_near_zero_angle": sub.worst(angles)})
 
 
-def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
-                         tol: float = 1e-8) -> CheckResult:
+def check_d_ruled_leaves(ctx: VerifyContext) -> CheckResult:
     """Direct D-ruledness of the base immersion: the ruling space and the
     nonparallelism span are constant along the ruling directions, each the
     largest derivative of its projector along a unit ruling vector
     (``geometry.drift``).  A ruling distribution constant along its own
     leaves maps each of them into an affine subspace."""
     leaf, s_drift = [], []
-    for rec in ctx.records[:points]:
+    for rec in ctx.records[:CONSTANCY_POINTS]:
         if ctx.ruling_space(rec).dim == 0:
             return CheckResult("d_ruled_leaves", False,
                                details={"reason": "no ruling directions"})
@@ -566,7 +575,8 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
         if rec.nd.s:
             s_drift.append(drift(rec.pi_s, directions))
     worst_leaf, worst_s = sub.worst(leaf), sub.worst(s_drift)
-    return _bound("d_ruled_leaves", sub.worst([worst_leaf, worst_s]), tol,
+    return _bound("d_ruled_leaves", sub.worst([worst_leaf, worst_s]),
+                  D_RULED_TOL,
                   "leaves of D map into affine subspaces and S is constant "
                   "along them", leaf_residual=worst_leaf, s_drift=worst_s)
 
@@ -574,10 +584,11 @@ def check_d_ruled_leaves(ctx: VerifyContext, points: int = 2,
 def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     """Full ruled-extension pipeline for one declared splitting exercise.
 
-    k, r and the lemma angle are read at every sampled point; the extension
-    is built and audited at the first three.  The splitting lemma bounds the
-    angle between Lambda and the tangent space away from zero, so a small
-    angle falsifies the implementation rather than the construction.
+    k, r and the lemma angle are read at every sampled point, split once:
+    at ``SPLIT_ORDER`` at the probe points, where the extension is built and
+    audited, and at order 1 elsewhere.  The splitting lemma bounds the angle
+    between Lambda and the tangent space away from zero, so a small angle
+    falsifies the implementation rather than the construction.
     """
     exercise = ctx.entry.split_exercises[index]
     spec = SplittingSpec(ctx.chart, rule=exercise.rule, tol=ctx.rank_tol)
@@ -591,9 +602,9 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     rform_ok = True
     angles = []
     splits = []
-    for rec in ctx.records:
+    for i, rec in enumerate(ctx.records):
         try:
-            split = spec.at(rec.geom)
+            split = spec.at(rec.geom, SPLIT_ORDER if i < PROBES else 1)
         except NumericalRankError as exc:
             # split_jets raises where d = 0 or dim Gamma leaves the band
             # n - d <= k <= n - d + ell; there is no extension to build
@@ -625,12 +636,12 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     if max(r_seen) and not par_angle_min >= 1e-6:
         failures.append("lambda-meets-tangent")
 
-    ext = build_extension(spec, LAMBDA_RADIUS, splits[:3])
+    ext = build_extension(spec, LAMBDA_RADIUS, splits[:PROBES])
     details["trivial"] = ext.trivial
     details["lambda_radius"] = ext.lambda_radius
 
-    checks = verify_extension(ext, [rec.x for rec in ctx.records[:3]],
-                              tol=1e-5, seed=ctx.seed)
+    checks = verify_extension(ext, [rec.x for rec in ctx.records[:PROBES]],
+                              seed=ctx.seed)
     details["extension_checks"] = {c.name: [c.residual, c.tolerance]
                                    for c in checks}
     failures.extend(c.name for c in checks if not c.passed)

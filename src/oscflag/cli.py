@@ -88,6 +88,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rank_tol=args.rank_tol,
         out=args.out,
     )
+    if args.out and (Path(args.out).is_dir()
+                     or not Path(args.out).parent.is_dir()):
+        # found before the run; the write below can still fail
+        raise UsageError(f"cannot write the report to {args.out}: it is a "
+                         "directory, or its directory does not exist")
     report = run_verification(config)
     if args.out:
         try:

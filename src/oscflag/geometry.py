@@ -176,7 +176,7 @@ def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
     svals, vt = sub.row_svd(rows[0])
     if rank is None:
         rank = sub.numerical_rank(svals, tol)
-    space = sub.Subspace(vt.shape[1], vt[:rank].copy(), tol)
+    space = sub.Subspace(vt.shape[1], vt[:rank].copy())
     f = rows[:, list(_greedy_pivots(rows[0], space.dim, 0.0)[1])]
     f_t = f.swapaxes(-1, -2)
     gram_inv = matrix_inverse(sig, matrix_product(sig, f, f_t))
@@ -265,7 +265,7 @@ class PointGeometry:
     @property
     def first_normal(self) -> sub.Subspace:
         if not self.normal_flag:
-            return sub.trivial(self.ambient_dim, self.tol)
+            return sub.trivial(self.ambient_dim)
         return self.normal_flag[0]
 
     def first_normal_complement(self) -> sub.Subspace:
@@ -323,7 +323,9 @@ def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
         raise NotImmersionError(
             f"chart {chart.name}: Jacobian rank < {n} at {np.asarray(x)}")
     for k in range(2, max_normal_order + 2):
-        stacked = np.vstack([stacked, derivs.partials_of_order(k)[1]])
+        # the partials of order k, contiguous in the graded signature
+        stacked = np.vstack([stacked, derivs.values[
+            signature(n, k - 1).size:signature(n, k).size]])
         svds.append(sub.row_svd(stacked))
 
     dims = [sub.numerical_rank(svals, tol) for svals, _ in svds]
@@ -348,7 +350,7 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     big_n = chart.ambient_dim
     d1 = derivs.tensor(1)
     frame, coeff = _gram_schmidt_rows(d1)
-    tangent = sub.Subspace(big_n, frame, tol)
+    tangent = sub.Subspace(big_n, frame)
     normal_space = sub.kernel_of(frame, tol)
 
     osculating = tangent

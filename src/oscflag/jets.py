@@ -391,13 +391,6 @@ class DerivativeTensor:
                 f"derivative {key} exceeds available order {self.order}")
         return self.values[self._sig.index[key]]
 
-    def partials_of_order(self, degree: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Distinct multi-indices of the given total degree and their values."""
-        sig = self._sig
-        mask = sig.degrees == degree
-        monos = [m for m, d in zip(sig.monomials, sig.degrees) if d == degree]
-        return monos, self.values[mask]
-
     def tensor(self, degree: int) -> np.ndarray:
         """Symmetric derivative tensor of shape (n,)*degree + (N,)."""
         if degree > self.order:

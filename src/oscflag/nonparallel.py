@@ -63,12 +63,6 @@ def phi_difference(a: PhiTensor, b: PhiTensor) -> float:
     return float(np.linalg.norm(a.values - b.values))
 
 
-def complement_frame(geom: PointGeometry):
-    """Deterministic orthonormal frame of the first-normal complement, and
-    its pivots."""
-    return projection_frame(geom.first_normal_complement())
-
-
 def _empty_phi(geom: PointGeometry, mu_frame) -> PhiTensor:
     p = geom.first_normal.dim
     q = mu_frame.shape[0]
@@ -86,7 +80,7 @@ def phi_pairing(geom: PointGeometry) -> PhiTensor:
     """
     n1 = geom.first_normal
     p = n1.dim
-    mu_frame, _ = complement_frame(geom)
+    mu_frame, _ = projection_frame(geom.first_normal_complement())
     q = mu_frame.shape[0]
     if p == 0 or q == 0:
         return _empty_phi(geom, mu_frame)
@@ -128,7 +122,7 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
     if geom is None:
         geom = point_geometry(chart, x, max_normal_order=1, tol=tol)
     n1 = geom.first_normal
-    mu_frame, pivots = complement_frame(geom)
+    mu_frame, pivots = projection_frame(geom.first_normal_complement())
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame)
 
@@ -183,7 +177,6 @@ class NonparallelData:
     nullity: sub.Subspace        # relative nullity, frame coords
     nu: int
     phi_kernel: sub.Subspace     # common kernel of phi(mu, .), frame coords
-    case_label: str
     diagnostics: dict[str, float]
 
 
@@ -198,27 +191,18 @@ def nonparallel_data(geom: PointGeometry) -> NonparallelData:
 
     ambient_vals = phi.ambient_values()
     s_space = sub.span_of(ambient_vals, tol, ambient_dim=big_n) \
-        if ambient_vals.size else sub.trivial(big_n, tol)
+        if ambient_vals.size else sub.trivial(big_n)
     s = s_space.dim
 
     d_space = sub.kernel_of(flattened_alpha_restricted(geom, s_space), tol)
     nullity, nu = relative_nullity(geom, tol)
 
     if phi.is_empty:
-        phi_kernel = sub.full(n, tol)
+        phi_kernel = sub.full(n)
     else:
         q = phi.values.shape[0]
         mat = phi.values.transpose(0, 2, 1).reshape(q * p, n)
         phi_kernel = sub.kernel_of(mat, tol)
-
-    if s == 0:
-        label = "parallel"
-    elif s == p:
-        label = "case-i"
-    elif s == 1:
-        label = "case-ii"
-    else:
-        label = "case-iii"
 
     diagnostics = {
         "s_containment_in_n1": sub.containment_residual(s_space,
@@ -230,7 +214,7 @@ def nonparallel_data(geom: PointGeometry) -> NonparallelData:
     }
     return NonparallelData(phi=phi, S=s_space, s=s, D=d_space, p=p,
                            nullity=nullity, nu=nu, phi_kernel=phi_kernel,
-                           case_label=label, diagnostics=diagnostics)
+                           diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
                    partial_jets, signature)
 from .nonparallel import s_projector
 
+# The gate of every extension audit but the two exact identities.
+EXTENSION_TOL = 1e-5
+
 
 def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
     """L = orthogonal complement of the nonparallelism span S inside the first
@@ -76,7 +79,7 @@ class PointSplit:
 
     def e_ambient(self) -> sub.Subspace:
         return sub.Subspace(self.geom.ambient_dim,
-                            self.E.basis @ self.geom.frame, self.E.tol_used)
+                            self.E.basis @ self.geom.frame)
 
     @property
     def Delta(self) -> sub.Subspace:
@@ -128,7 +131,7 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
     if d == 0:
         raise NumericalRankError(
             "alpha restricted to P has trivial kernel (d = 0)")
-    e_space = sub.complement_within(d_space, sub.full(n, tol))
+    e_space = sub.complement_within(d_space, sub.full(n))
     q_d, pi_d = kernel_projector(lo, pi_p, pi_t, tangent, d, tol)
     pi_e = pi_t[:lo.size] - pi_d
     split = PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
@@ -170,7 +173,8 @@ class SplittingSpec:
     ``signature(n, order)``.  ``at(geom, order)``, for a geometry of
     ``chart`` with its jet to order 3 or more, asks the rule for that order
     and returns P to it, D, E, Gamma and Lambda to one order less; order 0
-    serves readers of D alone, order 1 the values of Gamma and Lambda.
+    serves readers of D alone, order 1 the values of Gamma and Lambda and
+    ``SPLIT_ORDER`` the extension.
     """
 
     def __init__(self, chart: ImmersionChart,
@@ -204,21 +208,20 @@ def _ruled_index(n: int, r: int, order: int) -> tuple[np.ndarray, np.ndarray]:
                      dtype=np.intp).reshape(r, len(lower)))
 
 
-def _lambda_split(spec: SplittingSpec, r: int, splits: dict, x,
-                  order: int) -> PointSplit:
-    """The split at x with Pi_Lambda to at least ``order``, memoised per x
-    (a lower-order split there lends its geometry)."""
+def _lambda_split(spec: SplittingSpec, r: int, splits: dict,
+                  x) -> PointSplit:
+    """The split at x, whose Lambda must have rank r, memoised per x; a point
+    outside the memo (a stencil point of an oracle) gets a fresh geometry
+    and a split at ``SPLIT_ORDER``."""
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
-    hit = splits.get(key)
-    if hit is not None and hit.order > order:
-        return hit
-    geom = hit.geom if hit else point_geometry(spec.chart, x, 2, spec.tol)
-    split = spec.at(geom, order + 1)
+    if key not in splits:
+        splits[key] = spec.at(point_geometry(spec.chart, x, 2, spec.tol),
+                              SPLIT_ORDER)
+    split = splits[key]
     if split.Lambda.dim != r:
         raise NumericalRankError(
             f"rank of Lambda changed from {r} to {split.Lambda.dim} at {x}")
-    splits[key] = split
     return split
 
 
@@ -231,7 +234,7 @@ def _ruled_components(spec: SplittingSpec, pivots: list[int], r: int,
     point = np.array([v.value for v in vars_])
     x, lam = point[:n], point[n:]
     size = signature(n, order).size
-    split = _lambda_split(spec, r, splits, x, order)
+    split = _lambda_split(spec, r, splits, x)
     rows = split.pi_lambda[:size][:, pivots]
     pure, linear = _ruled_index(n, r, order)
     table = np.zeros((signature(n + r, order).size, base.ambient_dim))
@@ -240,15 +243,20 @@ def _ruled_components(spec: SplittingSpec, pivots: list[int], r: int,
     return [Jet(n + r, order, column) for column in table.T]
 
 
+# The order of every split the extension reads: its chart's order-q jet reads
+# Pi_Lambda to order q, one below the split, and its second form needs q = 2.
+SPLIT_ORDER = 3
+
+
 class RuledExtension:
     """The ruled extension F(x, lam) = f(x) + lam . Lambda(x), as a chart.
 
     The Lambda rows are the rows of Pi_Lambda(x) at the pivots picked at the
     base point, not re-orthonormalised, so F is analytic in (x, lam), affine
     in lam, and F(x, 0) = f(x).  ``chart`` is an ``ImmersionChart`` in
-    n + r variables with ``max_order`` 2 (the base chart when r = 0) whose
-    jets come from one memo per x of the split, seeded with ``splits``, and
-    its Pi_Lambda jet.
+    n + r variables with ``max_order`` SPLIT_ORDER - 1 (the base chart when
+    r = 0) whose jets come from one memo per x of the split, seeded with
+    ``splits`` (whose Lambda must have rank r), and its Pi_Lambda jet.
     """
 
     def __init__(self, spec: SplittingSpec, pivots: tuple[int, ...], r: int,
@@ -258,6 +266,8 @@ class RuledExtension:
         self.r = r
         self.lambda_radius = lambda_radius
         self._splits = {split.geom.x.tobytes(): split for split in splits}
+        for split in splits:
+            _lambda_split(spec, r, self._splits, split.geom.x)
         base = spec.chart
         if r == 0:
             self.chart = base
@@ -271,7 +281,7 @@ class RuledExtension:
             box(np.concatenate([base.domain.lo, -unbounded]),
                 np.concatenate([base.domain.hi, unbounded])),
             partial(_ruled_components, spec, self.pivots, r, self._splits),
-            max_order=2)
+            max_order=SPLIT_ORDER - 1)
 
     @property
     def trivial(self) -> bool:
@@ -289,15 +299,17 @@ class RuledExtension:
 
 def build_extension(spec: SplittingSpec, lambda_radius: float,
                     probe_splits: list[PointSplit]) -> RuledExtension:
-    """Assemble the extension from the splits of order 1 or more at the
+    """Assemble the extension from the splits at ``SPLIT_ORDER`` at the
     probe points, and shrink the translation box by bisection (to no less
     than 1e-6) until the Jacobian keeps full rank at every probe point.
 
     With r = 0 the extension is the base immersion itself, returned as the
     trivial extension.
     """
-    if not probe_splits:
-        raise ParameterError("build_extension needs at least one probe point")
+    orders = sorted({split.order for split in probe_splits})
+    if orders != [SPLIT_ORDER]:
+        raise ParameterError(f"probe splits of orders {orders}, the extension "
+                             f"reads order {SPLIT_ORDER}")
     lam = probe_splits[0].Lambda
     if lam.dim == 0:
         return RuledExtension(spec, (), 0, 0.0, probe_splits)
@@ -356,7 +368,7 @@ class ExtensionCheck:
 
 
 def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
-                     tol: float = 1e-5, seed: int = 0) -> list[ExtensionCheck]:
+                     seed: int = 0) -> list[ExtensionCheck]:
     """Numerical audit of the advertised extension properties.
 
     At each sampled base point (with a seeded translation coordinate): the
@@ -382,14 +394,12 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     for x in samples:
         x = np.asarray(x, dtype=float)
         lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
-        # when r > 0 the extension's order-2 jet memoises the split at x,
-        # whose order-1 jets of Pi_D, Pi_Lambda and Pi_P serve the drifts and
-        # q_d the bracket of D fields
+        # the extension's split at x, whose jets of Pi_D, Pi_Lambda and Pi_P
+        # serve the drifts and q_d the bracket of D fields
         geom_ext = point_geometry(ext.chart, np.concatenate([x, lam]), 1,
                                   spec.tol)
-        split = _lambda_split(spec, ext.r, ext._splits, x, 1)
+        split = _lambda_split(spec, ext.r, ext._splits, x)
         geom = split.geom
-        delta = split.Delta
 
         fx = chart_table(geom, 0)[0]
         residuals["roundtrip-zero-section"].append(
@@ -411,7 +421,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                              spec.tol)
         residuals["delta-is-kernel-of-alpha-p"].append(sub.subspace_gap(
             sub.Subspace(geom.ambient_dim, kern.basis @ geom_ext.frame),
-            delta))
+            split.Delta))
 
         # Integrability of D: commutators of D fields stay inside D.
         residuals["d-integrability"].append(_commutator_residual(split))
@@ -419,7 +429,8 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
                                                            along_d))
 
     gates = {"roundtrip-zero-section": 1e-12, "affine-in-translation": 1e-12}
-    return [ExtensionCheck(name, sub.worst(values), gates.get(name, tol))
+    return [ExtensionCheck(name, sub.worst(values),
+                           gates.get(name, EXTENSION_TOL))
             for name, values in residuals.items()]
 
 

@@ -1,8 +1,7 @@
 """Rank-revealing subspace numerics: spans, complements, angles, kernels.
 
-Every subspace is stored as an orthonormal row basis together with the
-relative singular-value threshold that determined its dimension, so every
-rank decision made downstream is auditable.
+Every subspace is stored as an orthonormal row basis; each rank decision
+counts singular values above a relative threshold its caller passes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray  # shape (dim, ambient_dim), orthonormal rows
-    tol_used: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.basis.size and self.basis.shape[1] != self.ambient_dim:
@@ -57,12 +55,12 @@ def worst(values, initial: float = 0.0) -> float:
     return float(np.max(np.fromiter(values, float), initial=initial))
 
 
-def trivial(ambient_dim: int, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    return Subspace(ambient_dim, np.zeros((0, ambient_dim)), tol)
+def trivial(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.zeros((0, ambient_dim)))
 
 
-def full(ambient_dim: int, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim), tol)
+def full(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.eye(ambient_dim))
 
 
 def span_of(vectors, tol: float = DEFAULT_RANK_TOL,
@@ -78,7 +76,7 @@ def span_of(vectors, tol: float = DEFAULT_RANK_TOL,
     if rows.size == 0:
         if ambient_dim is None:
             raise ShapeError("empty input needs an explicit ambient_dim")
-        return trivial(ambient_dim, tol)
+        return trivial(ambient_dim)
     return span_from_svd(row_svd(rows), tol)
 
 
@@ -105,7 +103,7 @@ def numerical_rank(svals: np.ndarray, tol: float) -> int:
 def span_from_svd(svd: tuple[np.ndarray, np.ndarray], tol: float) -> Subspace:
     """The span at relative threshold ``tol`` from a ``row_svd`` result."""
     svals, vt = svd
-    return Subspace(vt.shape[1], vt[:numerical_rank(svals, tol)].copy(), tol)
+    return Subspace(vt.shape[1], vt[:numerical_rank(svals, tol)].copy())
 
 
 def containment_residual(inner: Subspace, outer: Subspace) -> float:
@@ -118,23 +116,22 @@ def containment_residual(inner: Subspace, outer: Subspace) -> float:
     return float(np.max(np.linalg.norm(rejected, axis=1)))
 
 
-def complement_within(inner: Subspace, outer: Subspace,
-                      tol: float = 1e-8) -> Subspace:
+def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
     """Orthogonal complement of ``inner`` inside ``outer``.
 
-    Requires inner to be contained in outer up to the containment tolerance;
-    the result has dimension dim(outer) - dim(inner) by construction.
+    Requires inner to be contained in outer up to a residual of 1e-8; the
+    result has dimension dim(outer) - dim(inner) by construction.
     """
     residual = containment_residual(inner, outer)
-    if residual >= tol:
+    if residual >= 1e-8:
         raise ContainmentError(
             f"subspace not contained (worst residual {residual:.3e})", residual)
     k = outer.dim - inner.dim
     if k == 0:
-        return trivial(outer.ambient_dim, outer.tol_used)
+        return trivial(outer.ambient_dim)
     rejected = outer.basis - inner.project(outer.basis)
     _, svals, vt = np.linalg.svd(rejected, full_matrices=False)
-    return Subspace(outer.ambient_dim, vt[:k].copy(), outer.tol_used)
+    return Subspace(outer.ambient_dim, vt[:k].copy())
 
 
 def direct_sum(a: Subspace, b: Subspace,
@@ -198,14 +195,14 @@ def intersection(a: Subspace, b: Subspace,
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError("intersection across different ambient spaces")
     if min(a.dim, b.dim) == 0:
-        return trivial(a.ambient_dim, a.tol_used)
+        return trivial(a.ambient_dim)
     # sine-accurate angles decide the count; the cosine SVD (ordered by
     # decreasing cosine = increasing angle) supplies the directions
     count = int(np.sum(principal_angles(a, b) < angle_tol))
     if count == 0:
-        return trivial(a.ambient_dim, a.tol_used)
+        return trivial(a.ambient_dim)
     u, _, _ = np.linalg.svd(a.basis @ b.basis.T)
-    return Subspace(a.ambient_dim, u[:, :count].T @ a.basis, a.tol_used)
+    return Subspace(a.ambient_dim, u[:, :count].T @ a.basis)
 
 
 def kernel_of(matrix, tol: float = DEFAULT_RANK_TOL) -> Subspace:
@@ -213,6 +210,6 @@ def kernel_of(matrix, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[1]
     if matrix.shape[0] == 0 or not np.any(matrix):
-        return full(n, tol)
+        return full(n)
     _, svals, vt = np.linalg.svd(matrix)
-    return Subspace(n, vt[numerical_rank(svals, tol):].copy(), tol)
+    return Subspace(n, vt[numerical_rank(svals, tol):].copy())

@@ -63,7 +63,6 @@ class Report:
     verdicts: list[dict]
     findings: list[dict]
     timings: dict
-    schema_version: str = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -71,7 +70,7 @@ class Report:
 
     def to_dict(self, include_timings: bool = True) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "points": self.points,
             "verdicts": self.verdicts,
@@ -146,8 +145,6 @@ def _nu_s_table(rec: chk.PointRecord, config: RunConfig) -> list[int]:
 
 
 def _point_dict(rec: chk.PointRecord) -> dict:
-    label = rec.classification.label if rec.classification \
-        else rec.nd.case_label
     return {
         "index": rec.index,
         "x": [round(float(v), 12) for v in rec.x],
@@ -157,12 +154,12 @@ def _point_dict(rec: chk.PointRecord) -> dict:
         "nu": rec.nd.nu,
         "nu_s_lower_bounds": rec.nu_s,
         "k": rec.k,
-        "case": label,
+        "case": rec.classification.label,
         "residuals": {key: float(val)
                       for key, val in sorted(rec.nd.diagnostics.items())},
         "consequences": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in (rec.classification.checks if rec.classification else ())
+            for c in rec.classification.checks
         ],
     }
 
@@ -172,6 +169,7 @@ def run_verification(config: RunConfig) -> Report:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     entry = get_entry(config.entry, config.params)
+    ruled = entry.ruling_from != "none"
 
     t0 = time.perf_counter()
     records, notes = _sample_points(entry, config)
@@ -190,7 +188,7 @@ def run_verification(config: RunConfig) -> Report:
     # Ruledness first: its verdict feeds the trichotomy sub-label.
     t0 = time.perf_counter()
     d_ruled: bool | None = None
-    if entry.ruled and any(rec.nd.s for rec in records):
+    if ruled and any(rec.nd.s for rec in records):
         result = chk.check_d_ruled_leaves(ctx)
         verdicts.append(result)
         d_ruled = bool(result.passed)
@@ -240,7 +238,7 @@ def run_verification(config: RunConfig) -> Report:
     verdicts.append(chk.check_codazzi(ctx))
     if any(0 < rec.nd.s < rec.nd.p and rec.nd.D.dim for rec in records):
         verdicts.append(chk.check_p_parallel_drift(ctx))
-    if entry.ruled:
+    if ruled:
         verdicts.append(chk.check_ricci_rulings(ctx))
         has_ratio = any(e.check == "s_constancy" for e in entry.expected)
         if not has_ratio and any(rec.nd.s for rec in records):

@@ -10,7 +10,7 @@ def rk4_transport(system, steps: int) -> np.ndarray:
     xi' = -<xi, c''> c' / |c'|^2 from fields_at(t0), with c' and c'' taken
     from the exact ``curve_derivative``; shape (steps + 1, num_fields, N).
     """
-    t0, t1 = system.window
+    t0, t1 = system.WINDOW
     h = (t1 - t0) / steps
     half = t0 + 0.5 * h * np.arange(2 * steps + 1)
     d1 = [system.curve_derivative(t, 1) for t in half]

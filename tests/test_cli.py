@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oscflag import catalog
+from oscflag import catalog, cli
 from oscflag.catalog import CatalogEntry, Expectation
 from oscflag.cli import main
 from oscflag.errors import GammaBandError, NumericalRankError, UsageError
@@ -107,9 +107,15 @@ def test_curve_parallel_flag_short_of_ambient_exit_two(n, big_n, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
-def test_unwritable_report_path_exit_two(target, tmp_path, capsys):
+def test_unwritable_report_path_exit_two(target, tmp_path, capsys,
+                                         monkeypatch):
     # a report path in a missing directory, or a directory itself, is a
-    # usage error named by its path, not a traceback with exit 1
+    # usage error named by its path, not a traceback with exit 1, and it
+    # is found before the run
+    def no_run(config):
+        raise AssertionError("verification ran before the path was checked")
+
+    monkeypatch.setattr(cli, "run_verification", no_run)
     path = str(tmp_path / target)
     assert main(["verify", "sphere", "--samples", "2", "--out", path]) == 2
     err = capsys.readouterr().err

@@ -13,8 +13,8 @@ from oscflag.checks import (LAMBDA_RADIUS, PointRecord, VerifyContext,
 from oscflag.geometry import drift, point_geometry, tangent_jets
 from oscflag.jets import first_partials
 from oscflag.nonparallel import nonparallel_data
-from oscflag.ruled_extension import (SplittingSpec, build_extension,
-                                     verify_extension)
+from oscflag.ruled_extension import (SPLIT_ORDER, SplittingSpec,
+                                     build_extension, verify_extension)
 from oscflag.verify import RunConfig, run_verification
 
 
@@ -127,8 +127,8 @@ def test_nan_residual_fails_leaf_straightness(monkeypatch):
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
     ext = build_extension(spec, LAMBDA_RADIUS,
-                          [spec.at(point_geometry(entry.chart, x, 2))
-                           for x in pts])
+                          [spec.at(point_geometry(entry.chart, x, 2),
+                                   SPLIT_ORDER) for x in pts])
     monkeypatch.setattr(ruled_extension, "drift", nan_drift)
     leaf = {c.name: c for c in verify_extension(ext, pts)}["leaf-straightness"]
     assert not leaf.passed and np.isnan(leaf.residual)

@@ -38,7 +38,7 @@ def test_sphere_phi_empty():
     phi = phi_pairing(geom)
     assert phi.is_empty
     nd = nonparallel_data(geom)
-    assert nd.s == 0 and nd.case_label == "parallel"
+    assert nd.s == 0 and classify_case(nd, geom.n).label == "parallel"
     assert nd.phi_kernel.dim == geom.n
 
 
@@ -60,7 +60,7 @@ def test_curve_phi_rank_one(curve_point):
     entry, x, geom = curve_point
     nd = nonparallel_data(geom)
     assert nd.p == 1 and nd.s == 1
-    assert nd.case_label == "case-i"
+    assert classify_case(nd, geom.n).label == "case-i"
     assert nd.diagnostics["s_containment_in_n1"] < 1e-8
 
 
@@ -217,8 +217,7 @@ def synthetic_nd(s, p, n, d_dim, nu):
         phi=phi, S=sub.Subspace(8, np.eye(8)[:s].copy()), s=s,
         D=sub.Subspace(n, basis[:d_dim].copy()), p=p,
         nullity=sub.Subspace(n, basis[:nu].copy()), nu=nu,
-        phi_kernel=sub.Subspace(n, basis[:d_dim].copy()),
-        case_label="?", diagnostics={})
+        phi_kernel=sub.Subspace(n, basis[:d_dim].copy()), diagnostics={})
 
 
 def rulings_context(alpha):

@@ -10,16 +10,16 @@ from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import LAMBDA_RADIUS
-from oscflag.errors import ParameterError, ShapeError
+from oscflag.errors import NumericalRankError, ParameterError, ShapeError
 from oscflag.geometry import (ImmersionChart, frame_derivative,
                               point_geometry, projection_frame,
                               relative_nullity, span_projector)
 from oscflag.jets import (first_partials, jet_variable, matrix_product,
                           partial_jets, signature)
 from oscflag.nonparallel import nonparallel_data
-from oscflag.ruled_extension import (RuledExtension, SplittingSpec,
-                                     _commutator_residual, build_extension,
-                                     verify_extension)
+from oscflag.ruled_extension import (SPLIT_ORDER, RuledExtension,
+                                     SplittingSpec, _commutator_residual,
+                                     build_extension, verify_extension)
 
 
 def split_at(spec, x, order=1):
@@ -28,7 +28,8 @@ def split_at(spec, x, order=1):
 
 
 def splits_at(spec, points):
-    return [split_at(spec, x) for x in points]
+    """Probe splits, at the order the extension reads."""
+    return [split_at(spec, x, SPLIT_ORDER) for x in points]
 
 
 def torus_rows(geom, partials, order):
@@ -156,7 +157,7 @@ def test_extension_verify_parallel_line(curve_entry):
     ext = build_extension(spec, LAMBDA_RADIUS,
                           splits_at(spec, pts))
     assert ext.r == 1
-    checks = verify_extension(ext, pts[:2], tol=1e-5, seed=0)
+    checks = verify_extension(ext, pts[:2], seed=0)
     failures = {c.name: (c.residual, c.tolerance)
                 for c in checks if not c.passed}
     assert not failures, failures
@@ -178,7 +179,7 @@ def test_extension_needs_chart_order_four():
     pts = [entry.sampler(rng) for _ in range(2)]
     ext = build_extension(spec, LAMBDA_RADIUS,
                           splits_at(spec, pts))
-    checks = verify_extension(ext, pts, tol=1e-5, seed=0)
+    checks = verify_extension(ext, pts, seed=0)
     failures = [c for c in checks if not c.passed]
     assert not failures, failures
     geom = point_geometry(ext.chart, np.append(pts[0], 0.03), 1, 1e-8)
@@ -200,6 +201,32 @@ def test_chart_order_shortfall_fails_the_exercise(monkeypatch):
               if not v["passed"]}
     assert list(failed) == ["split_exercise:default"]
     assert "order 6 requested" in failed["split_exercise:default"]["error"]
+
+
+def test_probe_split_of_another_order_is_rejected(curve_entry):
+    # the extension chart reads Pi_Lambda one order below the split, so an
+    # order-1 probe would hand its second derivatives truncated tables
+    spec = SplittingSpec(curve_entry.chart,
+                         rule=curve_entry.split_exercises[0].rule)
+    rng = np.random.default_rng(5)
+    x, y = (curve_entry.sampler(rng) for _ in range(2))
+    probes = [split_at(spec, x, SPLIT_ORDER), split_at(spec, y, 1)]
+    with pytest.raises(ParameterError,
+                       match=r"probe splits of orders \[1, 3\]"):
+        build_extension(spec, LAMBDA_RADIUS, probes)
+
+
+def test_probes_of_different_lambda_rank_are_rejected(curve_entry):
+    # the parallel line has r = 1 and the rotating line r = 0
+    parallel, rotating = (SplittingSpec(curve_entry.chart, rule=ex.rule)
+                          for ex in curve_entry.split_exercises[:2])
+    rng = np.random.default_rng(5)
+    x, y = (curve_entry.sampler(rng) for _ in range(2))
+    probes = [split_at(parallel, x, SPLIT_ORDER),
+              split_at(rotating, y, SPLIT_ORDER)]
+    with pytest.raises(NumericalRankError,
+                       match="rank of Lambda changed from 1 to 0"):
+        build_extension(parallel, LAMBDA_RADIUS, probes)
 
 
 def test_gamma_rank_band_guard():
@@ -423,24 +450,33 @@ def test_exact_commutator_against_fd_oracle():
 
 
 def test_extension_evaluated_only_at_vetted_points(monkeypatch):
-    # every point at which the extension chart reads a split is a sampled
-    # point, and k and r are read off an order-1 split at every one of them
-    vetted, lambda_points, order_one = [], set(), set()
+    # each exercise splits every sampled point once, at SPLIT_ORDER at the
+    # probe points and at order 1 elsewhere, and its extension chart reads
+    # splits at probe points only
+    expected, seen, current = [], [], []
+    lambda_points = set()
     real_exercise = checks.check_split_exercise
     real_lambda_split = ruled_extension._lambda_split
     real_at = SplittingSpec.at
 
     def exercise(ctx, index):
-        vetted.extend(rec.x.tobytes() for rec in ctx.records)
-        return real_exercise(ctx, index)
+        expected.append([(rec.x.tobytes(),
+                          SPLIT_ORDER if i < checks.PROBES else 1)
+                         for i, rec in enumerate(ctx.records)])
+        seen.append([])
+        current.append(seen[-1])
+        try:
+            return real_exercise(ctx, index)
+        finally:
+            current.pop()
 
-    def lambda_split(spec, r, splits, x, order):
+    def lambda_split(spec, r, splits, x):
         lambda_points.add(np.asarray(x, dtype=float).tobytes())
-        return real_lambda_split(spec, r, splits, x, order)
+        return real_lambda_split(spec, r, splits, x)
 
     def at(self, geom, order=1):
-        if order == 1:
-            order_one.add(geom.x.tobytes())
+        if current:
+            current[-1].append((geom.x.tobytes(), order))
         return real_at(self, geom, order)
 
     monkeypatch.setattr(checks, "check_split_exercise", exercise)
@@ -449,9 +485,10 @@ def test_extension_evaluated_only_at_vetted_points(monkeypatch):
     report = verify.run_verification(verify.RunConfig(
         "curve-parallel", {}, samples=5, seed=7))
     assert report.passed, report.findings
-    assert len(vetted) == 3 * 5  # three exercises, five records each
-    assert lambda_points and lambda_points <= set(vetted)
-    assert set(vetted) <= order_one
+    assert len(expected) == 3  # three exercises
+    assert seen == expected
+    probes = {x for calls in expected for x, _ in calls[:checks.PROBES]}
+    assert lambda_points and lambda_points <= probes
 
 
 def test_section4_m3_run_has_no_findings():

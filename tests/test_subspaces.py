@@ -35,11 +35,6 @@ def test_span_empty_and_nan():
         sub.span_of([[1.0, 0.0]], 2.0)
 
 
-def test_span_records_tolerance():
-    s = sub.span_of([[0.0, 3.0]], 1e-5)
-    assert s.tol_used == 1e-5
-
-
 def test_project_examples():
     e1 = sub.span_of([[1, 0, 0]], 1e-8)
     np.testing.assert_allclose(e1.project([3, 4, 0]), [3, 0, 0])
