@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, JetSignature, jet_constant, jet_cos, jet_reciprocal,
-                   jet_rsqrt, jet_sin, product, series_powers, signature)
+from .jets import (Jet, JetSignature, affine_lift, jet_constant, jet_cos,
+                   jet_reciprocal, jet_rsqrt, jet_sin, product, signature,
+                   variables)
 
 # ---------------------------------------------------------------------------
 # Catalog data structures
@@ -66,15 +67,15 @@ def make_sphere(n: int = 2) -> CatalogEntry:
         raise ParameterError("n must be at least 1")
     lo, hi = 0.6, math.pi - 0.6
 
-    def fn(vars_: list[Jet]) -> list[Jet]:
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
         comps = []
         running = None
-        for theta in vars_:
+        for theta in variables(x, order):
             c, s = jet_cos(theta), jet_sin(theta)
             comps.append(c if running is None else running * c)
             running = s if running is None else running * s
         comps.append(running)
-        return comps
+        return np.column_stack([c.coeffs for c in comps])
 
     chart = ImmersionChart(f"sphere-{n}", n, n + 1,
                            box([lo] * n, [hi] * n), fn, max_order=8)
@@ -110,9 +111,10 @@ def make_flat(seed: int = 0) -> CatalogEntry:
     basis, _ = np.linalg.qr(rng.standard_normal((big_n, 2)))
     shift = rng.standard_normal(big_n)
 
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        return [vars_[0] * basis[j, 0] + vars_[1] * basis[j, 1] + shift[j]
-                for j in range(big_n)]
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
+        u, v = variables(x, order)
+        return np.column_stack([(u * basis[j, 0] + v * basis[j, 1]
+                                 + shift[j]).coeffs for j in range(big_n)])
 
     chart = ImmersionChart("flat-plane", 2, big_n,
                            box([-1.0, -1.0], [1.0, 1.0]), fn, max_order=8)
@@ -138,11 +140,12 @@ def make_product_torus() -> CatalogEntry:
     bundle."""
     consts = (0.3, -0.2)
 
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        u, v = vars_
-        return [jet_cos(u), jet_sin(u), jet_cos(v), jet_sin(v),
-                jet_constant(u.num_vars, u.order, consts[0]),
-                jet_constant(u.num_vars, u.order, consts[1])]
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
+        u, v = variables(x, order)
+        return np.column_stack([c.coeffs for c in (
+            jet_cos(u), jet_sin(u), jet_cos(v), jet_sin(v),
+            jet_constant(2, order, consts[0]),
+            jet_constant(2, order, consts[1]))])
 
     chart = ImmersionChart("flat-torus-r4-in-r6", 2, 6,
                            box([0.3, 0.3], [5.9, 5.9]), fn, max_order=8)
@@ -337,18 +340,14 @@ class CurveSystem:
         return self._transport_series(t0, self.fields_at(t0), order)
 
 
-def _curve_chart_fn(system: CurveSystem, n: int):
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        t_jet = vars_[0]
-        order = t_jet.order
-        powers = series_powers(t_jet)
-        comps = system.curve_taylor(t_jet.value, order) @ powers
-        fields = system.field_taylor(t_jet.value, order) @ powers
-        for i, s_jet in enumerate(vars_[1:n]):
-            for j in range(system.ambient_dim):
-                comps[j] += product(t_jet.sig, s_jet.coeffs, fields[i, j])
-        return [Jet(t_jet.num_vars, order, row) for row in comps]
-    return fn
+def _curve_table(system: CurveSystem, sig: JetSignature, x: np.ndarray,
+                 t_var: int, s_vars: range) -> np.ndarray:
+    """Table in ``sig`` of c(t) + sum_i s_i xi_i(t), xi_i the transported
+    fields, t and the s_i at the positions ``t_var`` and ``s_vars``."""
+    t = float(x[t_var])
+    fields = system.field_taylor(t, sig.order)[:len(s_vars)]
+    return affine_lift(sig, system.curve_taylor(t, sig.order).T,
+                       fields.transpose(0, 2, 1), x[s_vars], (t_var,), s_vars)
 
 
 def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
@@ -380,8 +379,9 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
     s_radius = 0.08
     lo = [system.WINDOW[0] + 0.05] + [-s_radius] * (n - 1)
     hi = [system.WINDOW[1] - 0.05] + [s_radius] * (n - 1)
-    chart = ImmersionChart(f"curve-parallel-{n}-{N}", n, N,
-                           box(lo, hi), _curve_chart_fn(system, n),
+    chart = ImmersionChart(f"curve-parallel-{n}-{N}", n, N, box(lo, hi),
+                           lambda x, order: _curve_table(
+                               system, signature(n, order), x, 0, range(1, n)),
                            max_order=N - 1)
 
     max_normal_order = N - n  # flag exhausts the ambient space
@@ -420,11 +420,10 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
                                   + series[1, :, :j + 1] @ sin3[j::-1]
                                   for j in k], axis=-1)
                 series = np.concatenate([first[None], series[2:]])
-            sig = signature(geom.n, order)
-            table = np.zeros((sig.size,) + series.shape[:2])
-            table[[sig.index[(j,) + (0,) * (geom.n - 1)]
-                   for j in range(order + 1)]] = series.transpose(2, 0, 1)
-            return table
+            # series in t alone: the lift with no ruling variables
+            table = series.transpose(2, 0, 1)
+            return affine_lift(signature(geom.n, order), table,
+                               table[None][:0], (), (0,), ())
         return rule
 
     exercises = []
@@ -463,13 +462,15 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
 # Holomorphic curve surfaces and their ruled thickenings
 
 
-def _z_powers(u: Jet, v: Jet, top: int) -> np.ndarray:
-    """Complex coefficient tables of z^e/e! for e = 0..top, z = u + iv.
+def _z_powers(x: np.ndarray, order: int, top: int) -> np.ndarray:
+    """Complex tables in ``signature(2, order)`` of z^e/e! for e = 0..top,
+    z = u + iv at (u, v) = x[:2].
 
     With z0 the value of z and dz = z - z0,
     z^e/e! = sum_k z0^(e-k)/(e-k)! * dz^k/k!, so one table of dz powers
     serves every exponent.  Shape (top + 1, size).
     """
+    u, v = variables(x[:2], order)
     sig = u.sig
     dz = u.coeffs + 1j * v.coeffs
     z0, dz[0] = dz[0], 0.0
@@ -512,10 +513,12 @@ def _holo_frame_vectors(sig: JetSignature, powers: np.ndarray,
                      for w, norm2 in zip(basis[1:], norms2[1:])])
 
 
-def _real_components(sig: JetSignature, table: np.ndarray) -> list[Jet]:
-    """Real jets Re c_1, Im c_1, Re c_2, ... of complex component tables."""
-    rows = np.stack([table.real, table.imag], axis=1).reshape(-1, sig.size)
-    return [Jet(sig.num_vars, sig.order, row) for row in rows]
+def _real_columns(table: np.ndarray) -> np.ndarray:
+    """Complex component tables ``(..., comps, size)`` as one real table
+    ``(..., size, 2 comps)`` with columns Re c_1, Im c_1, Re c_2, ..."""
+    pairs = np.stack([table.real, table.imag], axis=-1)
+    return pairs.swapaxes(-2, -3).reshape(table.shape[:-2]
+                                          + (table.shape[-1], -1))
 
 
 def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
@@ -530,9 +533,8 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
     comps = m + 3
     big_n = 2 * comps
 
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        u, v = vars_[0], vars_[1]
-        return _real_components(u.sig, _z_powers(u, v, comps)[1:])
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
+        return _real_columns(_z_powers(x, order, comps)[1:])
 
     chart = ImmersionChart(f"holomorphic-curve-{m}", 2, big_n,
                            box([-0.45, -0.45], [0.45, 0.45]), fn,
@@ -582,17 +584,15 @@ def make_section4_example(m: int = 2) -> CatalogEntry:
     big_n = 2 * comps
     verticals = 2 * (m - 1)
 
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        u, v = vars_[0], vars_[1]
-        ts = vars_[2:2 + verticals]
-        sig = u.sig
-        powers = _z_powers(u, v, comps)
-        units = _holo_frame_vectors(sig, powers, m)
-        # translation by sum_a tau_a * unit_a with tau_a = t_re + i t_im
-        taus = np.array([t_re.coeffs + 1j * t_im.coeffs
-                         for t_re, t_im in zip(ts[0::2], ts[1::2])])
-        moved = powers[1:] + product(sig, taus[:, None], units).sum(axis=0)
-        return _real_components(sig, moved)
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
+        # the surface and its frame depend on (u, v) alone; the translation
+        # by sum_a tau_a * unit_a, tau_a = t_re + i t_im, is affine in t
+        powers = _z_powers(x, order, comps)
+        units = _holo_frame_vectors(signature(2, order), powers, m)
+        linear = np.stack([units, 1j * units], axis=1)
+        return affine_lift(signature(n, order), _real_columns(powers[1:]),
+                           _real_columns(linear.reshape(verticals, comps, -1)),
+                           x[2:], (0, 1), range(2, n))
 
     lo = [-0.4, -0.4] + [-SECTION4_RADIUS] * verticals
     hi = [0.4, 0.4] + [SECTION4_RADIUS] * verticals
@@ -677,13 +677,12 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
     n = 2 * factors
     big_n = 4 * factors
 
-    fns = [_curve_chart_fn(sys_i, 2) for sys_i in systems]
-
-    def fn(vars_: list[Jet]) -> list[Jet]:
-        comps: list[Jet] = []
-        for i, factor_fn in enumerate(fns):
-            comps.extend(factor_fn(vars_[2 * i:2 * i + 2]))
-        return comps
+    def fn(x: np.ndarray, order: int) -> np.ndarray:
+        # factor i reads its t and s at the positions 2i and 2i + 1
+        sig = signature(n, order)
+        return np.hstack([_curve_table(sys_i, sig, x, 2 * i,
+                                       range(2 * i + 1, 2 * i + 2))
+                          for i, sys_i in enumerate(systems)])
 
     s_radius = 0.08
     lo = ([0.05, -s_radius] * factors)

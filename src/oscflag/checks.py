@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import subspaces as sub
-from .errors import GammaBandError, NumericalRankError
+from .errors import GammaBandError, LRankError, NumericalRankError
 from .geometry import (PointGeometry, drift, frame_derivative,
                        kernel_projector, point_geometry, projection_frame,
                        relative_nullity, ricci, sectional_curvature,
@@ -299,17 +299,11 @@ def check_flag_coordinate_planes_at_origin(ctx: VerifyContext,
                                            tol: float) -> CheckResult:
     geom = point_geometry(ctx.chart, np.zeros(2), ctx.entry.max_normal_order,
                           ctx.rank_tol)
-    big_n = ctx.chart.ambient_dim
+    coords = np.eye(ctx.chart.ambient_dim)  # stage k: coordinates 2k, 2k + 1
     return _angles("flag_coordinate_planes_at_origin",
-                   ((space, _coordinate_plane(big_n, k)) for k, space
+                   ((space, sub.Subspace(len(coords), coords[2 * k:2 * k + 2]))
+                    for k, space
                     in enumerate([geom.tangent, *geom.normal_flag])), tol)
-
-
-def _coordinate_plane(big_n: int, k: int) -> sub.Subspace:
-    basis = np.zeros((2, big_n))
-    basis[0, 2 * k] = 1.0
-    basis[1, 2 * k + 1] = 1.0
-    return sub.Subspace(big_n, basis)
 
 
 def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
@@ -354,12 +348,16 @@ def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
 def check_rulings_alpha_nonzero(ctx: VerifyContext, tol: float) -> CheckResult:
     """Smallest singular value of v -> alpha(v, .) on D, so that no unit
     ruling, whichever combination of D's basis it is, lies in the relative
-    nullity.  ``np.min`` keeps a NaN, which then fails ``smallest > tol``."""
+    nullity.  ``np.min`` keeps a NaN, which then fails ``smallest > tol``;
+    with no ruling directions at any point nothing is checked, which fails."""
+    if not any(rec.nd.D.dim for rec in ctx.records):
+        return CheckResult("rulings_alpha_nonzero", False,
+                           details={"reason": "no ruling directions"})
     smallest = float(np.min([
         np.linalg.svd(np.einsum("va,abN->vbN", rec.nd.D.basis,
                                 rec.geom.alpha).reshape(rec.nd.D.dim, -1),
                       compute_uv=False)[-1]
-        for rec in ctx.records if rec.nd.D.dim], initial=np.inf))
+        for rec in ctx.records if rec.nd.D.dim]))
     return CheckResult("rulings_alpha_nonzero", bool(smallest > tol),
                        float(smallest), float(tol),
                        description="rulings not in relative nullity")
@@ -606,13 +604,13 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
         try:
             split = spec.at(rec.geom, SPLIT_ORDER if i < PROBES else 1)
         except NumericalRankError as exc:
-            # split_jets raises where d = 0 or dim Gamma leaves the band
-            # n - d <= k <= n - d + ell; there is no extension to build
-            band = isinstance(exc, GammaBandError)
-            details.update(error=str(exc), band_holds=not band)
+            # split_jets raises where rank L leaves 0 < ell < N - n, d = 0
+            # or dim Gamma leaves n - d <= k <= n - d + ell: no extension
+            failure = ("gamma-band" if isinstance(exc, GammaBandError) else
+                       "l-rank" if isinstance(exc, LRankError) else "d-zero")
+            details.update(error=str(exc), band_holds=failure != "gamma-band")
             return CheckResult(name, False, description=description,
-                               details={**details, "failures": [
-                                   "gamma-band" if band else "d-zero"]})
+                               details={**details, "failures": [failure]})
         splits.append(split)
         k, r = split.Gamma.dim, split.Lambda.dim
         k_seen.add(k)

@@ -65,6 +65,10 @@ class NumericalRankError(OscflagError):
     """A computed rank violates a dimension bound beyond tolerance."""
 
 
+class LRankError(NumericalRankError):
+    """L is not a normal subbundle with 0 < rank L < N - n at a point."""
+
+
 class GammaBandError(NumericalRankError):
     """dim Gamma leaves the band n - d <= k <= n - d + ell."""
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import (CapabilityError, DataError, DomainError, FrameError,
-                     NotImmersionError, ParameterError, RegularityError)
-from .jets import (DerivativeTensor, Jet, JetSignature, first_partials,
-                   matrix_inverse, matrix_product, partial_jets, signature,
-                   variables)
+                     NotImmersionError, ParameterError, RegularityError,
+                     ShapeError)
+from .jets import (DerivativeTensor, JetSignature, first_partials,
+                   matrix_inverse, matrix_product, partial_jets, signature)
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,14 @@ def box(lo, hi) -> Box:
 
 
 class ImmersionChart:
-    """An analytic chart map evaluated through jet arithmetic.
-
-    ``fn`` receives one variable jet per chart coordinate and must return the
-    list of ambient component jets; it is composed of jet primitives only, so
-    every evaluation yields exact partial derivatives up to ``max_order``.
-    """
+    """An analytic chart map given by its Taylor coefficients: ``fn(x,
+    order)`` returns its ``(signature(n, order).size, N)`` table at x, one
+    column per ambient component, built by jet arithmetic on
+    ``jets.variables`` or by ``jets.affine_lift``, so every evaluation
+    yields exact partial derivatives up to ``max_order``."""
 
     def __init__(self, name: str, intrinsic_dim: int, ambient_dim: int,
-                 domain: Box, fn: Callable[[list[Jet]], list[Jet]],
+                 domain: Box, fn: Callable[[np.ndarray, int], np.ndarray],
                  max_order: int):
         self.name = name
         self.intrinsic_dim = intrinsic_dim
@@ -75,19 +74,23 @@ class ImmersionChart:
                 f"order {order} requested")
         if not self.domain.contains(x):
             raise DomainError(f"chart {self.name}: point {x} outside domain")
-        comps = self.fn(variables(x, order))
-        if len(comps) != self.ambient_dim:
-            raise DataError(f"chart {self.name} returned wrong ambient dim")
-        for c in comps[1:]:
-            comps[0]._check_same(c)
-        return DerivativeTensor(np.column_stack([c.coeffs for c in comps]),
-                                comps[0].sig)
+        sig, table = signature(self.intrinsic_dim, order), self.fn(x, order)
+        if table.shape != (sig.size, self.ambient_dim):
+            raise ShapeError(f"chart {self.name}: table {table.shape}, not "
+                             f"({sig.size}, {self.ambient_dim})")
+        return DerivativeTensor(table, sig)
 
     def position(self, x) -> np.ndarray:
         return self.eval(x, 0).coeffs[0]
 
 
-def _gram_schmidt_rows(rows: np.ndarray, rel_tol: float = 1e-10):
+# Working floors of _gram_schmidt_rows (a share of the largest row) and of a
+# reused pivot of projection_frame; a greedy pick keeps at least 1/sqrt(N).
+GRAM_SCHMIDT_REL_TOL = 1e-10
+MIN_PIVOT_RESIDUAL = 0.1
+
+
+def _gram_schmidt_rows(rows: np.ndarray):
     """Orthonormalize rows in index order; returns (Q, C) with Q = C @ rows."""
     m, _ = rows.shape
     scale = float(np.max(np.linalg.norm(rows, axis=1)))
@@ -102,7 +105,7 @@ def _gram_schmidt_rows(rows: np.ndarray, rel_tol: float = 1e-10):
             v -= r * q[j]
             c -= r * coeff[j]
         nrm = float(np.linalg.norm(v))
-        if nrm <= rel_tol * scale:
+        if nrm <= GRAM_SCHMIDT_REL_TOL * scale:
             raise NotImmersionError(
                 f"row {i} numerically dependent during orthonormalization")
         q[i] = v / nrm
@@ -111,8 +114,7 @@ def _gram_schmidt_rows(rows: np.ndarray, rel_tol: float = 1e-10):
 
 
 def projection_frame(space: sub.Subspace,
-                     pivots: tuple[int, ...] | None = None,
-                     min_residual: float = 0.1):
+                     pivots: tuple[int, ...] | None = None):
     """Orthonormal frame of a subspace by pivoted projection of e_1..e_N.
 
     Projects the standard basis vectors onto the subspace and orthonormalizes.
@@ -131,31 +133,28 @@ def projection_frame(space: sub.Subspace,
     if k == 0:
         return frame, ()
     if pivots is None:
-        return _greedy_pivots(projected, k, min_residual)
+        return _greedy_pivots(projected, k)
     for i, pick in enumerate(pivots):
         v = projected[pick].copy()
         for j in range(i):
             v -= (v @ frame[j]) * frame[j]
         nrm = float(np.linalg.norm(v))
-        if nrm < min_residual:
+        if nrm < MIN_PIVOT_RESIDUAL:
             raise FrameError(
                 f"pivot {pick} lost rank across stencil (residual {nrm:.3e})")
         frame[i] = v / nrm
     return frame, tuple(pivots)
 
 
-def _greedy_pivots(rows: np.ndarray, count: int, min_residual: float):
+def _greedy_pivots(rows: np.ndarray, count: int):
     """Orthonormal frame of ``count`` rows picked greedily by largest
-    residual, and the picks; a residual below ``min_residual`` raises."""
+    residual, and the picks."""
     work = rows.copy()
     frame = np.zeros((count, rows.shape[1]))
     chosen: list[int] = []
     for i in range(count):
         norms = np.linalg.norm(work, axis=1)
         pick = int(np.argmax(norms))
-        if norms[pick] < min_residual:
-            raise FrameError(
-                f"rows degenerate at pivot {i} (residual {norms[pick]:.3e})")
         frame[i] = work[pick] / norms[pick]
         work -= np.outer(work @ frame[i], frame[i])
         chosen.append(pick)
@@ -177,7 +176,7 @@ def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
     if rank is None:
         rank = sub.numerical_rank(svals, tol)
     space = sub.Subspace(vt.shape[1], vt[:rank].copy())
-    f = rows[:, list(_greedy_pivots(rows[0], space.dim, 0.0)[1])]
+    f = rows[:, list(_greedy_pivots(rows[0], space.dim)[1])]
     f_t = f.swapaxes(-1, -2)
     gram_inv = matrix_inverse(sig, matrix_product(sig, f, f_t))
     return space, matrix_product(sig, f_t, matrix_product(sig, gram_inv, f))
@@ -403,12 +402,11 @@ def flattened_alpha_restricted(geom: PointGeometry,
     return restricted.transpose(1, 2, 0).reshape(-1, geom.n)
 
 
-def relative_nullity(geom: PointGeometry,
-                     tol: float | None = None) -> tuple[sub.Subspace, int]:
-    """Common kernel of all shape operators, in tangent-frame coordinates."""
-    tol = geom.tol if tol is None else tol
+def relative_nullity(geom: PointGeometry) -> tuple[sub.Subspace, int]:
+    """Common kernel of all shape operators, in tangent-frame coordinates,
+    at the geometry's tolerance."""
     mat = geom.alpha.transpose(1, 2, 0).reshape(-1, geom.n)
-    kernel = sub.kernel_of(mat, tol)
+    kernel = sub.kernel_of(mat, geom.tol)
     return kernel, kernel.dim
 
 
@@ -427,7 +425,6 @@ def _plane_kernels(a_n1: np.ndarray, planes: np.ndarray,
 
 def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,
               seed: int | np.random.Generator = 0,
-              tol: float | None = None,
               hints: list[sub.Subspace] | None = None) -> int:
     """Certified lower bound for the s-nullity.
 
@@ -438,14 +435,14 @@ def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,
     one batched SVD, and each refinement round runs on the candidates that
     still improve.  Any plane found witnesses its kernel dimension, so the
     result is a lower bound; for s equal to the first normal rank it is the
-    relative nullity exactly.
+    relative nullity exactly.  Ranks are read at the geometry's tolerance.
     """
-    tol = geom.tol if tol is None else tol
+    tol = geom.tol
     p = geom.first_normal.dim
     if not 1 <= s <= p:
         raise ParameterError(f"s={s} outside 1..{p}")
     if s == p:
-        return relative_nullity(geom, tol)[1]
+        return relative_nullity(geom)[1]
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     n1 = geom.first_normal

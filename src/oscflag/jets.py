@@ -204,6 +204,40 @@ def variables(x, order: int) -> list[Jet]:
     return [jet_variable(n, order, i, x[i]) for i in range(n)]
 
 
+def affine_lift(sig: JetSignature, base: np.ndarray, linear: np.ndarray, t,
+                base_vars, ruling_vars) -> np.ndarray:
+    """Table in ``sig`` of F = g + sum_j t_j xi_j.  ``base`` ``(size, ...)``
+    and ``linear`` ``(r, size, ...)`` are the tables of g and of the xi_j in
+    the variables at the positions ``base_vars`` alone, in
+    ``signature(len(base_vars), sig.order)``; t_j is the variable at
+    ``ruling_vars[j]``, of value ``t[j]`` at the point."""
+    pure, lin = _lift_rows(sig.num_vars, sig.order, tuple(base_vars),
+                           tuple(ruling_vars))
+    out = np.zeros((sig.size,) + base.shape[1:])
+    out[pure] = base
+    for t_j, xi_j in zip(t, linear):
+        out[pure] += t_j * xi_j
+    out[lin] = linear[:, :lin.shape[1]]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lift_rows(num_vars: int, order: int, base_vars: tuple[int, ...],
+               ruling_vars: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``signature(num_vars, order)`` holding x^a, one per monomial
+    a of the base signature, and x^a t_j, ``(r, #a)`` with deg a < order."""
+    index, small = (signature(num_vars, order).index,
+                    signature(len(base_vars), order))
+    exponents = np.zeros((len(ruling_vars) + 1, small.size, num_vars), int)
+    exponents[:, :, list(base_vars)] = small.monomials
+    exponents[range(1, len(ruling_vars) + 1), :, list(ruling_vars)] = 1
+    rows = np.array([[index.get(tuple(e), -1) for e in block]
+                     for block in exponents], dtype=np.intp)
+    pure, lin = rows[0], rows[1:, small.degrees < order]
+    pure.flags.writeable = lin.flags.writeable = False
+    return pure, lin
+
+
 def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient table of the truncated product of two tables of ``sig``.
 
@@ -230,26 +264,21 @@ def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (sig.size,))
 
 
-def series_powers(a: Jet) -> np.ndarray:
-    """The (order+1, size) table of (a - a0)^j for j = 0..order."""
-    sig = a.sig
-    out = np.zeros((a.order + 1, sig.size))
-    out[0, 0] = 1.0
-    if a.order >= 1:
-        out[1] = a.coeffs
-        out[1, 0] = 0.0
-    for j in range(2, a.order + 1):
-        out[j] = product(sig, out[1], out[j - 1])
-    return out
-
-
 def compose_series(a: Jet, outer_coeffs: np.ndarray) -> Jet:
     """Evaluate sum_j outer_coeffs[j] * (a - a0)^j over the power table.
 
     With outer_coeffs the Taylor coefficients of g at a's value, this is the
     jet of the composition g(a); every analytic primitive routes through it.
     """
-    return _jet(a.sig, outer_coeffs @ series_powers(a))
+    sig = a.sig
+    powers = np.zeros((a.order + 1, sig.size))
+    powers[0, 0] = 1.0
+    if a.order >= 1:
+        powers[1] = a.coeffs
+        powers[1, 0] = 0.0
+    for j in range(2, a.order + 1):
+        powers[j] = product(sig, powers[1], powers[j - 1])
+    return _jet(sig, outer_coeffs @ powers)
 
 
 def jet_sin(a: Jet) -> Jet:

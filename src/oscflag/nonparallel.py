@@ -195,7 +195,7 @@ def nonparallel_data(geom: PointGeometry) -> NonparallelData:
     s = s_space.dim
 
     d_space = sub.kernel_of(flattened_alpha_restricted(geom, s_space), tol)
-    nullity, nu = relative_nullity(geom, tol)
+    nullity, nu = relative_nullity(geom)
 
     if phi.is_empty:
         phi_kernel = sub.full(n)

@@ -11,21 +11,21 @@ the rulings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import subspaces as sub
-from .errors import (DegenerateExtensionError, GammaBandError,
+from .errors import (DegenerateExtensionError, GammaBandError, LRankError,
                      NumericalRankError, ParameterError, ShapeError)
 from .geometry import (ImmersionChart, PointGeometry, box, chart_table, drift,
                        flattened_alpha_restricted, kernel_projector,
                        point_geometry, projection_frame, span_projector,
                        tangent_jets)
-from .jets import (Jet, first_partials, matrix_inverse, matrix_product,
-                   partial_jets, signature)
+from .jets import (affine_lift, first_partials, matrix_inverse,
+                   matrix_product, partial_jets, signature)
 from .nonparallel import s_projector
 
 # The gate of every extension audit but the two exact identities.
@@ -117,11 +117,11 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
     tangent, pi_t = tangent_jets(geom, top)
     l_space, pi_l = span_projector(sig, l_rows, tol)
     if not 0 < l_space.dim < big_n - n:
-        raise ParameterError(
+        raise LRankError(
             f"splitting needs 0 < rank L < {big_n - n}, got {l_space.dim}")
     residual = sub.containment_residual(l_space, geom.normal_space)
     if residual > 1e-8:
-        raise ParameterError(
+        raise LRankError(
             f"L is not a normal subspace (residual {residual:.3e})")
     p_space = sub.complement_within(l_space, geom.normal_space)
     pi_p = -pi_t[:sig.size] - pi_l
@@ -194,20 +194,6 @@ class SplittingSpec:
         return split_jets(geom, rows, order, self.tol)
 
 
-@lru_cache(maxsize=None)
-def _ruled_index(n: int, r: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``signature(n + r, order)`` holding the monomials x^a (one per
-    monomial of ``signature(n, order)``) and x^a lam_j (``(r, #a)`` with
-    deg a < order)."""
-    index = signature(n + r, order).index
-    lower = signature(n, order - 1).monomials if order else []
-    return (np.array([index[m + (0,) * r]
-                      for m in signature(n, order).monomials]),
-            np.array([[index[m + tuple(int(i == j) for i in range(r))]
-                       for m in lower] for j in range(r)],
-                     dtype=np.intp).reshape(r, len(lower)))
-
-
 def _lambda_split(spec: SplittingSpec, r: int, splits: dict,
                   x) -> PointSplit:
     """The split at x, whose Lambda must have rank r, memoised per x; a point
@@ -225,22 +211,16 @@ def _lambda_split(spec: SplittingSpec, r: int, splits: dict,
     return split
 
 
-def _ruled_components(spec: SplittingSpec, pivots: list[int], r: int,
-                      splits: dict, vars_: list[Jet]) -> list[Jet]:
-    """Components of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] as jets
-    at the point of ``vars_``."""
-    base = spec.chart
-    n, order = base.intrinsic_dim, vars_[0].order
-    point = np.array([v.value for v in vars_])
-    x, lam = point[:n], point[n:]
-    size = signature(n, order).size
-    split = _lambda_split(spec, r, splits, x)
-    rows = split.pi_lambda[:size][:, pivots]
-    pure, linear = _ruled_index(n, r, order)
-    table = np.zeros((signature(n + r, order).size, base.ambient_dim))
-    table[pure] = chart_table(split.geom, order) + lam @ rows
-    table[linear] = rows[:linear.shape[1]].swapaxes(0, 1)
-    return [Jet(n + r, order, column) for column in table.T]
+def _ruled_table(spec: SplittingSpec, pivots: list[int], r: int,
+                 splits: dict, point: np.ndarray, order: int) -> np.ndarray:
+    """Table of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] at the point
+    (x, lam)."""
+    n = spec.chart.intrinsic_dim
+    split = _lambda_split(spec, r, splits, point[:n])
+    rows = split.pi_lambda[:signature(n, order).size][:, pivots]
+    return affine_lift(signature(n + r, order), chart_table(split.geom, order),
+                       rows.swapaxes(0, 1), point[n:], range(n),
+                       range(n, n + r))
 
 
 # The order of every split the extension reads: its chart's order-q jet reads
@@ -255,8 +235,8 @@ class RuledExtension:
     base point, not re-orthonormalised, so F is analytic in (x, lam), affine
     in lam, and F(x, 0) = f(x).  ``chart`` is an ``ImmersionChart`` in
     n + r variables with ``max_order`` SPLIT_ORDER - 1 (the base chart when
-    r = 0) whose jets come from one memo per x of the split, seeded with
-    ``splits`` (whose Lambda must have rank r), and its Pi_Lambda jet.
+    r = 0) whose tables ``jets.affine_lift`` builds from one memo per x of
+    the split, seeded with ``splits`` (whose Lambda must have rank r).
     """
 
     def __init__(self, spec: SplittingSpec, pivots: tuple[int, ...], r: int,
@@ -280,7 +260,7 @@ class RuledExtension:
             f"{base.name}+ruled", base.intrinsic_dim + r, base.ambient_dim,
             box(np.concatenate([base.domain.lo, -unbounded]),
                 np.concatenate([base.domain.hi, unbounded])),
-            partial(_ruled_components, spec, self.pivots, r, self._splits),
+            partial(_ruled_table, spec, self.pivots, r, self._splits),
             max_order=SPLIT_ORDER - 1)
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,14 +46,7 @@ class RunConfig:
             raise UsageError("rank tolerance must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "entry": self.entry,
-            "params": dict(sorted(self.params.items())),
-            "samples": self.samples,
-            "seed": self.seed,
-            "rank_tol": self.rank_tol,
-            "out": self.out,
-        }
+        return {**asdict(self), "params": dict(sorted(self.params.items()))}
 
 
 @dataclass
@@ -136,7 +129,7 @@ def _nu_s_table(rec: chk.PointRecord, config: RunConfig) -> list[int]:
         table.append(s_nullity(rec.geom, s, restarts=16,
                                seed=np.random.default_rng(
                                    [config.seed, 7000 + rec.index, s]),
-                               tol=config.rank_tol, hints=hints))
+                               hints=hints))
     # each witness plane for s+1 contains an s-plane with at least the same
     # kernel, so cascading keeps every entry a certified lower bound
     for i in range(p - 2, -1, -1):

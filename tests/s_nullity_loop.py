@@ -22,15 +22,14 @@ def _nullity_for(a_n1: np.ndarray, u_rows: np.ndarray, tol: float) -> int:
 
 def s_nullity_loop(geom, s: int, restarts: int = 32,
                    seed: int | np.random.Generator = 0,
-                   tol: float | None = None,
                    hints: list[sub.Subspace] | None = None) -> int:
     """Certified lower bound for the s-nullity, one candidate at a time."""
-    tol = geom.tol if tol is None else tol
+    tol = geom.tol
     p = geom.first_normal.dim
     if not 1 <= s <= p:
         raise ParameterError(f"s={s} outside 1..{p}")
     if s == p:
-        return relative_nullity(geom, tol)[1]
+        return relative_nullity(geom)[1]
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     n1 = geom.first_normal

@@ -8,7 +8,8 @@ import pytest
 from oscflag import catalog, cli
 from oscflag.catalog import CatalogEntry, Expectation
 from oscflag.cli import main
-from oscflag.errors import GammaBandError, NumericalRankError, UsageError
+from oscflag.errors import (GammaBandError, LRankError, NumericalRankError,
+                            UsageError)
 from oscflag.ruled_extension import SplittingSpec
 from oscflag.verify import RunConfig, run_verification
 
@@ -245,12 +246,13 @@ def test_ruling_checks_stay_at_the_sampled_points(argv, capsys):
 @pytest.mark.parametrize("error,failure", [
     (GammaBandError("dim Gamma = 9 outside the band [1, 2]"), "gamma-band"),
     (NumericalRankError("alpha restricted to P has trivial kernel (d = 0)"),
-     "d-zero")])
+     "d-zero"),
+    (LRankError("splitting needs 0 < rank L < 5, got 5"), "l-rank")])
 def test_split_rank_violation_is_a_finding(error, failure, monkeypatch,
                                            tmp_path, capsys):
-    # split_jets raises when d = 0 or dim Gamma leaves its band; at a
-    # sampled point that is the exercise's failure of that name, not a
-    # degeneracy exit
+    # split_jets raises when rank L leaves its range, d = 0 or dim Gamma
+    # leaves its band; at a sampled point that is the exercise's failure of
+    # that name, not a degeneracy exit
     real_at = SplittingSpec.at
     calls = []
 

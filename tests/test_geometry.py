@@ -12,7 +12,7 @@ from oscflag.geometry import (ImmersionChart, audited_jet, box,
                               frame_derivative, point_geometry,
                               projection_frame, relative_nullity, ricci,
                               s_nullity, sectional_curvature, to_frame)
-from oscflag.jets import jet_constant, jet_cos, jet_sin, signature
+from oscflag.jets import jet_constant, jet_cos, jet_sin, signature, variables
 from oscflag.verify import RunConfig, _sample_points
 from s_nullity_loop import s_nullity_loop
 
@@ -70,8 +70,10 @@ def test_flat_chart_trivial_forms():
 
 
 def test_cylinder_nullity_is_ruling():
-    def fn(v):
-        return [jet_cos(v[0]), jet_sin(v[0]), v[1]]
+    def fn(x, order):
+        u, v = variables(x, order)
+        return np.column_stack([jet_cos(u).coeffs, jet_sin(u).coeffs,
+                                v.coeffs])
 
     chart = ImmersionChart("cylinder", 2, 3, box([-3, -3], [3, 3]), fn, 6)
     geom = point_geometry(chart, [0.4, 0.1], 1)
@@ -82,8 +84,10 @@ def test_cylinder_nullity_is_ruling():
 
 
 def _degenerate_chart() -> ImmersionChart:
-    def fn(v):
-        return [v[0], v[0] * 1.0, jet_constant(v[0].num_vars, v[0].order, 0.0)]
+    def fn(x, order):
+        u, _ = variables(x, order)
+        return np.column_stack([u.coeffs, (u * 1.0).coeffs,
+                                jet_constant(2, order, 0.0).coeffs])
 
     return ImmersionChart("degenerate", 2, 3, box([-1, -1], [1, 1]), fn, 4)
 
@@ -91,9 +95,10 @@ def _degenerate_chart() -> ImmersionChart:
 def _ambiguous_chart() -> ImmersionChart:
     # (u, v, u^2, eps v^2): the second-order prefix has a singular value of
     # about 2 eps against O(1), which the band (tol/10, tol*10) straddles
-    def fn(v):
-        u, w = v
-        return [u, w, u * u, w * w * 1e-8]
+    def fn(x, order):
+        u, w = variables(x, order)
+        return np.column_stack([u.coeffs, w.coeffs, (u * u).coeffs,
+                                (w * w * 1e-8).coeffs])
 
     return ImmersionChart("ambiguous", 2, 4, box([-1, -1], [1, 1]), fn, 4)
 
@@ -260,7 +265,7 @@ def test_batched_s_nullity_matches_loop_oracle(config):
         hints = [rec.nd.S] if rec.nd.s else []
         for s in range(1, rec.nd.p + 1):
             _checked_s_nullity(rec.geom, s, [config.seed, 7000 + rec.index, s],
-                               restarts=16, tol=config.rank_tol, hints=hints)
+                               restarts=16, hints=hints)
 
 
 def test_ricci_normalizes_with_warning(sphere_geom):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from oscflag.errors import CapabilityError, DomainError, ShapeError, \
     SingularityError
 from oscflag.geometry import ImmersionChart, box
-from oscflag.jets import (DerivativeTensor, Jet, compose_series, jet_constant,
-                          jet_cos, jet_reciprocal, jet_sin, jet_sqrt,
-                          jet_variable, product, signature, variables)
+from oscflag.jets import (DerivativeTensor, Jet, affine_lift, compose_series,
+                          jet_constant, jet_cos, jet_reciprocal, jet_sin,
+                          jet_sqrt, jet_variable, product, signature,
+                          variables)
 from jet_oracles import jet_exp, substitute_affine
 from picard import antiderivative
 
@@ -200,13 +201,54 @@ def test_lift_places_variables():
     np.testing.assert_allclose(direct.coeffs, want, atol=1e-16)
 
 
+def columns(jets):
+    """The coefficient tables of component jets, one column each."""
+    return np.column_stack([j.coeffs for j in jets])
+
+
+def lift_parts(u, r):
+    """Components of g and of xi_1..xi_r, jets of the base variables u."""
+    w = u[0] * u[-1] + 0.2
+    g = [jet_sin(u[0]) + w, jet_cos(w) * 0.5, jet_reciprocal(w + 1.0)]
+    xi = [[jet_sin(w * (j + 1.0)), u[-1] * (j + 2.0), jet_sqrt(w * w + 1.0)]
+          for j in range(r)]
+    return g, xi
+
+
+@pytest.mark.parametrize("num_vars,base_vars,ruling_vars,order", [
+    (4, (0, 1), (2, 3), 4),   # contiguous: the extension and section4 layout
+    (6, (2,), (3,), 5),       # interleaved: factor 1 of curve-product
+    (4, (0, 1), (2, 3), 0),
+])
+def test_affine_lift_matches_jet_arithmetic(num_vars, base_vars,
+                                            ruling_vars, order):
+    # the same F = g + sum_j t_j xi_j built by jet operations over the full
+    # signature, the ruling variables multiplying their fields
+    x = np.linspace(0.1, 0.6, num_vars)
+    full = variables(x, order)
+    g, xi = lift_parts([full[i] for i in base_vars], len(ruling_vars))
+    want = columns([gk + sum((full[v] * xj[k]
+                              for v, xj in zip(ruling_vars, xi)), 0.0)
+                    for k, gk in enumerate(g)])
+    g_b, xi_b = lift_parts(variables(x[list(base_vars)], order),
+                           len(ruling_vars))
+    got = affine_lift(signature(num_vars, order), columns(g_b),
+                      np.array([columns(xj) for xj in xi_b]),
+                      x[list(ruling_vars)], base_vars, ruling_vars)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # Charts and their evaluation
 
 
 def circle_chart():
-    return ImmersionChart("circle", 1, 2, box([-4.0], [4.0]),
-                          lambda v: [jet_cos(v[0]), jet_sin(v[0])], 8)
+    def fn(x, order):
+        (t,) = variables(x, order)
+        return columns([jet_cos(t), jet_sin(t)])
+
+    return ImmersionChart("circle", 1, 2, box([-4.0], [4.0]), fn, 8)
 
 
 def test_circle_derivatives():
@@ -221,9 +263,10 @@ def test_affine_chart_derivatives():
     mat = rng.normal(size=(5, 2))
     shift = rng.normal(size=5)
 
-    def fn(v):
-        return [v[0] * mat[j, 0] + v[1] * mat[j, 1] + shift[j]
-                for j in range(5)]
+    def fn(x, order):
+        u, v = variables(x, order)
+        return columns([u * mat[j, 0] + v * mat[j, 1] + shift[j]
+                        for j in range(5)])
 
     chart = ImmersionChart("affine", 2, 5, box([-1, -1], [1, 1]), fn, 6)
     dt = chart.eval([0.2, -0.3], 2)
@@ -304,8 +347,9 @@ def test_chart_capability_and_domain_errors():
 
 
 def test_derivative_tensor_symmetry():
-    def fn(v):
-        return [jet_sin(v[0] * v[1]), v[0] * v[0] * v[1]]
+    def fn(x, order):
+        u, v = variables(x, order)
+        return columns([jet_sin(u * v), u * u * v])
 
     chart = ImmersionChart("mix", 2, 2, box([-1, -1], [1, 1]), fn, 5)
     dt = chart.eval([0.3, 0.4], 3)
@@ -338,12 +382,14 @@ def test_tensor_matches_partial_loop():
 
 
 def test_chart_eval_requires_matching_signatures():
-    # the second component carries one order more than was asked for
-    chart = ImmersionChart(
-        "mixed-orders", 1, 2, box([-1.0], [1.0]),
-        lambda v: [v[0], jet_constant(1, v[0].order + 1, 0.0)], 4)
-    with pytest.raises(ShapeError):
-        chart.eval([0.0], 2)
+    # a table one order longer than asked for, or one column too wide
+    for rows, width in ((1, 2), (0, 3)):
+        chart = ImmersionChart(
+            "wrong-shape", 1, 2, box([-1.0], [1.0]),
+            lambda x, order: np.zeros((signature(1, order + rows).size,
+                                       width)), 4)
+        with pytest.raises(ShapeError):
+            chart.eval([0.0], 2)
 
 
 def test_richardson_fd_agreement_on_circle():

@@ -220,8 +220,8 @@ def synthetic_nd(s, p, n, d_dim, nu):
         phi_kernel=sub.Subspace(n, basis[:d_dim].copy()), diagnostics={})
 
 
-def rulings_context(alpha):
-    nd = synthetic_nd(s=1, p=2, n=2, d_dim=2, nu=0)
+def rulings_context(alpha, d_dim=2):
+    nd = synthetic_nd(s=1, p=2, n=2, d_dim=d_dim, nu=0)
     rec = PointRecord(index=0, x=np.zeros(2),
                       geom=SimpleNamespace(alpha=alpha), nd=nd,
                       nu_s=[])
@@ -241,6 +241,11 @@ def test_rulings_alpha_nonzero_is_basis_independent():
     alpha = np.array([[u, v], [v, np.zeros(3)]])
     result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
     assert result.passed and result.residual > 0.1
+    # no ruling directions at any point: nothing was checked, which fails
+    result = check_rulings_alpha_nonzero(rulings_context(alpha, d_dim=0),
+                                         1e-6)
+    assert not result.passed
+    assert result.details == {"reason": "no ruling directions"}
 
 
 def test_ruling_checks_are_basis_independent():

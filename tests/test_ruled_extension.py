@@ -10,12 +10,13 @@ from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import LAMBDA_RADIUS
-from oscflag.errors import NumericalRankError, ParameterError, ShapeError
+from oscflag.errors import (LRankError, NumericalRankError, ParameterError,
+                            ShapeError)
 from oscflag.geometry import (ImmersionChart, frame_derivative,
                               point_geometry, projection_frame,
                               relative_nullity, span_projector)
 from oscflag.jets import (first_partials, jet_variable, matrix_product,
-                          partial_jets, signature)
+                          partial_jets, product, signature, variables)
 from oscflag.nonparallel import nonparallel_data
 from oscflag.ruled_extension import (SPLIT_ORDER, RuledExtension,
                                      SplittingSpec, _commutator_residual,
@@ -71,7 +72,7 @@ def test_whole_normal_bundle_is_forbidden():
     spec = SplittingSpec(entry.chart,
                          rule=constant_rule(lambda geom:
                                             geom.normal_space.basis))
-    with pytest.raises(ParameterError):
+    with pytest.raises(LRankError):
         split_at(spec, np.array([1.0, 1.5]))
 
 
@@ -79,7 +80,7 @@ def test_l_must_be_normal():
     entry = get_entry("product-torus")
     spec = SplittingSpec(entry.chart,
                          rule=constant_rule(lambda geom: geom.frame[0]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(LRankError):
         split_at(spec, np.array([1.0, 1.5]))
 
 
@@ -246,12 +247,29 @@ def test_gamma_rank_band_guard():
 
 def sheared(chart, amount):
     """The same immersion in the coordinates x_i + amount * x_(i+1)^2, in
-    which D is no longer spanned by coordinate directions."""
+    which D is no longer spanned by coordinate directions.
+
+    A composition oracle: the chart's table c at the sheared point y(x),
+    composed as sum_alpha c_alpha (y - y(x))^alpha, each monomial one
+    product of a lower monomial and one y_i - y_i(x).  The sheared point
+    may leave the chart's box, so its table comes from ``chart.fn``, whose
+    analytic formula holds past the box.
+    """
     n = chart.intrinsic_dim
 
-    def fn(v):
-        return chart.fn([v[i] + amount * (v[(i + 1) % n] * v[(i + 1) % n])
-                         for i in range(n)])
+    def fn(x, order):
+        v = variables(x, order)
+        y = [v[i] + amount * (v[(i + 1) % n] * v[(i + 1) % n])
+             for i in range(n)]
+        sig = y[0].sig
+        dy = [(yi - yi.value).coeffs for yi in y]
+        powers = np.zeros((sig.size, sig.size))
+        powers[0, 0] = 1.0
+        for k, alpha in enumerate(sig.monomials[1:], 1):
+            i = next(j for j, e in enumerate(alpha) if e)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            powers[k] = product(sig, powers[sig.index[lower]], dy[i])
+        return powers.T @ chart.fn(np.array([yi.value for yi in y]), order)
     return ImmersionChart(chart.name + "-sheared", n, chart.ambient_dim,
                           chart.domain, fn, chart.max_order)
 
