@@ -11,14 +11,15 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .geometry import ImmersionChart, box
-from .jets import (Jet, JetSignature, affine_lift, jet_constant, jet_cos,
-                   jet_reciprocal, jet_rsqrt, jet_sin, product, signature,
+from .jets import (Jet, JetSignature, affine_lift, jet_constant,
+                   jet_reciprocal, jet_rsqrt, jet_sincos, product, signature,
                    variables)
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,16 @@ class CatalogEntry:
     aux: dict = dc_field(default_factory=dict)
 
 
+def _columns(jets: list[Jet]) -> np.ndarray:
+    """The tables ``(B, size)`` of component jets as one table
+    ``(B, size, #jets)``; a constant jet's table serves every point."""
+    shape = max((j.coeffs.shape for j in jets), key=len)
+    out = np.empty(shape + (len(jets),))
+    for k, jet in enumerate(jets):
+        out[..., k] = jet.coeffs
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Calibration charts
 
@@ -71,11 +82,11 @@ def make_sphere(n: int = 2) -> CatalogEntry:
         comps = []
         running = None
         for theta in variables(x, order):
-            c, s = jet_cos(theta), jet_sin(theta)
+            s, c = jet_sincos(theta)
             comps.append(c if running is None else running * c)
             running = s if running is None else running * s
         comps.append(running)
-        return np.column_stack([c.coeffs for c in comps])
+        return _columns(comps)
 
     chart = ImmersionChart(f"sphere-{n}", n, n + 1,
                            box([lo] * n, [hi] * n), fn, max_order=8)
@@ -113,8 +124,10 @@ def make_flat(seed: int = 0) -> CatalogEntry:
 
     def fn(x: np.ndarray, order: int) -> np.ndarray:
         u, v = variables(x, order)
-        return np.column_stack([(u * basis[j, 0] + v * basis[j, 1]
-                                 + shift[j]).coeffs for j in range(big_n)])
+        table = (u.coeffs[..., None] * basis[:, 0]
+                 + v.coeffs[..., None] * basis[:, 1])
+        table[..., 0, :] += shift
+        return table
 
     chart = ImmersionChart("flat-plane", 2, big_n,
                            box([-1.0, -1.0], [1.0, 1.0]), fn, max_order=8)
@@ -141,11 +154,11 @@ def make_product_torus() -> CatalogEntry:
     consts = (0.3, -0.2)
 
     def fn(x: np.ndarray, order: int) -> np.ndarray:
-        u, v = variables(x, order)
-        return np.column_stack([c.coeffs for c in (
-            jet_cos(u), jet_sin(u), jet_cos(v), jet_sin(v),
-            jet_constant(2, order, consts[0]),
-            jet_constant(2, order, consts[1]))])
+        (sin_u, cos_u), (sin_v, cos_v) = map(jet_sincos,
+                                             variables(x, order))
+        return _columns([cos_u, sin_u, cos_v, sin_v,
+                         jet_constant(2, order, consts[0]),
+                         jet_constant(2, order, consts[1])])
 
     chart = ImmersionChart("flat-torus-r4-in-r6", 2, 6,
                            box([0.3, 0.3], [5.9, 5.9]), fn, max_order=8)
@@ -190,6 +203,7 @@ class CurveSystem:
     ORDER = 16
     STEP_TOL = 1e-16
     WINDOW = (0.0, 1.0)
+    _FREQ_COLUMN = np.array(FREQS, dtype=float)[:, None]
 
     def __init__(self, ambient_dim: int, num_fields: int, seed: int):
         self.ambient_dim = ambient_dim
@@ -222,32 +236,43 @@ class CurveSystem:
             out += self.sin_coef[:, i] * kn * math.sin(k * t + phase)
         return out
 
-    def curve_taylor(self, t0: float, order: int,
+    def curve_taylor(self, t0: np.ndarray, order: int,
                      shift: int = 0) -> np.ndarray:
-        """Taylor coefficients at t0 of the shift-th derivative of the curve.
+        """Taylor coefficients at each parameter of ``t0`` ``(B,)`` of the
+        shift-th derivative of the curve.
 
-        Column m holds d^(m+shift) c / dt^(m+shift) / m!, shape (N, order+1).
+        Column m holds d^(m+shift) c / dt^(m+shift) / m!, shape
+        (B, N, order+1).
         """
-        m = np.arange(shift, shift + order + 1)
-        freqs = np.array(self.FREQS, dtype=float)[:, None]
-        arg = freqs * t0 + m * math.pi / 2.0
-        scale = freqs ** m / np.array([math.factorial(j)
-                                       for j in range(order + 1)])
-        return (self.cos_coef @ (scale * np.cos(arg))
-                + self.sin_coef @ (scale * np.sin(arg)))
+        return self._shifted_taylor(t0, order, shift, 1)[0]
+
+    def _shifted_taylor(self, t0: np.ndarray, order: int, shift: int,
+                        count: int) -> list[np.ndarray]:
+        """``curve_taylor`` at the shifts shift..shift+count-1, from one
+        evaluation of the trigonometric terms."""
+        m = np.arange(shift, shift + order + count)
+        freqs = self._FREQ_COLUMN
+        arg = freqs * np.asarray(t0, dtype=float)[:, None, None] \
+            + m * math.pi / 2.0
+        cos, sin = np.cos(arg), np.sin(arg)
+        fact = _factorials(order)
+        out = []
+        for i in range(count):
+            scale = freqs ** m[i:i + order + 1] / fact
+            out.append(self.cos_coef @ (scale * cos[..., i:i + order + 1])
+                       + self.sin_coef @ (scale * sin[..., i:i + order + 1]))
+        return out
 
     def _generic_enough(self) -> bool:
-        ts = np.linspace(*self.WINDOW, 101)
-        for t in ts:
-            d1 = self.curve_derivative(t, 1)
-            d2 = self.curve_derivative(t, 2)
-            speed = np.linalg.norm(d1)
-            if speed < 0.25:
-                return False
-            normal_part = d2 - (d2 @ d1) / (speed ** 2) * d1
-            if np.linalg.norm(normal_part) / speed ** 2 < 0.05:
-                return False
-        return True
+        # c' and c'' at the grid, the columns of the order-1 series of c'
+        taylor = self.curve_taylor(np.linspace(*self.WINDOW, 101), 1, 1)
+        d1, d2 = taylor[..., 0], taylor[..., 1]
+        speed = np.linalg.norm(d1, axis=1)
+        if np.any(speed < 0.25):
+            return False
+        normal_part = d2 - (np.sum(d2 * d1, axis=1) / speed ** 2)[:, None] * d1
+        return not np.any(np.linalg.norm(normal_part, axis=1) / speed ** 2
+                          < 0.05)
 
     # -- parallel transport ------------------------------------------------
 
@@ -260,9 +285,10 @@ class CurveSystem:
         q, _ = np.linalg.qr(raw.T)
         self._fields0 = q.T[:self.num_fields].copy()
 
-    def _transport_series(self, t0: float, seed: np.ndarray,
+    def _transport_series(self, t0: np.ndarray, seed: np.ndarray,
                           order: int) -> np.ndarray:
-        """Taylor coefficients at t0 of the fields with value ``seed`` there.
+        """Taylor coefficients at each t0 ``(B,)`` of the fields with value
+        ``seed`` ``(B, num_fields, N)`` there.
 
         Writing a, b and w for the Taylor coefficients of c', c'' and
         1/|c'|^2 at t0, the transport equation gives, for k = 0..order-1,
@@ -270,25 +296,37 @@ class CurveSystem:
             p_k = sum_i <xi_i, b_(k-i)>,   q_k = sum_i p_i w_(k-i),
             xi_(k+1) = -(1/(k+1)) sum_i q_i a_(k-i),
 
-        with xi_0 = seed; all fields advance together.
-        Shape (num_fields, N, order+1).
+        with xi_0 = seed; all fields at all points advance together.
+        Shape (B, num_fields, N, order+1).
         """
-        a = self.curve_taylor(t0, order, 1)
-        b = self.curve_taylor(t0, order, 2)
-        speed2 = np.array([float(np.sum(a[:, :k + 1] * a[:, k::-1]))
-                           for k in range(order + 1)])
-        w = np.empty(order + 1)
-        w[0] = 1.0 / speed2[0]
+        a, b = self._shifted_taylor(t0, order, 1, 2)
+        count = len(a)
+        speed2 = np.empty((count, order + 1))
+        for k in range(order + 1):
+            speed2[:, k] = (a[:, :, :k + 1] * a[:, :, k::-1]).reshape(
+                count, -1).sum(axis=1)
+        # reversed views: column order - k of each is coefficient k, so
+        # [..., order - k:] runs from coefficient k down to 0
+        w = np.empty((count, order + 1))
+        w_rev = w[:, ::-1, None]
+        w[:, 0] = 1.0 / speed2[:, 0]
         for k in range(1, order + 1):
-            w[k] = -w[0] * float(speed2[1:k + 1] @ w[k - 1::-1])
-        xi = np.empty((self.num_fields, self.ambient_dim, order + 1))
-        xi[:, :, 0] = seed
-        p = np.empty((self.num_fields, order))
-        q = np.empty((self.num_fields, order))
+            w[:, k] = -w[:, 0] * (speed2[:, None, 1:k + 1]
+                                  @ w_rev[:, order - k + 1:])[:, 0, 0]
+        a_rev, b_rev = a[:, :, ::-1].swapaxes(1, 2), b[:, None, :, ::-1]
+        xi = np.empty((count, self.num_fields, self.ambient_dim, order + 1))
+        xi[..., 0] = seed
+        p = np.empty((count, self.num_fields, order))
+        q = np.empty((count, self.num_fields, order))
         for k in range(order):
-            p[:, k] = np.einsum("fni,ni->f", xi[:, :, :k + 1], b[:, k::-1])
-            q[:, k] = p[:, :k + 1] @ w[k::-1]
-            xi[:, :, k + 1] = -(q[:, :k + 1] @ a[:, k::-1].T) / (k + 1)
+            # sequential sums over i, then over n: a point's series does not
+            # depend on the batch it is computed in
+            inner = np.add.accumulate(xi[..., :k + 1] * b_rev[..., order - k:],
+                                      axis=-1)[..., -1]
+            p[:, :, k] = np.add.accumulate(inner, axis=-1)[..., -1]
+            q[:, :, k] = (p[:, :, :k + 1] @ w_rev[:, order - k:])[..., 0]
+            xi[..., k + 1] = (q[:, :, :k + 1]
+                              @ a_rev[:, order - k:]) / -(k + 1)
         return xi
 
     def _integrate_grid(self):
@@ -302,7 +340,8 @@ class CurveSystem:
         fields = self._fields0
         times, series = [], []
         while True:
-            xi = self._transport_series(t, fields, self.ORDER)
+            xi = self._transport_series(np.array([t]), fields[None],
+                                        self.ORDER)[0]
             times.append(t)
             series.append(xi)
             if t >= t_end:
@@ -315,15 +354,18 @@ class CurveSystem:
         self.node_times = np.array(times)
         self.node_series = np.array(series)
         self._midpoints = 0.5 * (self.node_times[1:] + self.node_times[:-1])
+        self._degrees = np.arange(self.ORDER + 1)[:, None]
 
-    def fields_at(self, t: float) -> np.ndarray:
-        """Transported frame at parameter t, shape (num_fields, N).
+    def fields_at(self, t: np.ndarray) -> np.ndarray:
+        """Transported frames at the parameters ``t`` ``(B,)``, shape
+        (B, num_fields, N).
 
-        Evaluates the series of the grid node nearest to t.
+        Evaluates the series of the grid node nearest to each t.
         """
-        i = int(np.searchsorted(self._midpoints, t))
-        dt = t - self.node_times[i]
-        return self.node_series[i] @ dt ** np.arange(self.ORDER + 1)
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._midpoints, t)
+        powers = (t - self.node_times[i])[:, None, None, None] ** self._degrees
+        return (self.node_series[i] @ powers)[..., 0]
 
     def orthonormality_drift(self) -> float:
         eye = np.eye(self.num_fields)
@@ -331,23 +373,33 @@ class CurveSystem:
         gram = np.einsum("mfn,mgn->mfg", fields, fields)
         return float(np.max(np.abs(gram - eye)))
 
-    def field_taylor(self, t0: float, order: int) -> np.ndarray:
-        """Exact Taylor coefficients of the transported fields at t0.
+    def field_taylor(self, t0: np.ndarray, order: int) -> np.ndarray:
+        """Exact Taylor coefficients of the transported fields at each t0
+        ``(B,)``.
 
         The recurrence of ``_transport_series`` seeded with fields_at(t0).
-        Shape (num_fields, N, order+1).
+        Shape (B, num_fields, N, order+1).
         """
         return self._transport_series(t0, self.fields_at(t0), order)
 
 
+@lru_cache(maxsize=None)
+def _factorials(order: int) -> np.ndarray:
+    """0!, 1!, ..., order! as floats."""
+    out = np.array([math.factorial(j) for j in range(order + 1)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _curve_table(system: CurveSystem, sig: JetSignature, x: np.ndarray,
                  t_var: int, s_vars: range) -> np.ndarray:
-    """Table in ``sig`` of c(t) + sum_i s_i xi_i(t), xi_i the transported
-    fields, t and the s_i at the positions ``t_var`` and ``s_vars``."""
-    t = float(x[t_var])
-    fields = system.field_taylor(t, sig.order)[:len(s_vars)]
-    return affine_lift(sig, system.curve_taylor(t, sig.order).T,
-                       fields.transpose(0, 2, 1), x[s_vars], (t_var,), s_vars)
+    """Tables in ``sig`` at the points x ``(B, n)`` of c(t) + sum_i s_i
+    xi_i(t), xi_i the transported fields, t and the s_i at the positions
+    ``t_var`` and ``s_vars``."""
+    t = x[:, t_var]
+    fields = system.field_taylor(t, sig.order)[:, :len(s_vars)]
+    return affine_lift(sig, system.curve_taylor(t, sig.order).swapaxes(1, 2),
+                       fields.swapaxes(2, 3), x[:, s_vars], (t_var,), s_vars)
 
 
 def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
@@ -409,7 +461,7 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
         def rule(geom, order: int) -> np.ndarray:
             # Taylor series in t of each field; the s-partials vanish
             t = float(geom.x[0])
-            series = system.field_taylor(t, order)[list(indices)]
+            series = system.field_taylor(geom.x[:1], order)[0, list(indices)]
             if rotate:
                 # cos 3t and sin 3t as series at t, times the first two fields
                 k = np.arange(order + 1)
@@ -421,9 +473,10 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
                                   for j in k], axis=-1)
                 series = np.concatenate([first[None], series[2:]])
             # series in t alone: the lift with no ruling variables
-            table = series.transpose(2, 0, 1)
+            table = series.transpose(2, 0, 1)[None]
             return affine_lift(signature(geom.n, order), table,
-                               table[None][:0], (), (0,), ())
+                               table[:, None][:, :0], np.zeros((1, 0)),
+                               (0,), ())[0]
         return rule
 
     exercises = []
@@ -464,25 +517,27 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
 
 def _z_powers(x: np.ndarray, order: int, top: int) -> np.ndarray:
     """Complex tables in ``signature(2, order)`` of z^e/e! for e = 0..top,
-    z = u + iv at (u, v) = x[:2].
+    z = u + iv at the points (u, v) = x[:, :2].
 
     With z0 the value of z and dz = z - z0,
     z^e/e! = sum_k z0^(e-k)/(e-k)! * dz^k/k!, so one table of dz powers
-    serves every exponent.  Shape (top + 1, size).
+    serves every exponent.  Shape (B, top + 1, size).
     """
-    u, v = variables(x[:2], order)
-    sig = u.sig
-    dz = u.coeffs + 1j * v.coeffs
-    z0, dz[0] = dz[0], 0.0
+    sig = signature(2, order)
+    z0 = x[:, 0] + 1j * x[:, 1]
+    dz = np.zeros((len(x), sig.size), dtype=complex)
+    if order >= 1:  # du + i dv on the degree-1 monomials, v's first
+        dz[:, 1:3] = [1j, 1.0]
     top_k = min(top, sig.order)  # dz^k vanishes beyond the jet order
-    dz_powers = np.zeros((top_k + 1, sig.size), dtype=complex)
-    dz_powers[0, 0] = 1.0
+    dz_powers = np.zeros((len(x), top_k + 1, sig.size), dtype=complex)
+    dz_powers[:, 0, 0] = 1.0
     for k in range(1, top_k + 1):
-        dz_powers[k] = product(sig, dz_powers[k - 1], dz) / k
+        dz_powers[:, k] = product(sig, dz_powers[:, k - 1], dz) / k
     shift = np.arange(top + 1)[:, None] - np.arange(top_k + 1)
     e = np.maximum(shift, 0)
     inv_fact = np.array([1.0 / math.factorial(j) for j in range(top + 1)])
-    return np.where(shift >= 0, z0 ** e * inv_fact[e], 0.0) @ dz_powers
+    return np.where(shift >= 0, z0[:, None, None] ** e * inv_fact[e],
+                    0.0) @ dz_powers
 
 
 def _holo_frame_vectors(sig: JetSignature, powers: np.ndarray,
@@ -491,26 +546,27 @@ def _holo_frame_vectors(sig: JetSignature, powers: np.ndarray,
 
     Gram-Schmidt over the complex derivative vectors of the coordinate map,
     whose k-th one has components z^(j-k)/(j-k)! for j >= k and 0 below
-    (``powers`` from ``_z_powers``); row k - 1 of the result spans the k-th
-    normal stage of the base surface.  Shape (m - 1, m + 3, size).
+    (``powers`` from ``_z_powers``); row k - 1 of each point's block spans
+    the k-th normal stage of the base surface.  Shape
+    (B, m - 1, m + 3, size).
     """
     comps = m + 3
 
     def herm(a, b):
         """Hermitian inner product sum_j a_j * conj(b_j)."""
-        return product(sig, a, np.conj(b)).sum(axis=0)
+        return product(sig, a, np.conj(b)).sum(axis=-2)
 
     basis, norms2 = [], []
     for k in range(1, m + 1):
-        w = np.zeros((comps, sig.size), dtype=complex)
-        w[k - 1:] = powers[:comps - k + 1]
+        w = np.zeros((len(powers), comps, sig.size), dtype=complex)
+        w[:, k - 1:] = powers[:, :comps - k + 1]
         for prev, norm2 in zip(basis, norms2):
             coeff = product(sig, herm(w, prev), jet_reciprocal(norm2).coeffs)
-            w = w - product(sig, coeff, prev)
+            w = w - product(sig, coeff[:, None], prev)
         basis.append(w)
         norms2.append(Jet(sig.num_vars, sig.order, herm(w, w).real))
-    return np.array([product(sig, w, jet_rsqrt(norm2).coeffs)
-                     for w, norm2 in zip(basis[1:], norms2[1:])])
+    return np.stack([product(sig, w, jet_rsqrt(norm2).coeffs[:, None])
+                     for w, norm2 in zip(basis[1:], norms2[1:])], axis=1)
 
 
 def _real_columns(table: np.ndarray) -> np.ndarray:
@@ -534,7 +590,7 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
     big_n = 2 * comps
 
     def fn(x: np.ndarray, order: int) -> np.ndarray:
-        return _real_columns(_z_powers(x, order, comps)[1:])
+        return _real_columns(_z_powers(x, order, comps)[:, 1:])
 
     chart = ImmersionChart(f"holomorphic-curve-{m}", 2, big_n,
                            box([-0.45, -0.45], [0.45, 0.45]), fn,
@@ -589,10 +645,11 @@ def make_section4_example(m: int = 2) -> CatalogEntry:
         # by sum_a tau_a * unit_a, tau_a = t_re + i t_im, is affine in t
         powers = _z_powers(x, order, comps)
         units = _holo_frame_vectors(signature(2, order), powers, m)
-        linear = np.stack([units, 1j * units], axis=1)
-        return affine_lift(signature(n, order), _real_columns(powers[1:]),
-                           _real_columns(linear.reshape(verticals, comps, -1)),
-                           x[2:], (0, 1), range(2, n))
+        linear = np.stack([units, 1j * units], axis=2)
+        return affine_lift(signature(n, order), _real_columns(powers[:, 1:]),
+                           _real_columns(linear.reshape(
+                               len(x), verticals, comps, -1)),
+                           x[:, 2:], (0, 1), range(2, n))
 
     lo = [-0.4, -0.4] + [-SECTION4_RADIUS] * verticals
     hi = [0.4, 0.4] + [SECTION4_RADIUS] * verticals
@@ -680,9 +737,9 @@ def make_curve_product(factors: int = 4, seed: int = 23) -> CatalogEntry:
     def fn(x: np.ndarray, order: int) -> np.ndarray:
         # factor i reads its t and s at the positions 2i and 2i + 1
         sig = signature(n, order)
-        return np.hstack([_curve_table(sys_i, sig, x, 2 * i,
-                                       range(2 * i + 1, 2 * i + 2))
-                          for i, sys_i in enumerate(systems)])
+        return np.concatenate([_curve_table(sys_i, sig, x, 2 * i,
+                                            range(2 * i + 1, 2 * i + 2))
+                               for i, sys_i in enumerate(systems)], axis=2)
 
     s_radius = 0.08
     lo = ([0.05, -s_radius] * factors)

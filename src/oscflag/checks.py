@@ -494,13 +494,14 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
 
     def fd_drift(x, directions, step) -> float:
         # as geometry.drift, on central differences of the S-projector of
-        # the frame-difference phi
-        def s_projector_at(y) -> np.ndarray:
-            vals = phi_frame_fd(ctx.chart, y, step,
-                                ctx.rank_tol).ambient_values()
-            return sub.span_of(vals, 1e-6,
-                               ambient_dim=ctx.chart.ambient_dim).projector()
-        stacked = frame_derivative(s_projector_at, x, directions, step)
+        # the frame-difference phi, one phi_frame_fd stencil per point
+        def s_projectors_at(points) -> np.ndarray:
+            return np.array([sub.span_of(
+                phi_frame_fd(ctx.chart, y, step, ctx.rank_tol)
+                .ambient_values(), 1e-6,
+                ambient_dim=ctx.chart.ambient_dim).projector()
+                for y in points])
+        stacked = frame_derivative(s_projectors_at, x, directions, step)
         return float(np.linalg.norm(
             stacked.reshape(len(directions), -1), 2))
 

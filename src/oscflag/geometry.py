@@ -17,8 +17,8 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import (CapabilityError, DataError, DomainError, FrameError,
-                     NotImmersionError, ParameterError, RegularityError,
-                     ShapeError)
+                     NotImmersionError, OscflagError, ParameterError,
+                     RegularityError, ShapeError)
 from .jets import (DerivativeTensor, JetSignature, first_partials,
                    matrix_inverse, matrix_product, partial_jets, signature)
 
@@ -34,10 +34,6 @@ class Box:
         self.lo.flags.writeable = False
         self.hi.flags.writeable = False
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
     def sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
         return rng.uniform(self.lo + margin, self.hi - margin)
 
@@ -47,11 +43,12 @@ def box(lo, hi) -> Box:
 
 
 class ImmersionChart:
-    """An analytic chart map given by its Taylor coefficients: ``fn(x,
-    order)`` returns its ``(signature(n, order).size, N)`` table at x, one
-    column per ambient component, built by jet arithmetic on
-    ``jets.variables`` or by ``jets.affine_lift``, so every evaluation
-    yields exact partial derivatives up to ``max_order``."""
+    """An analytic chart map given by its Taylor coefficients: ``fn(points,
+    order)`` maps points ``(B, n)`` to their ``(B, signature(n, order).size,
+    N)`` tables, one column per ambient component, built by jet arithmetic
+    on ``jets.variables`` or by ``jets.affine_lift`` along the leading point
+    axis, so every evaluation yields exact partial derivatives up to
+    ``max_order``."""
 
     def __init__(self, name: str, intrinsic_dim: int, ambient_dim: int,
                  domain: Box, fn: Callable[[np.ndarray, int], np.ndarray],
@@ -63,22 +60,56 @@ class ImmersionChart:
         self.fn = fn
         self.max_order = max_order
 
+    def first_rejected(self, points: np.ndarray,
+                       order: int) -> tuple[int, OscflagError | None]:
+        """The index of the first of ``points`` an evaluation to ``order``
+        rejects before building a table, and its error; (B, None) when
+        there is none."""
+        finite = np.isfinite(points).all(axis=1)
+        accepted = (finite & (order <= self.max_order)
+                    & ((points >= self.domain.lo)
+                       & (points <= self.domain.hi)).all(axis=1))
+        if accepted.all():
+            return len(points), None
+        i = int(np.argmin(accepted))
+        if not finite[i]:
+            return i, DataError(
+                f"chart {self.name}: non-finite evaluation point")
+        if order > self.max_order:
+            return i, CapabilityError(
+                f"chart {self.name} declares analytic order "
+                f"{self.max_order}, order {order} requested")
+        return i, DomainError(
+            f"chart {self.name}: point {points[i]} outside domain")
+
+    def tables(self, points, order: int) -> np.ndarray:
+        """The coefficient tables ``(B, size, N)`` at points ``(B, n)``, to
+        ``order``; raises the error of the first point it rejects."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.intrinsic_dim:
+            raise ShapeError(f"chart {self.name}: points of shape "
+                             f"{points.shape}, not (B, {self.intrinsic_dim})")
+        _, error = self.first_rejected(points, order)
+        if error is not None:
+            raise error
+        return self._checked_tables(points, order)
+
+    def _checked_tables(self, points: np.ndarray, order: int) -> np.ndarray:
+        """``fn``'s tables at points that passed ``first_rejected``, with
+        their shape checked."""
+        size = signature(self.intrinsic_dim, order).size
+        if not len(points):
+            return np.zeros((0, size, self.ambient_dim))
+        table = self.fn(points, order)
+        if table.shape != (len(points), size, self.ambient_dim):
+            raise ShapeError(f"chart {self.name}: tables {table.shape}, not "
+                             f"({len(points)}, {size}, {self.ambient_dim})")
+        return table
+
     def eval(self, x, order: int) -> DerivativeTensor:
         """All ambient partial derivatives of the chart at x, to ``order``."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DataError(f"chart {self.name}: non-finite evaluation point")
-        if order > self.max_order:
-            raise CapabilityError(
-                f"chart {self.name} declares analytic order {self.max_order}, "
-                f"order {order} requested")
-        if not self.domain.contains(x):
-            raise DomainError(f"chart {self.name}: point {x} outside domain")
-        sig, table = signature(self.intrinsic_dim, order), self.fn(x, order)
-        if table.shape != (sig.size, self.ambient_dim):
-            raise ShapeError(f"chart {self.name}: table {table.shape}, not "
-                             f"({sig.size}, {self.ambient_dim})")
-        return DerivativeTensor(table, sig)
+        table = self.tables(np.asarray(x, dtype=float)[None], order)[0]
+        return DerivativeTensor(table, signature(self.intrinsic_dim, order))
 
     def position(self, x) -> np.ndarray:
         return self.eval(x, 0).coeffs[0]
@@ -120,30 +151,63 @@ def projection_frame(space: sub.Subspace,
     Projects the standard basis vectors onto the subspace and orthonormalizes.
     When ``pivots`` is None the pivot order is chosen greedily by largest
     residual (deterministic); passing a pivot order back in reuses the same
-    selection at nearby points, which keeps frames varying smoothly across a
-    finite-difference stencil.
+    selection at nearby points (``pivot_frames``), which keeps frames varying
+    smoothly across a finite-difference stencil.
     """
     k = space.dim
     if pivots is not None and len(pivots) != k:
-        raise FrameError(
-            f"{len(pivots)} pivots for a {k}-dimensional space: rank changed "
-            f"across the stencil")
-    projected = space.project(np.eye(space.ambient_dim))
-    frame = np.zeros((k, space.ambient_dim))
+        raise _rank_changed(pivots, k)
     if k == 0:
-        return frame, ()
+        return np.zeros((0, space.ambient_dim)), ()
     if pivots is None:
-        return _greedy_pivots(projected, k)
+        return _greedy_pivots(space.project(np.eye(space.ambient_dim)), k)
+    frames, error = pivot_frames(space.basis[None], [k], pivots)
+    if error is not None:
+        raise error[1]
+    return frames[0], tuple(pivots)
+
+
+def _rank_changed(pivots: tuple[int, ...], dim: int) -> FrameError:
+    return FrameError(f"{len(pivots)} pivots for a {dim}-dimensional space: "
+                      f"rank changed across the stencil")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` ``(B, N)`` with that of ``b``,
+    one BLAS dot per row, as a single point's ``a @ b`` takes it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def pivot_frames(bases: np.ndarray, dims, pivots: tuple[int, ...]
+                 ) -> tuple[np.ndarray, tuple[int, FrameError] | None]:
+    """Frames ``(B, k, N)`` of B subspaces by Gram-Schmidt of the
+    projections of e_p, p in ``pivots``, in that order, and the first point
+    that fails, as (index, FrameError), or None.
+
+    ``bases`` ``(B, k, N)``, k = len(pivots), holds orthonormal rows of
+    each subspace whose dimension ``dims[b]`` is k; a point of another
+    dimension fails by a rank change, one whose pivot residual falls below
+    ``MIN_PIVOT_RESIDUAL`` by a lost pivot.
+    """
+    changed = np.flatnonzero(np.asarray(dims) != len(pivots))
+    error = None
+    if changed.size:
+        error = (int(changed[0]), _rank_changed(pivots, dims[changed[0]]))
+    projected = (np.eye(bases.shape[2]) @ bases.swapaxes(1, 2)) @ bases
+    frames = np.zeros(bases.shape)
     for i, pick in enumerate(pivots):
-        v = projected[pick].copy()
+        v = projected[:, pick].copy()
         for j in range(i):
-            v -= (v @ frame[j]) * frame[j]
-        nrm = float(np.linalg.norm(v))
-        if nrm < MIN_PIVOT_RESIDUAL:
-            raise FrameError(
-                f"pivot {pick} lost rank across stencil (residual {nrm:.3e})")
-        frame[i] = v / nrm
-    return frame, tuple(pivots)
+            v -= _row_dots(v, frames[:, j])[:, None] * frames[:, j]
+        nrm = np.sqrt(_row_dots(v, v))
+        low = np.flatnonzero(nrm < MIN_PIVOT_RESIDUAL)
+        if low.size and (error is None or low[0] < error[0]):
+            error = (int(low[0]), FrameError(
+                f"pivot {pick} lost rank across stencil (residual "
+                f"{nrm[low[0]]:.3e})"))
+        frames[:, i] = v / np.where(nrm < MIN_PIVOT_RESIDUAL, 1.0,
+                                    nrm)[:, None]
+    return frames, error
 
 
 def _greedy_pivots(rows: np.ndarray, count: int):
@@ -223,19 +287,22 @@ def drift(pi_jet: np.ndarray, directions: np.ndarray) -> float:
     return float(np.linalg.norm(stacked.reshape(len(directions), -1), 2))
 
 
-def frame_derivative(frame_at: Callable[[np.ndarray], np.ndarray], x,
+def frame_derivative(field: Callable[[np.ndarray], np.ndarray], x,
                      directions, h: float) -> np.ndarray:
     """Central differences of an array field along chart-coordinate directions.
 
-    out[i] = (frame_at(x + h*w_i) - frame_at(x - h*w_i)) / (2h) for each row
-    w_i of ``directions``, so the result has shape
-    ``(len(directions),) + frame_at(x).shape``; second-order accurate in h.
-    ``frame_at`` must be a smooth field: a projection frame keeps the pivot
-    order of the stencil center.
+    ``field`` maps points ``(B, n)`` to values ``(B, ...)`` and is called
+    once, on the stencil x + h*w_1, x - h*w_1, x + h*w_2, ... for the rows
+    w_i of ``directions``; out[i] = (field(x + h*w_i) - field(x - h*w_i)) /
+    (2h), so the result has shape ``(len(directions),)`` + the value shape;
+    second-order accurate in h.  ``field`` must be smooth: a projection
+    frame keeps the pivot order of the stencil center.
     """
     x = np.asarray(x, dtype=float)
-    return np.array([(frame_at(x + h * w) - frame_at(x - h * w)) / (2.0 * h)
-                     for w in directions])
+    steps = h * np.asarray(directions, dtype=float)
+    values = field((x + np.stack([steps, -steps], axis=1)).reshape(-1,
+                                                                  x.size))
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -298,54 +365,97 @@ def to_frame(t: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return t
 
 
-def audited_jet(chart: ImmersionChart, x, max_normal_order: int,
-                tol: float) -> tuple[DerivativeTensor, list[tuple]]:
-    """The chart jet at order ``max_normal_order + 1`` and one row SVD per
-    osculating prefix (the partials of order <= k, for k = 1, 2, ...).
+def audited_jet(chart: ImmersionChart, points, max_normal_order: int,
+                tol: float) -> tuple[np.ndarray, list[tuple],
+                                     OscflagError | None]:
+    """The chart tables at order ``max_normal_order + 1`` at points
+    ``(B, n)``, and per osculating prefix (the partials of order <= k, for
+    k = 1, 2, ...) one stacked row SVD: singular values ``(b, r)`` and
+    right singular vectors ``(b, r, N)``.
 
     The same SVDs serve the immersion check, the rank audit at all three
-    thresholds and the osculating spaces.  Raises NotImmersionError when
-    the Jacobian drops rank, and RegularityError when any flag rank is
-    ambiguous across the tolerance band (tol/10, tol*10): such points must
-    be rejected and resampled.
+    thresholds and the osculating spaces.  The points are audited in order:
+    tables and SVDs cover the b points before the first one rejected, and
+    the third result is that point's error, None when every point passes.
+    It is the chart's input error (``ImmersionChart.first_rejected``),
+    NotImmersionError when the Jacobian drops rank, or RegularityError when
+    any flag rank is ambiguous across the tolerance band (tol/10, tol*10):
+    such points must be rejected and resampled.  A caller with more work
+    per point raises it after the errors that work finds at points before.
     """
     if chart.max_order < max_normal_order + 1:
         raise CapabilityError(
             f"chart order {chart.max_order} cannot supply normal order "
             f"{max_normal_order}")
-    derivs = chart.eval(x, max_normal_order + 1)
-    n = chart.intrinsic_dim
+    points = np.asarray(points, dtype=float)
+    n, order = chart.intrinsic_dim, max_normal_order + 1
+    valid, error = chart.first_rejected(points, order)
+    tables = chart._checked_tables(points[:valid], order)
+    values = tables * signature(n, order).factorials[:, None]
 
-    stacked = derivs.tensor(1)
-    svds = [sub.row_svd(stacked)]
-    if sub.numerical_rank(svds[0][0], tol) < n:
-        raise NotImmersionError(
-            f"chart {chart.name}: Jacobian rank < {n} at {np.asarray(x)}")
-    for k in range(2, max_normal_order + 2):
+    prefixes = [first_partials(values[:, :n + 1], axis=1)]
+    for k in range(2, order + 1):
         # the partials of order k, contiguous in the graded signature
-        stacked = np.vstack([stacked, derivs.values[
-            signature(n, k - 1).size:signature(n, k).size]])
-        svds.append(sub.row_svd(stacked))
+        prefixes.append(np.concatenate([prefixes[-1], values[
+            :, signature(n, k - 1).size:signature(n, k).size]], axis=1))
+    finite = np.array([np.isfinite(rows).all(axis=(1, 2))
+                       for rows in prefixes])
+    svds = [tuple(np.linalg.svd(np.where(ok[:, None, None], rows, 0.0)
+                                if not ok.all() else rows,
+                                full_matrices=False)[1:])
+            for rows, ok in zip(prefixes, finite)]
 
-    dims = [sub.numerical_rank(svals, tol) for svals, _ in svds]
-    for band_tol in (tol / 10.0, tol * 10.0):
-        band_dims = [sub.numerical_rank(svals, band_tol) for svals, _ in svds]
-        if band_dims != dims:
-            level = next(i for i, (a, b) in enumerate(zip(dims, band_dims))
-                         if a != b)
-            raise RegularityError(
-                f"ambiguous rank of normal stage {level} across tolerance band "
-                f"({band_dims[level]} vs {dims[level]})", level=level)
-    return derivs, svds
+    dims = np.array([sub.numerical_ranks(svals, tol) for svals, _ in svds])
+    bands = [np.array([sub.numerical_ranks(svals, band_tol)
+                       for svals, _ in svds])
+             for band_tol in (tol / 10.0, tol * 10.0)]
+    passed = (finite.all(axis=0) & (dims[0] >= n)
+              & (bands[0] == dims).all(axis=0)
+              & (bands[1] == dims).all(axis=0))
+    if not passed.all():
+        i = int(np.argmin(passed))
+        error = _audit_error(chart, points[i], finite[:, i], dims[:, i],
+                             [band[:, i] for band in bands])
+        tables = tables[:i]
+        svds = [(svals[:i], vt[:i]) for svals, vt in svds]
+    return tables, svds, error
+
+
+def _audit_error(chart: ImmersionChart, x: np.ndarray, finite: np.ndarray,
+                 dims: np.ndarray, bands: list[np.ndarray]) -> OscflagError:
+    """The error of a point ``audited_jet`` rejects, from its finiteness,
+    ranks and band ranks per prefix, in the order the checks run."""
+    if not finite[0]:
+        return DataError("rank decision on non-finite input")
+    if dims[0] < chart.intrinsic_dim:
+        return NotImmersionError(
+            f"chart {chart.name}: Jacobian rank < {chart.intrinsic_dim} "
+            f"at {x}")
+    if not finite.all():
+        return DataError("rank decision on non-finite input")
+    for band_dims in bands:
+        differ = np.flatnonzero(band_dims != dims)
+        if differ.size:
+            level = int(differ[0])
+            return RegularityError(
+                f"ambiguous rank of normal stage {level} across tolerance "
+                f"band ({band_dims[level]} vs {dims[level]}) at {x}",
+                level=level)
+    raise AssertionError("no failed audit at this point")
 
 
 def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
                    tol: float = sub.DEFAULT_RANK_TOL) -> PointGeometry:
     """Tangent frame, second fundamental form and normal flag at one point.
 
-    Raises as ``audited_jet``, whose jet and SVDs it reads.
+    Raises the error ``audited_jet`` finds, whose jet and SVDs it reads.
     """
-    derivs, svds = audited_jet(chart, x, max_normal_order, tol)
+    x = np.asarray(x, dtype=float)
+    tables, svds, error = audited_jet(chart, x[None], max_normal_order, tol)
+    if error is not None:
+        raise error
+    derivs = DerivativeTensor(tables[0], signature(chart.intrinsic_dim,
+                                                   max_normal_order + 1))
     big_n = chart.ambient_dim
     d1 = derivs.tensor(1)
     frame, coeff = _gram_schmidt_rows(d1)
@@ -354,8 +464,8 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
 
     osculating = tangent
     normal_flag: list[sub.Subspace] = []
-    for svd in svds[1:]:
-        nxt = sub.span_from_svd(svd, tol)
+    for svals, vt in svds[1:]:
+        nxt = sub.span_from_svd((svals[0], vt[0]), tol)
         stage = sub.complement_within(osculating, nxt)
         if stage.dim == 0:
             break
@@ -371,7 +481,7 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
     alpha = np.einsum("ai,bj,ijN->abN", coeff, coeff, alpha_chart)
 
     return PointGeometry(
-        chart=chart, x=np.asarray(x, dtype=float), tangent=tangent,
+        chart=chart, x=x, tangent=tangent,
         frame=frame, frame_in_chart=coeff, normal_space=normal_space,
         alpha=alpha, normal_flag=normal_flag, derivs=derivs, tol=tol)
 
@@ -419,8 +529,7 @@ def _plane_kernels(a_n1: np.ndarray, planes: np.ndarray,
     restricted = np.einsum("cji,abi->cabj", planes, a_n1)
     mats = restricted.transpose(0, 2, 3, 1).reshape(len(planes), -1, n)
     _, svals, vt = np.linalg.svd(mats, full_matrices=False)
-    # as sub.numerical_rank: an all-zero matrix has rank 0
-    return n - np.sum(svals > tol * svals[:, :1], axis=1), vt
+    return n - sub.numerical_ranks(svals, tol), vt
 
 
 def s_nullity(geom: PointGeometry, s: int, restarts: int = 32,

@@ -82,19 +82,21 @@ def signature(num_vars: int, order: int) -> JetSignature:
 class Jet:
     """Truncated Taylor expansion of a scalar function of ``num_vars`` variables.
 
-    ``coeffs`` is read-only.  The jet holds its ``JetSignature``; since
-    ``signature`` is cached, operands built in one cache lifetime share it
-    and the operand check is an identity test.
+    ``coeffs`` is read-only, of shape ``(..., size)``: leading axes carry a
+    batch of expansion points, and every operation acts on each point
+    alone.  The jet holds its ``JetSignature``; since ``signature`` is
+    cached, operands built in one cache lifetime share it and the operand
+    check is an identity test.
     """
 
     __slots__ = ("sig", "coeffs")
 
     def __init__(self, num_vars: int, order: int, coeffs: np.ndarray):
         sig = signature(num_vars, order)
-        if coeffs.shape != (sig.size,):
+        if coeffs.shape[-1:] != (sig.size,):
             raise ShapeError(
                 f"coefficient table has shape {coeffs.shape}, "
-                f"expected ({sig.size},)")
+                f"expected (..., {sig.size})")
         coeffs.flags.writeable = False
         self.sig = sig
         self.coeffs = coeffs
@@ -110,18 +112,18 @@ class Jet:
     def order(self) -> int:
         return self.sig.order
 
-    def coefficient(self, multi_index: tuple[int, ...]) -> float:
-        return float(self.coeffs[self.sig.index[tuple(multi_index)]])
+    def coefficient(self, multi_index: tuple[int, ...]):
+        return self.coeffs[..., self.sig.index[tuple(multi_index)]][()]
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        return self.coeffs[..., 0][()]
 
-    def derivative(self, multi_index: tuple[int, ...]) -> float:
+    def derivative(self, multi_index: tuple[int, ...]):
         """Partial derivative d^|I| f / du^I at the expansion point."""
         sig = self.sig
         i = sig.index[tuple(multi_index)]
-        return float(self.coeffs[i] * sig.factorials[i])
+        return (self.coeffs[..., i] * sig.factorials[i])[()]
 
     def _check_same(self, other: Jet):
         # a signature rebuilt after a cache clear is equal but not identical
@@ -136,7 +138,7 @@ class Jet:
             self._check_same(other)
             return _jet(self.sig, self.coeffs + other.coeffs)
         c = self.coeffs.copy()
-        c[0] += float(other)
+        c[..., 0] += other
         return _jet(self.sig, c)
 
     __radd__ = __add__
@@ -148,10 +150,10 @@ class Jet:
         if isinstance(other, Jet):
             self._check_same(other)
             return _jet(self.sig, self.coeffs - other.coeffs)
-        return self + (-float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -186,38 +188,47 @@ def jet_constant(num_vars: int, order: int, value: float) -> Jet:
     return _jet(sig, c)
 
 
-def jet_variable(num_vars: int, order: int, var: int, value: float) -> Jet:
-    """Jet of the coordinate function u_var at a point where u_var = value."""
+def jet_variable(num_vars: int, order: int, var: int, value) -> Jet:
+    """Jet of the coordinate function u_var at points where u_var = value
+    (a number, or an array of them along the leading axes)."""
     sig = signature(num_vars, order)
-    c = np.zeros(sig.size)
-    c[0] = value
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (sig.size,))
+    c[..., 0] = value
     if order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(num_vars))
-        c[sig.index[unit]] = 1.0
+        c[..., sig.index[unit]] = 1.0
     return _jet(sig, c)
 
 
 def variables(x, order: int) -> list[Jet]:
-    """Variable jets for an expansion point x, one per coordinate."""
+    """Variable jets for expansion points x ``(..., n)``, one per
+    coordinate."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    return [jet_variable(n, order, i, x[i]) for i in range(n)]
+    n = x.shape[-1]
+    sig = signature(n, order)
+    c = np.zeros(x.shape[:-1] + (n, sig.size))
+    if order >= 1:  # the degree-1 monomials come last variable first
+        c[..., 1:n + 1] = np.eye(n)[::-1]
+    c[..., 0] = x
+    return [_jet(sig, c[..., i, :]) for i in range(n)]
 
 
 def affine_lift(sig: JetSignature, base: np.ndarray, linear: np.ndarray, t,
                 base_vars, ruling_vars) -> np.ndarray:
-    """Table in ``sig`` of F = g + sum_j t_j xi_j.  ``base`` ``(size, ...)``
-    and ``linear`` ``(r, size, ...)`` are the tables of g and of the xi_j in
-    the variables at the positions ``base_vars`` alone, in
-    ``signature(len(base_vars), sig.order)``; t_j is the variable at
-    ``ruling_vars[j]``, of value ``t[j]`` at the point."""
+    """Tables in ``sig`` of F = g + sum_j t_j xi_j at a batch of B points.
+    ``base`` ``(B, size, ...)`` and ``linear`` ``(B, r, size, ...)`` are the
+    tables of g and of the xi_j in the variables at the positions
+    ``base_vars`` alone, in ``signature(len(base_vars), sig.order)``; t_j is
+    the variable at ``ruling_vars[j]``, of value ``t[:, j]`` at the points."""
     pure, lin = _lift_rows(sig.num_vars, sig.order, tuple(base_vars),
                            tuple(ruling_vars))
-    out = np.zeros((sig.size,) + base.shape[1:])
-    out[pure] = base
-    for t_j, xi_j in zip(t, linear):
-        out[pure] += t_j * xi_j
-    out[lin] = linear[:, :lin.shape[1]]
+    out = np.zeros(base.shape[:1] + (sig.size,) + base.shape[2:])
+    t = np.reshape(t, np.shape(t) + (1,) * (base.ndim - 1))
+    for j in range(len(ruling_vars)):
+        base = base + t[:, j] * linear[:, j]
+    out[:, pure] = base
+    out[:, lin] = linear[:, :, :lin.shape[1]]
     return out
 
 
@@ -243,77 +254,117 @@ def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The tables may be complex and may carry leading axes, which broadcast;
     the product acts along the last axis.  ``np.bincount`` takes only real
-    1-D weights, so leading axes become offset bins and the real and
-    imaginary parts take one bincount each.
+    1-D weights, so the tables of several points go to offset bins
+    (``_point_bins``) and the real and imaginary parts take one bincount
+    each.
     """
     ii, jj, kk = sig.mul_table
-    if a.ndim == b.ndim == 1:
-        terms = a[ii] * b[jj]
-        if terms.dtype.kind != "c":
-            return np.bincount(kk, weights=terms, minlength=sig.size)
+    size = sig.size
+    if a.size == b.size == size:  # the tables of one point
+        terms = a.reshape(-1)[ii] * b.reshape(-1)[jj]
+        shape = (a if a.ndim >= b.ndim else b).shape
     else:
         terms = a.take(ii, axis=-1) * b.take(jj, axis=-1)
-    lead = terms.shape[:-1]
-    size = math.prod(lead) * sig.size
-    if lead:
-        kk = (np.arange(0, size, sig.size)[:, None] + kk).ravel()
-        terms = terms.ravel()
+        shape = terms.shape[:-1] + (size,)
+        count = terms.size // ii.size
+        kk = _point_bins(sig.num_vars, sig.order, count)
+        terms = terms.reshape(-1)
+        size *= count
     out = np.bincount(kk, weights=terms.real, minlength=size)
     if terms.dtype.kind == "c":
         out = out + 1j * np.bincount(kk, weights=terms.imag, minlength=size)
-    return out.reshape(lead + (sig.size,))
+    return out.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _point_bins(num_vars: int, order: int, count: int) -> np.ndarray:
+    """The product table's target monomials for ``count`` points, the
+    point's index times the signature size added to each."""
+    sig = signature(num_vars, order)
+    bins = (np.arange(0, count * sig.size, sig.size)[:, None]
+            + sig.mul_table[2]).ravel()
+    bins.flags.writeable = False
+    return bins
 
 
 def compose_series(a: Jet, outer_coeffs: np.ndarray) -> Jet:
-    """Evaluate sum_j outer_coeffs[j] * (a - a0)^j over the power table.
+    """Evaluate sum_j outer_coeffs[..., j] * (a - a0)^j over the power table.
 
-    With outer_coeffs the Taylor coefficients of g at a's value, this is the
-    jet of the composition g(a); every analytic primitive routes through it.
+    With outer_coeffs the Taylor coefficients of g at a's value, one row per
+    point of a batched jet, this is the jet of the composition g(a); every
+    analytic primitive routes through it.
     """
+    return _jet(a.sig, (outer_coeffs[..., None, :] @ _powers(a))[..., 0, :])
+
+
+def _powers(a: Jet) -> np.ndarray:
+    """The tables of (a - a0)^j, j = 0..order, shape (..., order + 1, size)."""
     sig = a.sig
-    powers = np.zeros((a.order + 1, sig.size))
-    powers[0, 0] = 1.0
+    powers = np.zeros(a.coeffs.shape[:-1] + (a.order + 1, sig.size))
+    powers[..., 0, 0] = 1.0
     if a.order >= 1:
-        powers[1] = a.coeffs
-        powers[1, 0] = 0.0
+        powers[..., 1, 1:] = a.coeffs[..., 1:]
     for j in range(2, a.order + 1):
-        powers[j] = product(sig, powers[1], powers[j - 1])
-    return _jet(sig, outer_coeffs @ powers)
+        powers[..., j, :] = product(sig, powers[..., 1, :],
+                                    powers[..., j - 1, :])
+    return powers
+
+
+def _outer(a: Jet, values: list[float], coeffs) -> np.ndarray:
+    """The outer coefficients ``coeffs(a0)``, Python floats, at each point's
+    value a0 of ``a`` (``values``, from ``_values``), as an array of
+    leading shape that of ``a``."""
+    rows = np.array([coeffs(a0) for a0 in values])
+    return rows.reshape(a.coeffs.shape[:-1] + rows.shape[1:])
+
+
+def _values(a: Jet) -> list[float]:
+    return a.coeffs[..., 0].ravel().tolist()
+
+
+def _sin_cos_coeffs(a0: float, order: int) -> list[list[float]]:
+    """The Taylor coefficients of sin and of cos at a0."""
+    cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
+    return [[cyc[(j + shift) % 4] / math.factorial(j)
+             for j in range(order + 1)] for shift in (0, 1)]
+
+
+def jet_sincos(a: Jet) -> tuple[Jet, Jet]:
+    """sin a and cos a, from one power table."""
+    outer = _outer(a, _values(a), lambda a0: _sin_cos_coeffs(a0, a.order))
+    both = (outer[..., None, :] @ _powers(a)[..., None, :, :])[..., 0, :]
+    return _jet(a.sig, both[..., 0, :]), _jet(a.sig, both[..., 1, :])
 
 
 def jet_sin(a: Jet) -> Jet:
-    a0 = a.value
-    cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
-    c = np.array([cyc[j % 4] / math.factorial(j) for j in range(a.order + 1)])
-    return compose_series(a, c)
+    return compose_series(a, _outer(a, _values(a), lambda a0: _sin_cos_coeffs(
+        a0, a.order)[0]))
 
 
 def jet_cos(a: Jet) -> Jet:
-    a0 = a.value
-    cyc = [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)]
-    c = np.array([cyc[j % 4] / math.factorial(j) for j in range(a.order + 1)])
-    return compose_series(a, c)
+    return compose_series(a, _outer(a, _values(a), lambda a0: _sin_cos_coeffs(
+        a0, a.order)[1]))
 
 
 def jet_reciprocal(a: Jet) -> Jet:
-    a0 = a.value
-    if a0 == 0.0:
+    values = _values(a)
+    if 0.0 in values:
         raise SingularityError("reciprocal of a jet with zero constant term")
-    c = np.array([(-1.0) ** j / a0 ** (j + 1) for j in range(a.order + 1)])
-    return compose_series(a, c)
+    return compose_series(a, _outer(a, values, lambda a0: [
+        (-1.0) ** j / a0 ** (j + 1) for j in range(a.order + 1)]))
 
 
 def jet_sqrt(a: Jet) -> Jet:
-    a0 = a.value
-    if a0 <= 0.0:
+    values = _values(a)
+    if any(a0 <= 0.0 for a0 in values):
         raise SingularityError("sqrt of a jet with non-positive constant term")
-    c = np.empty(a.order + 1)
-    c[0] = math.sqrt(a0)
-    for j in range(1, a.order + 1):
+
+    def coeffs(a0):
         # binom(1/2, j) * a0^(1/2 - j)
-        binom = math.prod(0.5 - i for i in range(j)) / math.factorial(j)
-        c[j] = binom * a0 ** (0.5 - j)
-    return compose_series(a, c)
+        return [math.sqrt(a0)] + [
+            math.prod(0.5 - i for i in range(j)) / math.factorial(j)
+            * a0 ** (0.5 - j) for j in range(1, a.order + 1)]
+    return compose_series(a, _outer(a, values, coeffs))
 
 
 def jet_rsqrt(a: Jet) -> Jet:
@@ -392,9 +443,10 @@ def _partial_index(num_vars: int, top: int,
     return index, scale
 
 
-def first_partials(table: np.ndarray) -> np.ndarray:
-    """The first partials of an order-1 table, in chart-variable order."""
-    return table[_tensor_index(table.shape[0] - 1, 1, 1)]
+def first_partials(table: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The first partials of order-1 tables along ``axis``, in
+    chart-variable order."""
+    return np.take(table, _tensor_index(table.shape[axis] - 1, 1, 1), axis)
 
 
 class DerivativeTensor:

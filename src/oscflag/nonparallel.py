@@ -17,8 +17,9 @@ from . import subspaces as sub
 from .errors import ParameterError, RegularityError
 from .geometry import (ImmersionChart, PointGeometry, audited_jet,
                        chart_table, flattened_alpha_restricted,
-                       frame_derivative, point_geometry, projection_frame,
-                       relative_nullity, span_projector, to_frame)
+                       frame_derivative, pivot_frames, point_geometry,
+                       projection_frame, relative_nullity, span_projector,
+                       to_frame)
 from .jets import matrix_product, partial_jets, signature
 
 
@@ -111,12 +112,13 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
                  geom: PointGeometry | None = None) -> PhiTensor:
     """phi from central differences of a smooth complement frame.
 
-    Builds the complement frame at the stencil points by projecting the
-    standard basis with the pivot order fixed at the center (each stencil
-    point passes the immersion check and the rank audit of
-    ``audited_jet``), differentiates each frame field along the tangent
-    frame directions, and projects the ambient derivative onto the center
-    first normal space.  Second-order accurate in h; retained as the
+    Builds the complement frame at all stencil points at once, by
+    projecting the standard basis with the pivot order fixed at the center:
+    one ``audited_jet`` over the stencil (each point passes the immersion
+    check and the rank audit), one batched SVD for the complements and one
+    batch of pivoted frames.  It differentiates each frame field along the
+    tangent frame directions and projects the ambient derivative onto the
+    center first normal space.  Second-order accurate in h; retained as the
     independent oracle for phi_pairing.
     """
     if geom is None:
@@ -126,14 +128,24 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
     if n1.dim == 0 or mu_frame.shape[0] == 0:
         return _empty_phi(geom, mu_frame)
 
-    def frame_at(y) -> np.ndarray:
-        # the complement of the second osculating space, off the audited
-        # SVD of its prefix: no PointGeometry at a stencil point
-        osc2 = sub.span_from_svd(audited_jet(chart, y, 1, tol)[1][1], tol)
-        return projection_frame(sub.kernel_of(osc2.basis, tol),
-                                pivots=pivots)[0]
+    q, big_n = len(pivots), chart.ambient_dim
 
-    derivs = frame_derivative(frame_at, geom.x, geom.frame_in_chart, h)
+    def frames_at(points) -> np.ndarray:
+        # the complement of the second osculating space at each stencil
+        # point, off the audited SVD of its prefix: no PointGeometry there
+        _, svds, error = audited_jet(chart, points, 1, tol)
+        svals, vt = svds[1]
+        # as sub.kernel_of on each osc2 basis, whose rows are orthonormal
+        kernels = np.linalg.svd(vt[:, :big_n - q])[2][:, big_n - q:]
+        frames, failed = pivot_frames(
+            kernels, big_n - sub.numerical_ranks(svals, tol), pivots)
+        if failed is not None:
+            raise failed[1]
+        if error is not None:
+            raise error
+        return frames
+
+    derivs = frame_derivative(frames_at, geom.x, geom.frame_in_chart, h)
     values = np.einsum("aqN,iN->qai", derivs, n1.basis)
     return PhiTensor(values, mu_frame, n1.basis)
 

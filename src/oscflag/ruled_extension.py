@@ -212,15 +212,16 @@ def _lambda_split(spec: SplittingSpec, r: int, splits: dict,
 
 
 def _ruled_table(spec: SplittingSpec, pivots: list[int], r: int,
-                 splits: dict, point: np.ndarray, order: int) -> np.ndarray:
-    """Table of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] at the point
-    (x, lam)."""
+                 splits: dict, points: np.ndarray, order: int) -> np.ndarray:
+    """Tables of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] at the
+    points (x, lam) ``(B, n + r)``, one split lookup per x."""
     n = spec.chart.intrinsic_dim
-    split = _lambda_split(spec, r, splits, point[:n])
-    rows = split.pi_lambda[:signature(n, order).size][:, pivots]
-    return affine_lift(signature(n + r, order), chart_table(split.geom, order),
-                       rows.swapaxes(0, 1), point[n:], range(n),
-                       range(n, n + r))
+    size = signature(n, order).size
+    found = [_lambda_split(spec, r, splits, point[:n]) for point in points]
+    base = np.array([chart_table(split.geom, order) for split in found])
+    rows = np.array([split.pi_lambda[:size][:, pivots] for split in found])
+    return affine_lift(signature(n + r, order), base, rows.swapaxes(1, 2),
+                       points[:, n:], range(n), range(n, n + r))
 
 
 # The order of every split the extension reads: its chart's order-q jet reads

@@ -100,6 +100,12 @@ def numerical_rank(svals: np.ndarray, tol: float) -> int:
     return int(np.sum(svals > tol * svals[0]))
 
 
+def numerical_ranks(svals: np.ndarray, tol: float) -> np.ndarray:
+    """``numerical_rank`` of each row of stacked singular values ``(..., r)``
+    (an all-zero row has rank 0)."""
+    return np.sum(svals > tol * svals[..., :1], axis=-1)
+
+
 def span_from_svd(svd: tuple[np.ndarray, np.ndarray], tol: float) -> Subspace:
     """The span at relative threshold ``tol`` from a ``row_svd`` result."""
     svals, vt = svd

@@ -24,9 +24,12 @@ def commutator_residual_fd(spec, split, h: float) -> float:
         frame_y, _ = projection_frame(split_y.D, pivots=pivots)
         return frame_y @ split_y.geom.frame_in_chart
 
+    def d_frames_chart(points) -> np.ndarray:
+        return np.array([d_frame_chart(y) for y in points])
+
     center = d_frame_chart(geom.x)
     jacobians = np.ascontiguousarray(  # field, component, d/dx
-        frame_derivative(d_frame_chart, geom.x, np.eye(n), h)
+        frame_derivative(d_frames_chart, geom.x, np.eye(n), h)
         .transpose(1, 2, 0))
     d_chart_span = sub.span_of(center, 1e-8, ambient_dim=n)
     worst = 0.0

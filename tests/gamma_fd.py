@@ -4,7 +4,8 @@ The L-component of the derivative of each P-frame field is a central
 difference of a projection frame whose pivot order is frozen at the stencil
 centre, so the differentiated field is a smooth section; it is
 second-order accurate in h.  Each stencil point costs one
-``point_geometry`` and one ``SplittingSpec.at`` at order 0.
+``point_geometry`` and one ``SplittingSpec.at`` at order 0; the field over
+the stencil takes its points one at a time.
 """
 
 import numpy as np
@@ -27,12 +28,13 @@ def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
     if directions is None:
         directions = split.E.basis
 
-    def frame_at(y):
-        split_y = spec.at(point_geometry(spec.chart, y, 2, spec.tol), 0)
-        return projection_frame(split_y.P, pivots=pivots)[0]
+    def frames_at(points):
+        return np.array([projection_frame(
+            spec.at(point_geometry(spec.chart, y, 2, spec.tol), 0).P,
+            pivots=pivots)[0] for y in points])
 
     d_frames = frame_derivative(
-        frame_at, geom.x, [v @ geom.frame_in_chart for v in directions], h)
+        frames_at, geom.x, [v @ geom.frame_in_chart for v in directions], h)
     rotation = split.P.basis @ p_frame.T
     e_amb = split.e_ambient()
     values = []

@@ -31,10 +31,11 @@ def p_l_components(chart, geom, nd, h: float, directions,
         sub.direct_sum(nd.S, geom.first_normal_complement(), tol))
     l_basis = sub.complement_within(nd.S, geom.first_normal)
 
-    def frame_at(y):
-        return projection_frame(p_space_at(y), pivots=pivots)[0]
+    def frames_at(points):
+        return np.array([projection_frame(p_space_at(y), pivots=pivots)[0]
+                         for y in points])
 
-    d_mu = frame_derivative(frame_at, geom.x,
+    d_mu = frame_derivative(frames_at, geom.x,
                             [v @ geom.frame_in_chart for v in directions], h)
     return np.einsum("wpN,lN->wpl", d_mu, l_basis.basis), p_frame
 

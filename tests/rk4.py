@@ -19,7 +19,7 @@ def rk4_transport(system, steps: int) -> np.ndarray:
     def rhs(j, fields):  # at the half-step node half[j]
         return -np.outer(fields @ d2[j], d1[j]) / float(d1[j] @ d1[j])
 
-    fields = system.fields_at(t0)
+    fields = system.fields_at([t0])[0]
     out = [fields]
     for i in range(steps):
         k1 = rhs(2 * i, fields)

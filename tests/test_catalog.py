@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from batch_rows import assert_rows_match_single_points
 from oscflag import subspaces as sub
 from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
                              make_curve_parallel_subbundle, make_flat,
@@ -57,11 +58,20 @@ def test_entry_regeneration_is_bitwise_deterministic():
             np.testing.assert_array_equal(j1, j2)
 
 
+@pytest.mark.parametrize("name", entry_names())
+def test_chart_tables_over_points_match_single_points(name):
+    entry = get_entry(name)
+    rng = np.random.default_rng(5)
+    points = np.array([entry.sampler(rng) for _ in range(5)])
+    for order in (1, entry.max_normal_order + 1):
+        assert_rows_match_single_points(entry.chart, points, order)
+
+
 def test_curve_transport_inner_products_constant():
     system = CurveSystem(8, 5, seed=11)
     eye = np.eye(5)
-    for t in np.linspace(0.0, 1.0, 11):
-        fields = system.fields_at(t)
+    ts = np.linspace(0.0, 1.0, 11)
+    for t, fields in zip(ts, system.fields_at(ts)):
         np.testing.assert_allclose(fields @ fields.T, eye, atol=1e-9)
         d1 = system.curve_derivative(t, 1)
         assert np.max(np.abs(fields @ d1)) < 1e-9
@@ -80,7 +90,7 @@ def picard_field_taylor(system, t0, order):
     c2 = [Jet(1, order, r) for r in loop_curve_taylor(system, t0, order, 2)]
     inv_speed2 = jet_reciprocal(sum(c * c for c in c1))
     out = np.empty((system.num_fields, system.ambient_dim, order + 1))
-    for f, start in enumerate(system.fields_at(t0)):
+    for f, start in enumerate(system.fields_at([t0])[0]):
         xi = [jet_constant(1, order, v) for v in start]
         for _ in range(order + 1):
             factor = sum(x * c for x, c in zip(xi, c2)) * inv_speed2 * -1.0
@@ -91,10 +101,10 @@ def picard_field_taylor(system, t0, order):
 
 def test_curve_taylor_matches_derivative_loop():
     system = CurveSystem(8, 5, seed=11)
-    for t in np.linspace(0.0, 1.0, 5):
-        for shift in (0, 1, 2):
+    ts = np.linspace(0.0, 1.0, 5)
+    for shift in (0, 1, 2):
+        for t, got in zip(ts, system.curve_taylor(ts, 7, shift)):
             want = loop_curve_taylor(system, t, 7, shift)
-            got = system.curve_taylor(t, 7, shift)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -102,9 +112,9 @@ def test_field_taylor_matches_picard_oracle():
     # the recurrence and Picard sum in different orders: float64 rounding
     for ambient, fields, seed, order in ((8, 5, 11, 7), (4, 1, 23, 6)):
         system = CurveSystem(ambient, fields, seed)
-        for t in np.linspace(0.05, 0.95, 5):
+        ts = np.linspace(0.05, 0.95, 5)
+        for t, got in zip(ts, system.field_taylor(ts, order)):
             want = picard_field_taylor(system, t, order)
-            got = system.field_taylor(t, order)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -125,7 +135,7 @@ def test_fields_at_matches_rk4_oracle():
         fine = rk4_transport(system, steps)[::stride]
         tol = (2.0 * np.max(np.abs(coarse - fine)) / 15.0
                + math.sqrt(steps) * np.finfo(float).eps)
-        got = np.array([system.fields_at(t) for t in ts])
+        got = system.fields_at(ts)
         assert np.max(np.abs(got - fine)) <= tol, args
 
 
@@ -135,8 +145,7 @@ def test_curve_fields_smooth_across_grid_nodes():
     times = system.node_times
     eps = 1e-9
     for t0 in 0.5 * (times[1:] + times[:-1]):
-        below = system.fields_at(t0 - eps)
-        above = system.fields_at(t0 + eps)
+        below, above = system.fields_at([t0 - eps, t0 + eps])
         assert np.max(np.abs(above - below)) < 1e-7
 
 

@@ -32,17 +32,26 @@ KNOWN = {
                                  "at a translated point (exit 3)",
     ("curve-parallel", 4, 8, 16): "split_exercise:mixed-pair finds nu_ext 2 "
                                   "and n1f_rank 2 (exit 1)",
+    ("curve-parallel", 5, 9, 1): "the rank audit is ambiguous at normal "
+                                 "stage 1 (8 vs 7) at a sampled point "
+                                 "(exit 3)",
 }
 
 
 def _sweep():
+    swept = set()
     for name, params in CURVES:
         for seed in range(20):
             key = (name, params.get("n"), params.get("N"), seed)
+            swept.add(key)
             if key in KNOWN:
                 yield _known(name, params, seed, KNOWN[key])
             else:
                 yield pytest.param(name, params, seed)
+    # known failures of configs outside the sweep, each at its own seed
+    for (name, n, big_n, seed), reason in KNOWN.items():
+        if (name, n, big_n, seed) not in swept:
+            yield _known(name, {"n": n, "N": big_n}, seed, reason)
 
 
 @pytest.mark.slow

@@ -72,8 +72,7 @@ def test_flat_chart_trivial_forms():
 def test_cylinder_nullity_is_ruling():
     def fn(x, order):
         u, v = variables(x, order)
-        return np.column_stack([jet_cos(u).coeffs, jet_sin(u).coeffs,
-                                v.coeffs])
+        return columns([jet_cos(u), jet_sin(u), v])
 
     chart = ImmersionChart("cylinder", 2, 3, box([-3, -3], [3, 3]), fn, 6)
     geom = point_geometry(chart, [0.4, 0.1], 1)
@@ -83,11 +82,16 @@ def test_cylinder_nullity_is_ruling():
     np.testing.assert_allclose(np.abs(ambient), [[0, 0, 1]], atol=1e-12)
 
 
+def columns(jets):
+    """The tables ``(B, size)`` of component jets, one column each; a
+    constant jet serves every point."""
+    return np.stack(np.broadcast_arrays(*(j.coeffs for j in jets)), axis=-1)
+
+
 def _degenerate_chart() -> ImmersionChart:
     def fn(x, order):
         u, _ = variables(x, order)
-        return np.column_stack([u.coeffs, (u * 1.0).coeffs,
-                                jet_constant(2, order, 0.0).coeffs])
+        return columns([u, u * 1.0, jet_constant(2, order, 0.0)])
 
     return ImmersionChart("degenerate", 2, 3, box([-1, -1], [1, 1]), fn, 4)
 
@@ -97,8 +101,7 @@ def _ambiguous_chart() -> ImmersionChart:
     # about 2 eps against O(1), which the band (tol/10, tol*10) straddles
     def fn(x, order):
         u, w = variables(x, order)
-        return np.column_stack([u.coeffs, w.coeffs, (u * u).coeffs,
-                                (w * w * 1e-8).coeffs])
+        return columns([u, w, u * u, w * w * 1e-8])
 
     return ImmersionChart("ambiguous", 2, 4, box([-1, -1], [1, 1]), fn, 4)
 
@@ -113,12 +116,13 @@ def test_audited_jet_raises_as_point_geometry():
     # the points point_geometry rejects, with the same error and level
     for chart, error in ((_degenerate_chart(), NotImmersionError),
                          (_ambiguous_chart(), RegularityError)):
-        with pytest.raises(error) as helper:
-            audited_jet(chart, [0.1, 0.2], 1, 1e-8)
+        tables, svds, helper = audited_jet(chart, [[0.1, 0.2]], 1, 1e-8)
+        assert isinstance(helper, error)
+        assert len(tables) == 0 and all(len(svals) == 0 for svals, _ in svds)
         with pytest.raises(error) as whole:
             point_geometry(chart, [0.1, 0.2], 1, 1e-8)
-        assert str(helper.value) == str(whole.value)
-        assert getattr(helper.value, "level", None) == \
+        assert str(helper) == str(whole.value)
+        assert getattr(helper, "level", None) == \
             getattr(whole.value, "level", None)
     assert whole.value.level == 1
 
@@ -174,9 +178,10 @@ def test_one_svd_per_flag_prefix(monkeypatch):
     monkeypatch.setattr(geometry.np.linalg, "svd", counting_svd)
     point_geometry(entry.chart, x, order)
     monkeypatch.undo()
+    # each prefix stack of the one point, as a batch of one
     for rows in prefixes:
-        hits = sum(1 for a in seen
-                   if a.shape == rows.shape and np.array_equal(a, rows))
+        hits = sum(1 for a in seen if a.shape == (1,) + rows.shape
+                   and np.array_equal(a[0], rows))
         assert hits == 1, rows.shape
 
 
@@ -321,6 +326,11 @@ def _rotating_frame(x):
     return (_rotation(x[0], 0, 1) @ _rotation(x[1], 1, 2))[:2]
 
 
+def _rotating_frames(points):
+    """``_rotating_frame`` at each of the points ``(B, 2)``."""
+    return np.array([_rotating_frame(x) for x in points])
+
+
 def _rotating_frame_derivative(x, w):
     return (w[0] * _rotation(x[0], 0, 1, True) @ _rotation(x[1], 1, 2)
             + w[1] * _rotation(x[0], 0, 1) @ _rotation(x[1], 1, 2, True))[:2]
@@ -332,13 +342,25 @@ def test_frame_derivative_orders_and_layout():
     exact = np.array([_rotating_frame_derivative(x, w) for w in directions])
 
     def error(h):
-        got = frame_derivative(_rotating_frame, x, directions, h)
+        got = frame_derivative(_rotating_frames, x, directions, h)
         assert got.shape == (len(directions),) + _rotating_frame(x).shape
         return float(np.max(np.abs(got - exact)))
 
     h = 0.05
     assert 3.8 < error(h) / error(h / 2.0) < 4.2
     # one direction, one row of the output
-    single = frame_derivative(_rotating_frame, x, directions[2:], h)
+    single = frame_derivative(_rotating_frames, x, directions[2:], h)
     np.testing.assert_array_equal(
-        single[0], frame_derivative(_rotating_frame, x, directions, h)[2])
+        single[0], frame_derivative(_rotating_frames, x, directions, h)[2])
+    # one call of the field, on the stencil points in the order +w_1, -w_1,
+    # +w_2, ...
+    calls = []
+
+    def recording(points):
+        calls.append(points)
+        return _rotating_frames(points)
+
+    frame_derivative(recording, x, directions, h)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], [
+        x + sign * h * w for w in directions for sign in (1.0, -1.0)])

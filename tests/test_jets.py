@@ -202,8 +202,9 @@ def test_lift_places_variables():
 
 
 def columns(jets):
-    """The coefficient tables of component jets, one column each."""
-    return np.column_stack([j.coeffs for j in jets])
+    """The coefficient tables ``(..., size)`` of component jets, one column
+    each; a constant jet serves every point."""
+    return np.stack(np.broadcast_arrays(*(j.coeffs for j in jets)), axis=-1)
 
 
 def lift_parts(u, r):
@@ -223,18 +224,19 @@ def lift_parts(u, r):
 def test_affine_lift_matches_jet_arithmetic(num_vars, base_vars,
                                             ruling_vars, order):
     # the same F = g + sum_j t_j xi_j built by jet operations over the full
-    # signature, the ruling variables multiplying their fields
-    x = np.linspace(0.1, 0.6, num_vars)
+    # signature, the ruling variables multiplying their fields, at a batch
+    # of three points
+    x = np.linspace(0.1, 0.6, num_vars) + np.array([[0.0], [0.05], [-0.1]])
     full = variables(x, order)
     g, xi = lift_parts([full[i] for i in base_vars], len(ruling_vars))
     want = columns([gk + sum((full[v] * xj[k]
                               for v, xj in zip(ruling_vars, xi)), 0.0)
                     for k, gk in enumerate(g)])
-    g_b, xi_b = lift_parts(variables(x[list(base_vars)], order),
+    g_b, xi_b = lift_parts(variables(x[:, list(base_vars)], order),
                            len(ruling_vars))
     got = affine_lift(signature(num_vars, order), columns(g_b),
-                      np.array([columns(xj) for xj in xi_b]),
-                      x[list(ruling_vars)], base_vars, ruling_vars)
+                      np.stack([columns(xj) for xj in xi_b], axis=1),
+                      x[:, list(ruling_vars)], base_vars, ruling_vars)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -12,9 +12,9 @@ from oscflag.catalog import get_entry
 from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
                             check_phi_convergence, check_ricci_rulings,
                             check_rulings_alpha_nonzero, check_s_constancy)
-from oscflag.errors import ParameterError
-from oscflag.geometry import drift, point_geometry
-from oscflag.jets import first_partials
+from oscflag.errors import DomainError, ParameterError, RegularityError
+from oscflag.geometry import ImmersionChart, box, drift, point_geometry
+from oscflag.jets import first_partials, jet_constant, variables
 from oscflag.nonparallel import (NonparallelData, PhiTensor, classify_case,
                                  codazzi_residual, nonparallel_data,
                                  phi_difference, phi_frame_fd, phi_pairing)
@@ -123,8 +123,8 @@ def test_codazzi_residual_small(curve_point):
 def test_frame_difference_checks_share_one_stencil_pair(curve_point,
                                                          monkeypatch):
     # phi_convergence and codazzi difference the complement frame at the
-    # same 2n stencil points for each of the two steps: one chart
-    # evaluation per stencil point, and no PointGeometry built at any
+    # same 2n stencil points for each of the two steps: one chart call per
+    # stencil, on its 2n points, and no PointGeometry built at any
     entry, x, geom = curve_point
     phi = phi_pairing(geom)
     assert not phi.is_empty
@@ -138,15 +138,48 @@ def test_frame_difference_checks_share_one_stencil_pair(curve_point,
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(entry.chart, "eval",
-                        recording(entry.chart.eval, evaluated))
+    monkeypatch.setattr(entry.chart, "fn",
+                        recording(entry.chart.fn, evaluated))
     monkeypatch.setattr(geometry, "PointGeometry",
                         recording(geometry.PointGeometry, built))
     monkeypatch.setattr(nonparallel, "point_geometry",
                         recording(nonparallel.point_geometry, built))
     assert check_phi_convergence(ctx).passed and check_codazzi(ctx).passed
-    assert len(evaluated) == 4 * geom.n
+    assert [len(points) for points, _ in evaluated] == [2 * geom.n] * 2
     assert not built
+
+
+def _stencil_chart(k: float) -> ImmersionChart:
+    """(u, v, u^2, uv, k u v^2 / 2, 0) on a box whose v-range ends at
+    5e-4: at the origin the second osculating space has rank 4, at (u, 0)
+    the fifth direction has singular value about |k u|, and a stencil of
+    step 1e-3 leaves the box at its third point, (0, 1e-3)."""
+    def fn(x, order):
+        u, v = variables(x, order)
+        zero = jet_constant(2, order, 0.0)
+        return np.stack(np.broadcast_arrays(*(
+            j.coeffs for j in (u, v, u * u, u * v, u * v * v * (k / 2.0),
+                               zero))), axis=-1)
+
+    return ImmersionChart(f"stencil-{k}", 2, 6, box([-1.0, -1.0],
+                                                    [1.0, 5e-4]), fn, 4)
+
+
+@pytest.mark.parametrize("k,error,point", [
+    # (1e-3, 0) is rank-ambiguous: its singular value 5e-8 lies inside the
+    # band (tol/10, tol*10) times the largest; it comes before the point
+    # that leaves the box
+    (5e-5, RegularityError, [1e-3, 0.0]),
+    # no point is ambiguous: the one outside the box decides
+    (0.0, DomainError, [0.0, 1e-3]),
+])
+def test_stencil_raises_at_its_first_failing_point(k, error, point):
+    chart = _stencil_chart(k)
+    geom = point_geometry(chart, [0.0, 0.0], 1)
+    assert geom.first_normal.dim == 2
+    with pytest.raises(error) as raised:
+        phi_frame_fd(chart, geom.x, 1e-3, geom=geom)
+    assert str(np.array(point)) in str(raised.value)
 
 
 def test_one_phi_per_geometry(monkeypatch):

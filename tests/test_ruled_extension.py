@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from batch_rows import assert_rows_match_single_points
 from commutator_fd import commutator_residual_fd
 from extension_fd import extension_second_fd
 from gamma_fd import gamma_values_fd
@@ -150,6 +151,21 @@ def test_extension_radius_bisection(curve_entry):
         assert svals[-1] > 1e-6 * svals[0]
 
 
+def test_extension_tables_over_points_match_single_points(curve_entry):
+    # five points (x, lam) over two probe points: one split lookup per
+    # point, one affine lift for the batch
+    exercise = curve_entry.split_exercises[0]
+    spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
+    rng = np.random.default_rng(5)
+    pts = [curve_entry.sampler(rng) for _ in range(2)]
+    ext = build_extension(spec, LAMBDA_RADIUS, splits_at(spec, pts))
+    lams = ext.lambda_radius * np.linspace(-1.0, 1.0, 5)
+    points = np.array([np.append(pts[i % 2], lam)
+                       for i, lam in enumerate(lams)])
+    for order in range(ext.chart.max_order + 1):
+        assert_rows_match_single_points(ext.chart, points, order)
+
+
 def test_extension_verify_parallel_line(curve_entry):
     exercise = curve_entry.split_exercises[0]
     spec = SplittingSpec(curve_entry.chart, rule=exercise.rule)
@@ -263,13 +279,14 @@ def sheared(chart, amount):
              for i in range(n)]
         sig = y[0].sig
         dy = [(yi - yi.value).coeffs for yi in y]
-        powers = np.zeros((sig.size, sig.size))
-        powers[0, 0] = 1.0
+        powers = np.zeros((len(x), sig.size, sig.size))
+        powers[:, 0, 0] = 1.0
         for k, alpha in enumerate(sig.monomials[1:], 1):
             i = next(j for j, e in enumerate(alpha) if e)
             lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            powers[k] = product(sig, powers[sig.index[lower]], dy[i])
-        return powers.T @ chart.fn(np.array([yi.value for yi in y]), order)
+            powers[:, k] = product(sig, powers[:, sig.index[lower]], dy[i])
+        return powers.swapaxes(1, 2) @ chart.fn(
+            np.stack([yi.value for yi in y], axis=-1), order)
     return ImmersionChart(chart.name + "-sheared", n, chart.ambient_dim,
                           chart.domain, fn, chart.max_order)
 
@@ -441,9 +458,9 @@ def test_extension_second_form_against_fd_oracle(name, params, index):
         extension_second_fd(ext, pts[0], lam, h)) - exact)
         for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
-    n = entry.chart.intrinsic_dim
     j_h, j_h2 = (np.linalg.norm(frame_derivative(
-        lambda p: ext.eval(p[:n], p[n:]), point, np.eye(point.size), h)
+        lambda points: ext.chart.tables(points, 0)[:, 0], point,
+        np.eye(point.size), h)
         - ext.jacobian(pts[0], lam)) for h in (1e-3, 5e-4))
     assert 3.2 <= j_h / j_h2 <= 4.8, (j_h, j_h2)
 
@@ -459,7 +476,9 @@ def test_exact_commutator_against_fd_oracle():
     assert split.d == 2
     exact = first_partials(split.q_d[:n + 1])
     d_h, d_h2 = (np.linalg.norm(frame_derivative(
-        lambda y: split_at(spec, y, 0).q_d[0], split.geom.x, np.eye(n), h)
+        lambda points: np.array([split_at(spec, y, 0).q_d[0]
+                                 for y in points]),
+        split.geom.x, np.eye(n), h)
         - exact) for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
     residual = _commutator_residual(split)
