@@ -204,6 +204,7 @@ class CurveSystem:
     STEP_TOL = 1e-16
     WINDOW = (0.0, 1.0)
     _FREQ_COLUMN = np.array(FREQS, dtype=float)[:, None]
+    _DEGREES = np.arange(ORDER + 1)[:, None]
 
     def __init__(self, ambient_dim: int, num_fields: int, seed: int):
         self.ambient_dim = ambient_dim
@@ -310,8 +311,9 @@ class CurveSystem:
         w = np.empty((count, order + 1))
         w_rev = w[:, ::-1, None]
         w[:, 0] = 1.0 / speed2[:, 0]
+        minus_w0, speed2 = -w[:, 0], speed2[:, None]
         for k in range(1, order + 1):
-            w[:, k] = -w[:, 0] * (speed2[:, None, 1:k + 1]
+            w[:, k] = minus_w0 * (speed2[:, :, 1:k + 1]
                                   @ w_rev[:, order - k + 1:])[:, 0, 0]
         a_rev, b_rev = a[:, :, ::-1].swapaxes(1, 2), b[:, None, :, ::-1]
         xi = np.empty((count, self.num_fields, self.ambient_dim, order + 1))
@@ -354,7 +356,6 @@ class CurveSystem:
         self.node_times = np.array(times)
         self.node_series = np.array(series)
         self._midpoints = 0.5 * (self.node_times[1:] + self.node_times[:-1])
-        self._degrees = np.arange(self.ORDER + 1)[:, None]
 
     def fields_at(self, t: np.ndarray) -> np.ndarray:
         """Transported frames at the parameters ``t`` ``(B,)``, shape
@@ -364,7 +365,7 @@ class CurveSystem:
         """
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self._midpoints, t)
-        powers = (t - self.node_times[i])[:, None, None, None] ** self._degrees
+        powers = (t - self.node_times[i])[:, None, None, None] ** self._DEGREES
         return (self.node_series[i] @ powers)[..., 0]
 
     def orthonormality_drift(self) -> float:

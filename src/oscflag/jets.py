@@ -188,16 +188,14 @@ def jet_constant(num_vars: int, order: int, value: float) -> Jet:
     return _jet(sig, c)
 
 
-def jet_variable(num_vars: int, order: int, var: int, value) -> Jet:
-    """Jet of the coordinate function u_var at points where u_var = value
-    (a number, or an array of them along the leading axes)."""
+def jet_variable(num_vars: int, order: int, var: int, value: float) -> Jet:
+    """Jet of the coordinate function u_var at a point where u_var = value."""
     sig = signature(num_vars, order)
-    value = np.asarray(value, dtype=float)
-    c = np.zeros(value.shape + (sig.size,))
-    c[..., 0] = value
+    c = np.zeros(sig.size)
+    c[0] = value
     if order >= 1:
         unit = tuple(1 if i == var else 0 for i in range(num_vars))
-        c[..., sig.index[unit]] = 1.0
+        c[sig.index[unit]] = 1.0
     return _jet(sig, c)
 
 
