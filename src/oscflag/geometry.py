@@ -400,9 +400,10 @@ def audited_jet(chart: ImmersionChart, points, max_normal_order: int,
             :, signature(n, k - 1).size:signature(n, k).size]], axis=1))
     finite = np.array([np.isfinite(rows).all(axis=(1, 2))
                        for rows in prefixes])
-    svds = [tuple(np.linalg.svd(np.where(ok[:, None, None], rows, 0.0)
-                                if not ok.all() else rows,
-                                full_matrices=False)[1:])
+    # a point's non-finite stack is zeroed so that the batch decomposes;
+    # the point fails on its finiteness
+    svds = [tuple(np.linalg.svd(rows if ok.all() else np.where(
+        ok[:, None, None], rows, 0.0), full_matrices=False)[1:])
             for rows, ok in zip(prefixes, finite)]
 
     dims = np.array([sub.numerical_ranks(svals, tol) for svals, _ in svds])

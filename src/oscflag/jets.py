@@ -320,28 +320,23 @@ def _values(a: Jet) -> list[float]:
     return a.coeffs[..., 0].ravel().tolist()
 
 
-def _sin_cos_coeffs(a0: float, order: int) -> list[list[float]]:
-    """The Taylor coefficients of sin and of cos at a0."""
-    cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
-    return [[cyc[(j + shift) % 4] / math.factorial(j)
-             for j in range(order + 1)] for shift in (0, 1)]
-
-
 def jet_sincos(a: Jet) -> tuple[Jet, Jet]:
     """sin a and cos a, from one power table."""
-    outer = _outer(a, _values(a), lambda a0: _sin_cos_coeffs(a0, a.order))
+    def coeffs(a0):
+        cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
+        return [[cyc[(j + shift) % 4] / math.factorial(j)
+                 for j in range(a.order + 1)] for shift in (0, 1)]
+    outer = _outer(a, _values(a), coeffs)
     both = (outer[..., None, :] @ _powers(a)[..., None, :, :])[..., 0, :]
     return _jet(a.sig, both[..., 0, :]), _jet(a.sig, both[..., 1, :])
 
 
 def jet_sin(a: Jet) -> Jet:
-    return compose_series(a, _outer(a, _values(a), lambda a0: _sin_cos_coeffs(
-        a0, a.order)[0]))
+    return jet_sincos(a)[0]
 
 
 def jet_cos(a: Jet) -> Jet:
-    return compose_series(a, _outer(a, _values(a), lambda a0: _sin_cos_coeffs(
-        a0, a.order)[1]))
+    return jet_sincos(a)[1]
 
 
 def jet_reciprocal(a: Jet) -> Jet:
