@@ -392,38 +392,41 @@ def audited_jet(chart: ImmersionChart, points, max_normal_order: int,
     valid, error = chart.first_rejected(points, order)
     tables = chart._checked_tables(points[:valid], order)
     values = tables * signature(n, order).factorials[:, None]
-
-    prefixes = [first_partials(values[:, :n + 1], axis=1)]
-    for k in range(2, order + 1):
-        # the partials of order k, contiguous in the graded signature
-        prefixes.append(np.concatenate([prefixes[-1], values[
-            :, signature(n, k - 1).size:signature(n, k).size]], axis=1))
-    finite = np.array([np.isfinite(rows).all(axis=(1, 2))
-                       for rows in prefixes])
+    # the partials by degree, the first ones in chart-variable order: the
+    # prefix of order k is the leading signature(n, k).size - 1 rows
+    rows = np.concatenate([first_partials(values[:, :n + 1], axis=1),
+                           values[:, n + 1:]], axis=1)
+    ends = [signature(n, k).size - 1 for k in range(1, order + 1)]
+    finite_rows = np.isfinite(rows).all(axis=2)
+    finite = np.array([finite_rows[:, :end].all(axis=1) for end in ends])
     # a point's non-finite stack is zeroed so that the batch decomposes;
     # the point fails on its finiteness
-    svds = [tuple(np.linalg.svd(rows if ok.all() else np.where(
-        ok[:, None, None], rows, 0.0), full_matrices=False)[1:])
-            for rows, ok in zip(prefixes, finite)]
+    svds = [tuple(np.linalg.svd(
+        rows[:, :end] if ok.all()
+        else np.where(ok[:, None, None], rows[:, :end], 0.0),
+        full_matrices=False)[1:]) for end, ok in zip(ends, finite)]
 
-    dims = np.array([sub.numerical_ranks(svals, tol) for svals, _ in svds])
-    bands = [np.array([sub.numerical_ranks(svals, band_tol)
-                       for svals, _ in svds])
-             for band_tol in (tol / 10.0, tol * 10.0)]
+    # ranks as sub.numerical_rank at tol/10, tol and tol*10, from the
+    # singular values of every prefix padded with zeros
+    svals = np.zeros((len(ends), len(rows), chart.ambient_dim))
+    for k, (prefix_svals, _) in enumerate(svds):
+        svals[k, :, :prefix_svals.shape[1]] = prefix_svals
+    tols = np.array([tol / 10.0, tol, tol * 10.0])[:, None, None, None]
+    ranks = np.sum(svals > tols * svals[..., :1], axis=-1)
+    dims, bands = ranks[1], ranks[[0, 2]]
     passed = (finite.all(axis=0) & (dims[0] >= n)
-              & (bands[0] == dims).all(axis=0)
-              & (bands[1] == dims).all(axis=0))
+              & (bands == dims).all(axis=(0, 1)))
     if not passed.all():
         i = int(np.argmin(passed))
         error = _audit_error(chart, points[i], finite[:, i], dims[:, i],
-                             [band[:, i] for band in bands])
+                             bands[:, :, i])
         tables = tables[:i]
-        svds = [(svals[:i], vt[:i]) for svals, vt in svds]
+        svds = [(prefix_svals[:i], vt[:i]) for prefix_svals, vt in svds]
     return tables, svds, error
 
 
 def _audit_error(chart: ImmersionChart, x: np.ndarray, finite: np.ndarray,
-                 dims: np.ndarray, bands: list[np.ndarray]) -> OscflagError:
+                 dims: np.ndarray, bands: np.ndarray) -> OscflagError:
     """The error of a point ``audited_jet`` rejects, from its finiteness,
     ranks and band ranks per prefix, in the order the checks run."""
     if not finite[0]:

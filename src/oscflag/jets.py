@@ -258,9 +258,11 @@ def product(sig: JetSignature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ii, jj, kk = sig.mul_table
     size = sig.size
-    if a.size == b.size == size:  # the tables of one point
+    if a.ndim == b.ndim == 1:
+        shape, terms = (size,), a[ii] * b[jj]
+    elif a.size == b.size == size:  # the tables of one point
+        shape = a.shape if a.ndim >= b.ndim else b.shape
         terms = a.reshape(-1)[ii] * b.reshape(-1)[jj]
-        shape = (a if a.ndim >= b.ndim else b).shape
     else:
         terms = a.take(ii, axis=-1) * b.take(jj, axis=-1)
         shape = terms.shape[:-1] + (size,)
