@@ -1,6 +1,12 @@
-"""Shared check of the chart contract over a point axis."""
+"""Test charts and checks on the chart contract over a point axis."""
 
 import numpy as np
+
+
+def columns(jets):
+    """The tables ``(..., size)`` of component jets as one table with a
+    column per jet; a constant jet's table serves every point."""
+    return np.stack(np.broadcast_arrays(*(j.coeffs for j in jets)), axis=-1)
 
 
 def assert_rows_match_single_points(chart, points, order):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from batch_rows import columns
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.errors import (CapabilityError, FrameError, NotImmersionError,
@@ -80,12 +81,6 @@ def test_cylinder_nullity_is_ruling():
     assert nu == 1
     ambient = kernel.basis @ geom.frame
     np.testing.assert_allclose(np.abs(ambient), [[0, 0, 1]], atol=1e-12)
-
-
-def columns(jets):
-    """The tables ``(B, size)`` of component jets, one column each; a
-    constant jet serves every point."""
-    return np.stack(np.broadcast_arrays(*(j.coeffs for j in jets)), axis=-1)
 
 
 def _degenerate_chart() -> ImmersionChart:

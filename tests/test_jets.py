@@ -15,6 +15,7 @@ from oscflag.jets import (DerivativeTensor, Jet, affine_lift, compose_series,
                           jet_constant, jet_cos, jet_reciprocal, jet_sin,
                           jet_sqrt, jet_variable, product, signature,
                           variables)
+from batch_rows import columns
 from jet_oracles import jet_exp, substitute_affine
 from picard import antiderivative
 
@@ -199,12 +200,6 @@ def test_lift_places_variables():
     for m in range(4):
         want[signature(3, 3).index[(0, 0, m)]] = single.coeffs[m]
     np.testing.assert_allclose(direct.coeffs, want, atol=1e-16)
-
-
-def columns(jets):
-    """The coefficient tables ``(..., size)`` of component jets, one column
-    each; a constant jet serves every point."""
-    return np.stack(np.broadcast_arrays(*(j.coeffs for j in jets)), axis=-1)
 
 
 def lift_parts(u, r):

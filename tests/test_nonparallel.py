@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from batch_rows import columns
 from oscflag import geometry, nonparallel, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
@@ -156,10 +157,8 @@ def _stencil_chart(k: float) -> ImmersionChart:
     step 1e-3 leaves the box at its third point, (0, 1e-3)."""
     def fn(x, order):
         u, v = variables(x, order)
-        zero = jet_constant(2, order, 0.0)
-        return np.stack(np.broadcast_arrays(*(
-            j.coeffs for j in (u, v, u * u, u * v, u * v * v * (k / 2.0),
-                               zero))), axis=-1)
+        return columns([u, v, u * u, u * v, u * v * v * (k / 2.0),
+                        jet_constant(2, order, 0.0)])
 
     return ImmersionChart(f"stencil-{k}", 2, 6, box([-1.0, -1.0],
                                                     [1.0, 5e-4]), fn, 4)
