@@ -1,5 +1,6 @@
 """Catalog entries: construction, determinism, declared structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
                              make_curve_parallel_subbundle, make_flat,
                              make_holomorphic_curve_surface,
                              make_section4_example, make_sphere)
+from oscflag.checks import CHECKS, VerifyContext
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
-from oscflag.jets import Jet, jet_constant, jet_reciprocal, signature
+from oscflag.jets import (Jet, affine_lift, jet_constant, jet_reciprocal,
+                          signature)
 from oscflag.nonparallel import nonparallel_data
 from picard import antiderivative
 from rk4 import rk4_transport
@@ -68,29 +71,31 @@ def test_chart_tables_over_points_match_single_points(name):
 
 
 def test_curve_transport_inner_products_constant():
-    system = CurveSystem(8, 5, seed=11)
+    system = CurveSystem(8, 5, [11])
     eye = np.eye(5)
     ts = np.linspace(0.0, 1.0, 11)
-    for t, fields in zip(ts, system.fields_at(ts)):
+    for t, fields in zip(ts, system.fields_at(0, ts)):
         np.testing.assert_allclose(fields @ fields.T, eye, atol=1e-9)
-        d1 = system.curve_derivative(t, 1)
+        d1 = system.curve_derivative(0, t, 1)
         assert np.max(np.abs(fields @ d1)) < 1e-9
 
 
-def loop_curve_taylor(system, t0, order, shift):
+def loop_curve_taylor(system, curve, t0, order, shift):
     """Reference: column m is d^(m+shift) c / dt^(m+shift) at t0, over m!."""
-    return np.column_stack([system.curve_derivative(t0, m + shift)
+    return np.column_stack([system.curve_derivative(curve, t0, m + shift)
                             / math.factorial(m) for m in range(order + 1)])
 
 
-def picard_field_taylor(system, t0, order):
+def picard_field_taylor(system, curve, t0, order):
     """Reference: Picard sweeps xi <- xi(t0) + int -<xi, c''> c' / |c'|^2
     in one-variable jets; each sweep fixes one more coefficient."""
-    c1 = [Jet(1, order, r) for r in loop_curve_taylor(system, t0, order, 1)]
-    c2 = [Jet(1, order, r) for r in loop_curve_taylor(system, t0, order, 2)]
+    c1 = [Jet(1, order, r)
+          for r in loop_curve_taylor(system, curve, t0, order, 1)]
+    c2 = [Jet(1, order, r)
+          for r in loop_curve_taylor(system, curve, t0, order, 2)]
     inv_speed2 = jet_reciprocal(sum(c * c for c in c1))
     out = np.empty((system.num_fields, system.ambient_dim, order + 1))
-    for f, start in enumerate(system.fields_at([t0])[0]):
+    for f, start in enumerate(system.fields_at(curve, [t0])[0]):
         xi = [jet_constant(1, order, v) for v in start]
         for _ in range(order + 1):
             factor = sum(x * c for x, c in zip(xi, c2)) * inv_speed2 * -1.0
@@ -100,21 +105,21 @@ def picard_field_taylor(system, t0, order):
 
 
 def test_curve_taylor_matches_derivative_loop():
-    system = CurveSystem(8, 5, seed=11)
+    system = CurveSystem(8, 5, [11])
     ts = np.linspace(0.0, 1.0, 5)
     for shift in (0, 1, 2):
-        for t, got in zip(ts, system.curve_taylor(ts, 7, shift)):
-            want = loop_curve_taylor(system, t, 7, shift)
+        for t, got in zip(ts, system.curve_taylor(0, ts, 7, shift)):
+            want = loop_curve_taylor(system, 0, t, 7, shift)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_field_taylor_matches_picard_oracle():
     # the recurrence and Picard sum in different orders: float64 rounding
     for ambient, fields, seed, order in ((8, 5, 11, 7), (4, 1, 23, 6)):
-        system = CurveSystem(ambient, fields, seed)
+        system = CurveSystem(ambient, fields, [seed])
         ts = np.linspace(0.05, 0.95, 5)
-        for t, got in zip(ts, system.field_taylor(ts, order)):
-            want = picard_field_taylor(system, t, order)
+        for t, got in zip(ts, system.field_taylor(0, ts, order)):
+            want = picard_field_taylor(system, 0, t, order)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -123,30 +128,94 @@ def test_fields_at_matches_rk4_oracle():
     # RK4's global error is C h^4 to leading order, so the runs at h and
     # h/2 differ by (15/16) C h^4 and the error of the finer run is
     # |y_h - y_(h/2)| / 15; the tolerance is twice that estimate plus a
-    # random-walk rounding allowance sqrt(steps) * eps on unit fields
+    # random-walk rounding allowance sqrt(steps) * eps on unit fields.
+    # One RK4 run per ambient dimension integrates all its curves together.
     steps = 2000
     stride = steps // 25
     ts = np.linspace(0.0, 1.0, 26)
-    systems = [(8, 5, 11), (4, 1, 24)] + [(4, 1, 23 + 17 * i)
-                                          for i in range(4)]
-    for args in systems:
-        system = CurveSystem(*args)
-        coarse = rk4_transport(system, steps // 2)[::stride // 2]
-        fine = rk4_transport(system, steps)[::stride]
-        tol = (2.0 * np.max(np.abs(coarse - fine)) / 15.0
-               + math.sqrt(steps) * np.finfo(float).eps)
-        got = system.fields_at(ts)
-        assert np.max(np.abs(got - fine)) <= tol, args
+    stacks = [(8, 5, [11]), (4, 1, [24] + [23 + 17 * i for i in range(4)])]
+    for ambient, fields, seeds in stacks:
+        system = CurveSystem(ambient, fields, seeds)
+        coarse, fine = rk4_transport(system, steps)
+        coarse, fine = coarse[::stride // 2], fine[::stride]
+        for curve, seed in enumerate(seeds):
+            error = np.abs(coarse[:, curve] - fine[:, curve])
+            tol = (2.0 * np.max(error) / 15.0
+                   + math.sqrt(steps) * np.finfo(float).eps)
+            got = system.fields_at(curve, ts)
+            assert np.max(np.abs(got - fine[:, curve])) <= tol, \
+                (ambient, fields, seed)
 
 
 def test_curve_fields_smooth_across_grid_nodes():
     # fields_at switches from one node's series to the next at the midpoints
-    system = CurveSystem(8, 3, seed=11)
-    times = system.node_times
+    system = CurveSystem(8, 3, [11])
+    times = system.node_times[0, :system.node_counts[0]]
     eps = 1e-9
     for t0 in 0.5 * (times[1:] + times[:-1]):
-        below, above = system.fields_at([t0 - eps, t0 + eps])
+        below, above = system.fields_at(0, [t0 - eps, t0 + eps])
         assert np.max(np.abs(above - below)) < 1e-7
+
+
+def test_curve_stack_rows_match_stacks_of_one():
+    # each row of a stack runs the arithmetic of a stack of one: node grids,
+    # series and chart tables are bit-identical, not merely close
+    product = get_entry("curve-product")
+    stacks = [(4, 1, [23 + 17 * i for i in range(4)]), (8, 5, [11, 12, 13])]
+    ts = np.linspace(0.05, 0.95, 4)
+    for ambient, fields, seeds in stacks:
+        stack = CurveSystem(ambient, fields, seeds)
+        rows = np.repeat(np.arange(len(seeds)), len(ts))
+        t_rows = np.tile(ts, len(seeds))
+        stacked = (stack.field_taylor(rows, t_rows, 6),
+                   stack.curve_taylor(rows, t_rows, 6))
+        for curve, seed in enumerate(seeds):
+            alone = CurveSystem(ambient, fields, [seed])
+            count = stack.node_counts[curve]
+            assert count == alone.node_counts[0]
+            assert (stack.node_times[curve, :count].tobytes()
+                    == alone.node_times[0].tobytes())
+            assert (stack.node_series[curve, :count].tobytes()
+                    == alone.node_series[0].tobytes())
+            block = slice(curve * len(ts), (curve + 1) * len(ts))
+            assert (stacked[0][block].tobytes()
+                    == alone.field_taylor(0, ts, 6).tobytes())
+            assert (stacked[1][block].tobytes()
+                    == alone.curve_taylor(0, ts, 6).tobytes())
+    factors = [CurveSystem(4, 1, [23 + 17 * i]) for i in range(4)]
+    rng = np.random.default_rng(3)
+    points = np.array([product.sampler(rng) for _ in range(3)])
+    for order in range(7):
+        sig = signature(8, order)
+        blocks = []
+        for i, factor in enumerate(factors):
+            t = points[:, 2 * i]
+            blocks.append(affine_lift(
+                sig, factor.curve_taylor(0, t, order).swapaxes(1, 2),
+                factor.field_taylor(0, t, order).swapaxes(2, 3),
+                points[:, [2 * i + 1]], (2 * i,), (2 * i + 1,)))
+        want = np.concatenate(blocks, axis=2)
+        assert product.chart.tables(points, order).tobytes() == want.tobytes()
+
+
+def test_transport_orthonormality_fails_on_coarse_steps():
+    # a step tolerance of 1e-6 lets the Taylor steps' truncation error
+    # reach the Gram matrix of the transported frames
+    class CoarseCurveSystem(CurveSystem):
+        STEP_TOL = 1e-6
+
+    entry = get_entry("curve-parallel")
+    [params] = [e.params for e in entry.expected
+                if e.check == "transport_orthonormality"]
+    check = CHECKS["transport_orthonormality"]
+    fine = entry.aux["system"]
+    coarse = CoarseCurveSystem(fine.ambient_dim, fine.num_fields, [11])
+    assert check(VerifyContext(entry, [], 0, 1e-8), **params).passed
+    assert coarse.orthonormality_drift() > params["tol"]
+    coarse_entry = dataclasses.replace(entry, aux={"system": coarse})
+    result = check(VerifyContext(coarse_entry, [], 0, 1e-8), **params)
+    assert not result.passed
+    assert result.residual == coarse.orthonormality_drift()
 
 
 def test_section4_sampler_avoids_zero_section():
