@@ -8,10 +8,11 @@ import pytest
 
 from batch_rows import assert_rows_match_single_points
 from oscflag import subspaces as sub
-from oscflag.catalog import (BUILDERS, CurveSystem, entry_names, get_entry,
+from oscflag.catalog import (BUILDERS, entry_names, get_entry,
                              make_curve_parallel_subbundle, make_flat,
                              make_holomorphic_curve_surface,
                              make_section4_example, make_sphere)
+from oscflag.curves import CurveSystem
 from oscflag.checks import CHECKS, VerifyContext
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
