@@ -28,7 +28,8 @@ from .jets import (Jet, JetSignature, affine_lift, jet_constant,
 
 @dataclass(frozen=True)
 class Expectation:
-    """A declared invariant: a check id, its parameters, and a label."""
+    """A declared invariant: a check id, its parameters, and a label.  The
+    parameters state the claim; ``checks.GATES`` holds the gate."""
 
     check: str
     params: dict
@@ -98,10 +99,9 @@ def make_sphere(n: int = 2) -> CatalogEntry:
         Expectation("phi_absent", {},
                     "no complement: not locally substantial beyond the "
                     "first normal space"),
-        Expectation("umbilic_sphere", {"tol": 1e-10},
+        Expectation("umbilic_sphere", {},
                     "alpha(X, Y) = -<X, Y> times the position normal"),
-        Expectation("ricci_constant", {"expected": float(n - 1),
-                                       "tol": 1e-9, "count": 50},
+        Expectation("ricci_constant", {"expected": float(n - 1)},
                     "constant Ricci curvature n - 1"),
         Expectation("case_label", {"expected": "parallel"},
                     "no nonparallelism data"),
@@ -132,7 +132,7 @@ def make_flat(seed: int = 0) -> CatalogEntry:
     chart = ImmersionChart("flat-plane", 2, big_n,
                            box([-1.0, -1.0], [1.0, 1.0]), fn, max_order=8)
     expected = [
-        Expectation("alpha_zero", {"tol": 1e-12},
+        Expectation("alpha_zero", {},
                     "totally geodesic: vanishing second fundamental form"),
         Expectation("flag_dims", {"stages": [], "total": None},
                     "empty normal flag"),
@@ -165,7 +165,7 @@ def make_product_torus() -> CatalogEntry:
     expected = [
         Expectation("first_normal_rank", {"expected": 2},
                     "product of two circles"),
-        Expectation("phi_zero", {"tol": 1e-9},
+        Expectation("phi_zero", {},
                     "parallel first normal bundle: phi vanishes"),
         Expectation("case_label", {"expected": "parallel"},
                     "parallel case"),
@@ -233,7 +233,7 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
                     "relative nullity index n - 1"),
         Expectation("sectional_flat", {"tol": 1e-8, "count": 20},
                     "flat induced metric"),
-        Expectation("transport_orthonormality", {"tol": 1e-9},
+        Expectation("transport_orthonormality", {},
                     "parallel transport preserves inner products"),
         Expectation("flag_dims", {"stages": None, "total": N},
                     "osculating flag exhausts the ambient space"),
@@ -385,11 +385,11 @@ def make_holomorphic_curve_surface(m: int = 2) -> CatalogEntry:
         Expectation("flag_dims", {"stages": [2] * (m + 2), "total": big_n},
                     "every normal stage is a plane bundle and the flag "
                     "exhausts the ambient space"),
-        Expectation("ellipticity", {"tol": 1e-10, "count": 20},
+        Expectation("ellipticity", {},
                     "alpha(Z, Z) + alpha(JZ, JZ) = 0"),
-        Expectation("minimality", {"tol": 1e-10},
+        Expectation("minimality", {},
                     "holomorphic curves are minimal"),
-        Expectation("flag_coordinate_planes_at_origin", {"tol": 1e-9},
+        Expectation("flag_coordinate_planes_at_origin", {},
                     "at the center the stages align with coordinate planes"),
         Expectation("s_rank", {"expected": 2},
                     "fully nonparallel first normal space"),
@@ -460,16 +460,16 @@ def make_section4_example(m: int = 2) -> CatalogEntry:
                     "rulings of the minimum dimension n - s"),
         Expectation("case_label", {"expected": "case-iii-a"},
                     "ruled case with full gamma rank"),
-        Expectation("s_matches_base_stage", {"stage": m + 1, "tol": 1e-6},
+        Expectation("s_matches_base_stage", {},
                     "nonparallelism span equals stage m+1 of the base "
                     "surface"),
-        Expectation("osculating_identity", {"tol": 1e-6},
+        Expectation("osculating_identity", {},
                     "tangent plus first normal space matches the base flag "
                     "through stage m+1"),
-        Expectation("vertical_alpha_span", {"tol": 1e-6},
+        Expectation("vertical_alpha_span", {},
                     "mixed second fundamental form spans the expected slice "
                     "of the first normal space"),
-        Expectation("rulings_alpha_nonzero", {"tol": 1e-6},
+        Expectation("rulings_alpha_nonzero", {},
                     "rulings are not in the relative nullity distribution"),
         Expectation("nu_s_violation", {"s": 2},
                     "pointwise nullity bound fails at the nonparallelism "

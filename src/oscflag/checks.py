@@ -27,29 +27,79 @@ from .ruled_extension import (SPLIT_ORDER, SplittingSpec, build_extension,
                               verify_extension)
 
 # Step h of the frame-difference oracles, which also difference at h/2.  The
-# ratio of their errors at h and h/2 must fall in CONVERGENCE_WINDOW, around
-# the 4 of second order.  Across the catalog only steps from about 1e-3 to
-# 5e-3 keep every ratio there: rounding takes over below, higher-order terms
-# and the edge of the chart's domain above.
+# ratio of their errors at h and h/2 must fall in GATES["phi_convergence"],
+# around the 4 of second order.  Across the catalog only steps from about
+# 1e-3 to 5e-3 keep every ratio there: rounding takes over below,
+# higher-order terms and the edge of the chart's domain above.
 FD_STEP = 1e-3
-CONVERGENCE_WINDOW = (3.2, 4.8)
 
 # The translation radius build_extension starts each split exercise from.
 LAMBDA_RADIUS = 0.08
 
 # A split exercise builds and audits its extension at its first PROBES
 # records; the constancy checks along the rulings read the first
-# CONSTANCY_POINTS.
+# CONSTANCY_POINTS and the frame-difference phi checks the first FD_POINTS.
 PROBES = 3
 CONSTANCY_POINTS = 2
+FD_POINTS = 3
 
-# Gates of the checks the run adds itself; ricci_rulings spreads about
-# RICCI_SAMPLES unit rulings over the records.
-D_RULED_TOL = 1e-8
-LEMMA_ANGLE_TOL = 1e-6
+# Random directions each sampling check spreads over the records.
 RICCI_SAMPLES = 50
-RICCI_ZERO_TOL = 1e-8
-NULLITY_ANGLE_TOL = 1e-4
+ELLIPTICITY_SAMPLES = 20
+
+# Working floors, not gates: a convergence ratio is read only where one of
+# its two errors exceeds FD_NOISE_FLOOR; s_constancy spans the
+# frame-difference phi values at FD_SPAN_TOL; vertical_alpha_span
+# intersects subspaces at no less than INTERSECTION_FLOOR.
+FD_NOISE_FLOOR = 1e-11
+FD_SPAN_TOL = 1e-6
+INTERSECTION_FLOOR = 1e-7
+
+# The gate of every verdict, by name, with its reason: a residual passes
+# below its gate, except where a row says it is a lower bound.
+# sectional_flat alone takes its gate from the entry, whose entries need
+# different ones.  Sub-gates of a verdict are named "verdict.part".
+GATES = {
+    # an affine chart: alpha vanishes up to rounding
+    "alpha_zero": 1e-12,
+    # alpha = -<X, Y> f on the unit sphere, up to rounding of sin/cos jets
+    "umbilic_sphere": 1e-10,
+    # a holomorphic curve is minimal: the trace of alpha at rounding
+    "minimality": 1e-10,
+    # a holomorphic curve: alpha(z, z) + alpha(Jz, Jz) = 0 at rounding
+    "ellipticity": 1e-10,
+    # the unit n-sphere's Ricci curvature is n - 1, summed at rounding
+    "ricci_constant": 1e-9,
+    # a product of circles has parallel first normal bundle: phi = 0
+    "phi_zero": 1e-9,
+    # Taylor transport steps at relative 1e-16 keep the frames orthonormal
+    "transport_orthonormality": 1e-9,
+    # the flag at the centre of a holomorphic curve is exact
+    "flag_coordinate_planes_at_origin": 1e-9,
+    # subspace identities: angles below 1e-6 certify equal spans
+    "s_matches_base_stage": 1e-6,
+    "osculating_identity": 1e-6,
+    "vertical_alpha_span": 1e-6,
+    "lemma_parallel_i": 1e-6,
+    # lower bound: alpha(v, .) on rulings stays off zero, not in the nullity
+    "rulings_alpha_nonzero": 1e-6,
+    # the Richardson phi is fourth order at FD_STEP
+    "codazzi": 1e-6,
+    # drift of an exact projector jet sits at rounding: Pi_P, Pi_S, Pi_D
+    "p_parallel_drift": 1e-8,
+    "s_constancy": 1e-6,
+    "d_ruled_leaves": 1e-8,
+    # Ricci along a ruling is at most this, and zero below it
+    "ricci_rulings": 1e-8,
+    # a ruling of zero Ricci lies in the relative nullity up to this angle
+    "ricci_rulings.nullity_angle": 1e-4,
+    # the error ratio at h and h/2 around 4 (also s_constancy's fd ratios)
+    "phi_convergence": (3.2, 4.8),
+    # lower bound: the splitting lemma keeps Lambda off the tangent space
+    "split_exercise.lambda_tangent_angle": 1e-6,
+    # Delta in the extension's relative nullity, from exact projector jets
+    "split_exercise.delta_in_nullity": 1e-8,
+}
 
 
 @dataclass
@@ -145,7 +195,8 @@ def _chart_directions(geom: PointGeometry, space: sub.Subspace) -> np.ndarray:
     return projection_frame(space)[0] @ geom.frame_in_chart
 
 
-def _bound(name, value, tol, description="", **details) -> CheckResult:
+def _bound(name, value, description="", **details) -> CheckResult:
+    tol = GATES[name]
     return CheckResult(name, bool(value < tol), float(value), float(tol),
                        description, details)
 
@@ -156,7 +207,7 @@ def _equal(name, got, expected, description="", **details) -> CheckResult:
                        details)
 
 
-def _angles(name, pairs, tol, description="") -> CheckResult:
+def _angles(name, pairs, description="") -> CheckResult:
     """Largest principal angle over ``pairs`` of subspaces; the first pair
     whose dimensions differ fails the check, naming its index and both."""
     angles = []
@@ -165,7 +216,7 @@ def _angles(name, pairs, tol, description="") -> CheckResult:
             return CheckResult(name, False, description=description,
                                details={"pair": i, "dims": [a.dim, b.dim]})
         angles.append(np.max(sub.principal_angles(a, b), initial=0.0))
-    return _bound(name, sub.worst(angles), tol, description)
+    return _bound(name, sub.worst(angles), description)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +265,14 @@ def check_flag_dims(ctx: VerifyContext, stages, total) -> CheckResult:
                                 "expected_total": total})
 
 
-def check_alpha_zero(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_alpha_zero(ctx: VerifyContext) -> CheckResult:
     worst = sub.worst(np.max(np.abs(rec.geom.alpha)) for rec in ctx.records)
-    return _bound("alpha_zero", worst, tol)
+    return _bound("alpha_zero", worst)
 
 
-def check_phi_zero(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_phi_zero(ctx: VerifyContext) -> CheckResult:
     worst = sub.worst(rec.nd.phi.norm() for rec in ctx.records)
-    return _bound("phi_zero", worst, tol)
+    return _bound("phi_zero", worst)
 
 
 def check_phi_absent(ctx: VerifyContext) -> CheckResult:
@@ -233,26 +284,25 @@ def check_phi_absent(ctx: VerifyContext) -> CheckResult:
         details={"complement_dims": sorted(qs), "s_values": sorted(ss)})
 
 
-def check_umbilic_sphere(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_umbilic_sphere(ctx: VerifyContext) -> CheckResult:
     # alpha(X, Y) = -<X, Y> f on the unit sphere
     worst = sub.worst(np.max(np.abs(
         rec.geom.alpha + np.einsum("ab,N->abN", np.eye(rec.geom.n),
                                    ctx.chart.position(rec.x))))
         for rec in ctx.records)
-    return _bound("umbilic_sphere", worst, tol)
+    return _bound("umbilic_sphere", worst)
 
 
-def check_ricci_constant(ctx: VerifyContext, expected: float, tol: float,
-                         count: int) -> CheckResult:
+def check_ricci_constant(ctx: VerifyContext, expected: float) -> CheckResult:
     rng = ctx.rng(101)
     residuals = []
-    per_point = max(1, count // len(ctx.records))
+    per_point = max(1, RICCI_SAMPLES // len(ctx.records))
     for rec in ctx.records:
         for _ in range(per_point):
             xv = rng.standard_normal(rec.geom.n)
             xv /= np.linalg.norm(xv)
             residuals.append(abs(ricci(rec.geom, xv) - expected))
-    return _bound("ricci_constant", sub.worst(residuals), tol)
+    return _bound("ricci_constant", sub.worst(residuals))
 
 
 def check_sectional_flat(ctx: VerifyContext, tol: float,
@@ -265,56 +315,56 @@ def check_sectional_flat(ctx: VerifyContext, tol: float,
             q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
             residuals.append(abs(sectional_curvature(
                 rec.geom, q[:, 0], q[:, 1])))
-    return _bound("sectional_flat", sub.worst(residuals), tol)
+    # the gate is the entry's (see GATES)
+    worst = sub.worst(residuals)
+    return CheckResult("sectional_flat", bool(worst < tol), float(worst),
+                       float(tol))
 
 
-def check_transport_orthonormality(ctx: VerifyContext,
-                                   tol: float) -> CheckResult:
+def check_transport_orthonormality(ctx: VerifyContext) -> CheckResult:
     drift = ctx.entry.aux["system"].orthonormality_drift()
-    return _bound("transport_orthonormality", drift, tol)
+    return _bound("transport_orthonormality", drift)
 
 
-def check_ellipticity(ctx: VerifyContext, tol: float,
-                      count: int) -> CheckResult:
+def check_ellipticity(ctx: VerifyContext) -> CheckResult:
     # J rotates the oriented orthonormal tangent frame by a quarter turn.
     rng = ctx.rng(103)
     residuals = []
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for rec in ctx.records:
-        for _ in range(max(1, count // len(ctx.records))):
+        for _ in range(max(1, ELLIPTICITY_SAMPLES // len(ctx.records))):
             z = rng.standard_normal(2)
             jz = rot @ z
             val = rec.geom.alpha_of(z, z) + rec.geom.alpha_of(jz, jz)
             residuals.append(np.linalg.norm(val))
-    return _bound("ellipticity", sub.worst(residuals), tol)
+    return _bound("ellipticity", sub.worst(residuals))
 
 
-def check_minimality(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_minimality(ctx: VerifyContext) -> CheckResult:
     worst = sub.worst(np.linalg.norm(np.einsum("aaN->N", rec.geom.alpha))
                       for rec in ctx.records)
-    return _bound("minimality", worst, tol)
+    return _bound("minimality", worst)
 
 
-def check_flag_coordinate_planes_at_origin(ctx: VerifyContext,
-                                           tol: float) -> CheckResult:
+def check_flag_coordinate_planes_at_origin(ctx: VerifyContext) -> CheckResult:
     geom = point_geometry(ctx.chart, np.zeros(2), ctx.entry.max_normal_order,
                           ctx.rank_tol)
     coords = np.eye(ctx.chart.ambient_dim)  # stage k: coordinates 2k, 2k + 1
     return _angles("flag_coordinate_planes_at_origin",
                    ((space, sub.Subspace(len(coords), coords[2 * k:2 * k + 2]))
                     for k, space
-                    in enumerate([geom.tangent, *geom.normal_flag])), tol)
+                    in enumerate([geom.tangent, *geom.normal_flag])))
 
 
-def check_s_matches_base_stage(ctx: VerifyContext, stage: int,
-                               tol: float) -> CheckResult:
+def check_s_matches_base_stage(ctx: VerifyContext) -> CheckResult:
+    # S is stage m + 1 of the base flag, normal_flag[m]
+    m = ctx.entry.params["m"]
     return _angles("s_matches_base_stage",
-                   ((rec.nd.S,
-                     ctx.base_geometries[rec.index].normal_flag[stage - 1])
-                    for rec in ctx.records), tol)
+                   ((rec.nd.S, ctx.base_geometries[rec.index].normal_flag[m])
+                    for rec in ctx.records))
 
 
-def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_osculating_identity(ctx: VerifyContext) -> CheckResult:
     m = ctx.entry.params["m"]
 
     def pair(rec):
@@ -324,10 +374,10 @@ def check_osculating_identity(ctx: VerifyContext, tol: float) -> CheckResult:
         return (sub.direct_sum(rec.geom.tangent, rec.geom.first_normal,
                                ctx.rank_tol),
                 sub.span_of(np.vstack(rows), ctx.rank_tol))
-    return _angles("osculating_identity", map(pair, ctx.records), tol)
+    return _angles("osculating_identity", map(pair, ctx.records))
 
 
-def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_vertical_alpha_span(ctx: VerifyContext) -> CheckResult:
     """Mixed alpha values over the rulings span the expected slice of the
     first normal space: the intersection with (base tangent + stage m)."""
     m = ctx.entry.params["m"]
@@ -341,11 +391,12 @@ def check_vertical_alpha_span(ctx: VerifyContext, tol: float) -> CheckResult:
         return (sub.span_of(vals, ctx.rank_tol,
                             ambient_dim=rec.geom.ambient_dim),
                 sub.intersection(slab, rec.geom.first_normal,
-                                 angle_tol=max(tol, 1e-7)))
-    return _angles("vertical_alpha_span", map(pair, ctx.records), tol)
+                                 angle_tol=max(GATES["vertical_alpha_span"],
+                                               INTERSECTION_FLOOR)))
+    return _angles("vertical_alpha_span", map(pair, ctx.records))
 
 
-def check_rulings_alpha_nonzero(ctx: VerifyContext, tol: float) -> CheckResult:
+def check_rulings_alpha_nonzero(ctx: VerifyContext) -> CheckResult:
     """Smallest singular value of v -> alpha(v, .) on D, so that no unit
     ruling, whichever combination of D's basis it is, lies in the relative
     nullity.  ``np.min`` keeps a NaN, which then fails ``smallest > tol``;
@@ -358,6 +409,7 @@ def check_rulings_alpha_nonzero(ctx: VerifyContext, tol: float) -> CheckResult:
                                 rec.geom.alpha).reshape(rec.nd.D.dim, -1),
                       compute_uv=False)[-1]
         for rec in ctx.records if rec.nd.D.dim]))
+    tol = GATES["rulings_alpha_nonzero"]
     return CheckResult("rulings_alpha_nonzero", bool(smallest > tol),
                        float(smallest), float(tol),
                        description="rulings not in relative nullity")
@@ -410,7 +462,6 @@ def check_nu_s_monotone(ctx: VerifyContext) -> CheckResult:
 def check_lemma_parallel_i(ctx: VerifyContext) -> CheckResult:
     return _angles("lemma_parallel_i",
                    ((rec.nd.phi_kernel, rec.nd.D) for rec in ctx.records),
-                   LEMMA_ANGLE_TOL,
                    "kernel of phi equals kernel of alpha restricted to S")
 
 
@@ -432,20 +483,20 @@ def check_phi_convergence(ctx: VerifyContext) -> CheckResult:
     phi.  Entries whose phi vanishes identically pass at the noise floor."""
     ratios = []
     diffs = []
-    for rec in ctx.records[:3]:
+    for rec in ctx.records[:FD_POINTS]:
         if rec.nd.phi.is_empty:
             continue
         d1, d2 = (phi_difference(rec.nd.phi, fd) for fd in rec.phi_fd)
         diffs.append((d1, d2))
-        if max(d1, d2) > 1e-11:
+        if max(d1, d2) > FD_NOISE_FLOOR:
             ratios.append(d1 / d2)
-    low, high = CONVERGENCE_WINDOW
+    low, high = GATES["phi_convergence"]
     ok = all(low <= r <= high for r in ratios)
     return CheckResult("phi_convergence", ok, None, None,
                        description="frame-difference phi converges at "
                                    "second order to the pairing phi",
                        details={"ratios": ratios, "diffs": diffs,
-                                "window": list(CONVERGENCE_WINDOW)})
+                                "window": [low, high]})
 
 
 def check_codazzi(ctx: VerifyContext) -> CheckResult:
@@ -457,8 +508,9 @@ def check_codazzi(ctx: VerifyContext) -> CheckResult:
 
     worst = sub.worst(codazzi_residual(rec.geom, richardson(rec),
                                        ctx.rng(104 + rec.index))
-                      for rec in ctx.records[:3] if not rec.nd.phi.is_empty)
-    return _bound("codazzi", worst, 1e-6,
+                      for rec in ctx.records[:FD_POINTS]
+                      if not rec.nd.phi.is_empty)
+    return _bound("codazzi", worst,
                   "swapped shape operators of connection derivatives agree")
 
 
@@ -478,7 +530,7 @@ def check_p_parallel_drift(ctx: VerifyContext) -> CheckResult:
     except NumericalRankError as exc:
         return CheckResult("p_parallel_drift", False,
                            details={"error": str(exc)})
-    return _bound("p_parallel_drift", worst, 1e-8, "P is parallel along D")
+    return _bound("p_parallel_drift", worst, "P is parallel along D")
 
 
 def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
@@ -498,7 +550,7 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
         def s_projectors_at(points) -> np.ndarray:
             return np.array([sub.span_of(
                 phi_frame_fd(ctx.chart, y, step, ctx.rank_tol)
-                .ambient_values(), 1e-6,
+                .ambient_values(), FD_SPAN_TOL,
                 ambient_dim=ctx.chart.ambient_dim).projector()
                 for y in points])
         stacked = frame_derivative(s_projectors_at, x, directions, step)
@@ -513,14 +565,15 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
         if ratio:
             d_h = fd_drift(rec.x, directions, FD_STEP)
             d_h2 = fd_drift(rec.x, directions, FD_STEP / 2.0)
-            if max(d_h, d_h2) > 1e-11:
+            if max(d_h, d_h2) > FD_NOISE_FLOOR:
                 ratios.append(d_h / d_h2)
     pairing_worst = sub.worst(exact)
-    ok = pairing_worst < 1e-6
+    tol = GATES["s_constancy"]
+    ok = pairing_worst < tol
     if ratio:
-        low, high = CONVERGENCE_WINDOW
+        low, high = GATES["phi_convergence"]
         ok = ok and bool(ratios) and all(low <= r <= high for r in ratios)
-    return CheckResult("s_constancy", ok, pairing_worst, 1e-6,
+    return CheckResult("s_constancy", ok, pairing_worst, tol,
                        description="S-projector constant along rulings "
                                    "(projector jet at rounding floor; "
                                    "frame-difference drift second order)",
@@ -529,6 +582,7 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
 
 def check_ricci_rulings(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng(105)
+    zero_tol = GATES["ricci_rulings"]
     ok = True
     rics, angles = [], []
     per_point = max(1, RICCI_SAMPLES // len(ctx.records))
@@ -541,8 +595,8 @@ def check_ricci_rulings(ctx: VerifyContext) -> CheckResult:
             xv /= np.linalg.norm(xv)
             ric = ricci(rec.geom, xv)
             rics.append(ric)
-            ok = ok and ric <= RICCI_ZERO_TOL
-            if abs(ric) < RICCI_ZERO_TOL:
+            ok = ok and ric <= zero_tol
+            if abs(ric) < zero_tol:
                 if rec.nd.nullity.dim == 0:
                     ok = False
                     angles.append(np.pi / 2)
@@ -550,9 +604,9 @@ def check_ricci_rulings(ctx: VerifyContext) -> CheckResult:
                     line = sub.Subspace(rec.geom.n, xv[None, :])
                     ang = float(sub.principal_angles(line, rec.nd.nullity)[0])
                     angles.append(ang)
-                    ok = ok and ang < NULLITY_ANGLE_TOL
+                    ok = ok and ang < GATES["ricci_rulings.nullity_angle"]
     return CheckResult("ricci_rulings", ok, sub.worst(rics, -np.inf),
-                       RICCI_ZERO_TOL,
+                       zero_tol,
                        description="Ricci non-positive along rulings, zero "
                                    "only inside the relative nullity",
                        details={"worst_near_zero_angle": sub.worst(angles)})
@@ -575,7 +629,6 @@ def check_d_ruled_leaves(ctx: VerifyContext) -> CheckResult:
             s_drift.append(drift(rec.pi_s, directions))
     worst_leaf, worst_s = sub.worst(leaf), sub.worst(s_drift)
     return _bound("d_ruled_leaves", sub.worst([worst_leaf, worst_s]),
-                  D_RULED_TOL,
                   "leaves of D map into affine subspaces and S is constant "
                   "along them", leaf_residual=worst_leaf, s_drift=worst_s)
 
@@ -632,7 +685,8 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
         failures.append(f"k={sorted(k_seen)} expected {exercise.expected['k']}")
     if r_seen != {exercise.expected["r"]}:
         failures.append(f"r={sorted(r_seen)} expected {exercise.expected['r']}")
-    if max(r_seen) and not par_angle_min >= 1e-6:
+    angle_gate = GATES["split_exercise.lambda_tangent_angle"]
+    if max(r_seen) and not par_angle_min >= angle_gate:
         failures.append("lambda-meets-tangent")
 
     ext = build_extension(spec, LAMBDA_RADIUS, splits[:PROBES])
@@ -675,7 +729,7 @@ def _check_extension_ranks(ctx, ext, split, expected, details, failures):
         resid = sub.containment_residual(split.Delta, sub.Subspace(
             geom.ambient_dim, nullity.basis @ geom.frame))
         details["delta_in_nullity_residual"] = resid
-        if resid > 1e-8:
+        if resid > GATES["split_exercise.delta_in_nullity"]:
             failures.append("delta-in-nullity")
 
 

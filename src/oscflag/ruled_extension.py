@@ -28,8 +28,15 @@ from .jets import (affine_lift, first_partials, matrix_inverse,
                    matrix_product, partial_jets, signature)
 from .nonparallel import s_projector
 
-# The gate of every extension audit but the two exact identities.
-EXTENSION_TOL = 1e-5
+# Working floors: split_jets rejects rows of L farther than L_NORMAL_TOL
+# from the normal space; build_extension shrinks the translation radius to
+# no less than MIN_LAMBDA_RADIUS, and a radius is feasible while the
+# Jacobian's smallest singular value stays above JACOBIAN_RANK_TOL of its
+# largest and JACOBIAN_FLOOR_SHARE of its smallest on the zero section.
+L_NORMAL_TOL = 1e-8
+MIN_LAMBDA_RADIUS = 1e-6
+JACOBIAN_RANK_TOL = 1e-6
+JACOBIAN_FLOOR_SHARE = 0.2
 
 
 def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
@@ -120,7 +127,7 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
         raise LRankError(
             f"splitting needs 0 < rank L < {big_n - n}, got {l_space.dim}")
     residual = sub.containment_residual(l_space, geom.normal_space)
-    if residual > 1e-8:
+    if residual > L_NORMAL_TOL:
         raise LRankError(
             f"L is not a normal subspace (residual {residual:.3e})")
     p_space = sub.complement_within(l_space, geom.normal_space)
@@ -282,7 +289,8 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
                     probe_splits: list[PointSplit]) -> RuledExtension:
     """Assemble the extension from the splits at ``SPLIT_ORDER`` at the
     probe points, and shrink the translation box by bisection (to no less
-    than 1e-6) until the Jacobian keeps full rank at every probe point.
+    than ``MIN_LAMBDA_RADIUS``) until the Jacobian keeps full rank at every
+    probe point.
 
     With r = 0 the extension is the base immersion itself, returned as the
     trivial extension.
@@ -310,7 +318,8 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
                 jac1 = ext.jacobian(x, radius * corner) - jac0
                 for t in np.linspace(0.0, 1.0, 33):
                     svals = np.linalg.svd(jac0 + t * jac1, compute_uv=False)
-                    if svals[-1] <= max(1e-6 * svals[0], 0.2 * floor):
+                    if svals[-1] <= max(JACOBIAN_RANK_TOL * svals[0],
+                                        JACOBIAN_FLOOR_SHARE * floor):
                         return False
         return True
 
@@ -319,15 +328,15 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     lo, hi = 0.0, lambda_radius
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if mid < 1e-6:
+        if mid < MIN_LAMBDA_RADIUS:
             break
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    if lo < 1e-6:
+    if lo < MIN_LAMBDA_RADIUS:
         raise DegenerateExtensionError(
-            "no admissible translation radius above 1e-06")
+            f"no admissible translation radius above {MIN_LAMBDA_RADIUS:g}")
     ext.lambda_radius = 0.5 * lo  # stay clear of the rank boundary
     return ext
 
@@ -335,6 +344,20 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
 def _signed_corners(r: int) -> np.ndarray:
     corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * r))).reshape(r, -1).T
     return corners / np.sqrt(r)
+
+
+# The gate of each extension audit, in report order: the zero section and
+# the translation are exact identities, the rest come from projector jets.
+EXTENSION_GATES = {
+    "roundtrip-zero-section": 1e-12,
+    "affine-in-translation": 1e-12,
+    "leaf-straightness": 1e-5,
+    "delta-parallel-along-leaf": 1e-5,
+    "p-inside-extension-normal": 1e-5,
+    "delta-is-kernel-of-alpha-p": 1e-5,
+    "d-integrability": 1e-5,
+    "p-constant-along-rulings": 1e-5,
+}
 
 
 @dataclass
@@ -365,12 +388,9 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     """
     rng = np.random.default_rng(seed)
     spec = ext.spec
-    names = (["roundtrip-zero-section"]
-             + ["affine-in-translation"] * bool(ext.r)
-             + ["leaf-straightness", "delta-parallel-along-leaf",
-                "p-inside-extension-normal", "delta-is-kernel-of-alpha-p",
-                "d-integrability", "p-constant-along-rulings"])
-    residuals: dict[str, list[float]] = {name: [] for name in names}
+    residuals: dict[str, list[float]] = {
+        name: [] for name in EXTENSION_GATES
+        if ext.r or name != "affine-in-translation"}
 
     for x in samples:
         x = np.asarray(x, dtype=float)
@@ -409,9 +429,7 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         residuals["p-constant-along-rulings"].append(drift(split.pi_p,
                                                            along_d))
 
-    gates = {"roundtrip-zero-section": 1e-12, "affine-in-translation": 1e-12}
-    return [ExtensionCheck(name, sub.worst(values),
-                           gates.get(name, EXTENSION_TOL))
+    return [ExtensionCheck(name, sub.worst(values), EXTENSION_GATES[name])
             for name, values in residuals.items()]
 
 

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from oscflag.catalog import entry_names, get_entry
+from oscflag.checks import GATES
 from oscflag.geometry import point_geometry, ricci
 from oscflag.jets import jet_cos, jet_sin, jet_variable, signature, \
     variables
+from oscflag.ruled_extension import EXTENSION_GATES
 from oscflag.verify import Report, RunConfig, run_verification
 from jet_oracles import substitute_affine
 from moore import BilinearForm, moore_check, regular_element
@@ -303,3 +305,25 @@ def test_discrete_fields_match_snapshot(reports):
     assert not moved, f"discrete fields differ from the snapshot: {moved}"
     announce(12, f"ranks, dims, case labels, verdicts, k/r/nu_ext of "
                  f"{len(reports)} configs equal perfbench/expected.json")
+
+
+def test_report_tolerances_come_from_the_gate_tables(reports):
+    bounded = extension = 0
+    for name, report in reports.items():
+        config = CONFIGS[name]
+        declared = {e.check: e.params for e in
+                    get_entry(config.entry, config.params).expected}
+        for v in report.verdicts:
+            if v["tolerance"] is not None:
+                gate = (declared["sectional_flat"]["tol"]
+                        if v["name"] == "sectional_flat" else GATES[v["name"]])
+                assert v["tolerance"] == gate, (name, v["name"])
+                bounded += 1
+            for check, (_, tol) in v["details"].get("extension_checks",
+                                                    {}).items():
+                assert tol == EXTENSION_GATES[check], (name, check)
+                extension += 1
+    assert bounded and extension
+    announce(13, f"{bounded} bounded verdicts judged at checks.GATES (the "
+                 f"entry's sectional_flat gate) and {extension} extension "
+                 f"audits at EXTENSION_GATES")

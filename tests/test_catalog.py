@@ -13,12 +13,13 @@ from oscflag.catalog import (BUILDERS, entry_names, get_entry,
                              make_holomorphic_curve_surface,
                              make_section4_example, make_sphere)
 from oscflag.curves import CurveSystem
-from oscflag.checks import CHECKS, VerifyContext
+from oscflag.checks import CHECKS, GATES, VerifyContext
 from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.jets import (Jet, affine_lift, jet_constant, jet_reciprocal,
                           signature)
 from oscflag.nonparallel import nonparallel_data
+from oscflag.verify import RunConfig, _sample_points
 from picard import antiderivative
 from rk4 import rk4_transport
 
@@ -206,17 +207,36 @@ def test_transport_orthonormality_fails_on_coarse_steps():
         STEP_TOL = 1e-6
 
     entry = get_entry("curve-parallel")
-    [params] = [e.params for e in entry.expected
-                if e.check == "transport_orthonormality"]
     check = CHECKS["transport_orthonormality"]
     fine = entry.aux["system"]
     coarse = CoarseCurveSystem(fine.ambient_dim, fine.num_fields, [11])
-    assert check(VerifyContext(entry, [], 0, 1e-8), **params).passed
-    assert coarse.orthonormality_drift() > params["tol"]
+    assert check(VerifyContext(entry, [], 0, 1e-8)).passed
+    assert coarse.orthonormality_drift() > GATES["transport_orthonormality"]
     coarse_entry = dataclasses.replace(entry, aux={"system": coarse})
-    result = check(VerifyContext(coarse_entry, [], 0, 1e-8), **params)
+    result = check(VerifyContext(coarse_entry, [], 0, 1e-8))
     assert not result.passed
     assert result.residual == coarse.orthonormality_drift()
+
+
+@pytest.mark.parametrize("check,name,params", [
+    ("alpha_zero", "sphere", {}),
+    ("minimality", "sphere", {}),
+    ("ellipticity", "sphere", {}),
+    ("sectional_flat", "sphere", {"tol": 1e-10, "count": 10}),
+    ("umbilic_sphere", "product-torus", {}),
+    ("ricci_constant", "product-torus", {"expected": 1.0}),
+    ("phi_zero", "curve-parallel", {}),
+])
+def test_gated_check_fails_where_its_claim_is_false(check, name, params):
+    # each claim is false on this entry: the round sphere is curved and not
+    # minimal nor a holomorphic curve (sectional_flat with the torus's
+    # params), the torus is not umbilic and has Ricci 0, and curve-parallel
+    # has nonzero phi
+    entry = get_entry(name)
+    records, _ = _sample_points(entry, RunConfig(name, samples=3, seed=3))
+    result = CHECKS[check](VerifyContext(entry, records, 3, 1e-8), **params)
+    assert not result.passed
+    assert result.residual > result.tolerance
 
 
 def test_section4_sampler_avoids_zero_section():

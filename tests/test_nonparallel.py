@@ -265,17 +265,16 @@ def test_rulings_alpha_nonzero_is_basis_independent():
     # alpha(e1, .) = -alpha(e2, .) != 0: each basis vector of D sees a
     # nonzero alpha, yet the ruling e1 + e2 lies in the relative nullity
     alpha = np.array([[u, -u], [-u, u]])
-    result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
+    result = check_rulings_alpha_nonzero(rulings_context(alpha))
     assert not result.passed
     assert result.residual < 1e-12
     # independent alpha(e1, .) and alpha(e2, .): every ruling is detected
     v = np.array([0.0, 1.0, 0.0])
     alpha = np.array([[u, v], [v, np.zeros(3)]])
-    result = check_rulings_alpha_nonzero(rulings_context(alpha), 1e-6)
+    result = check_rulings_alpha_nonzero(rulings_context(alpha))
     assert result.passed and result.residual > 0.1
     # no ruling directions at any point: nothing was checked, which fails
-    result = check_rulings_alpha_nonzero(rulings_context(alpha, d_dim=0),
-                                         1e-6)
+    result = check_rulings_alpha_nonzero(rulings_context(alpha, d_dim=0))
     assert not result.passed
     assert result.details == {"reason": "no ruling directions"}
 
