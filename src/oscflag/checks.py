@@ -16,13 +16,13 @@ import numpy as np
 from . import subspaces as sub
 from .errors import GammaBandError, LRankError, NumericalRankError
 from .geometry import (PointGeometry, drift, frame_derivative,
-                       kernel_projector, point_geometry, projection_frame,
-                       relative_nullity, ricci, sectional_curvature,
-                       tangent_jets)
+                       kernel_projector, point_geometries, point_geometry,
+                       projection_frame, relative_nullity, ricci,
+                       sectional_curvature, tangent_jets)
 from .jets import signature
 from .nonparallel import (CaseClassification, NonparallelData, PhiTensor,
                           codazzi_residual, phi_difference, phi_frame_fd,
-                          s_projector)
+                          phi_frame_fds, s_projector)
 from .ruled_extension import (SPLIT_ORDER, SplittingSpec, build_extension,
                               verify_extension)
 
@@ -49,11 +49,9 @@ ELLIPTICITY_SAMPLES = 20
 
 # Working floors, not gates: a convergence ratio is read only where one of
 # its two errors exceeds FD_NOISE_FLOOR; s_constancy spans the
-# frame-difference phi values at FD_SPAN_TOL; vertical_alpha_span
-# intersects subspaces at no less than INTERSECTION_FLOOR.
+# frame-difference phi values at FD_SPAN_TOL.
 FD_NOISE_FLOOR = 1e-11
 FD_SPAN_TOL = 1e-6
-INTERSECTION_FLOOR = 1e-7
 
 # The gate of every verdict, by name, with its reason: a residual passes
 # below its gate, except where a row says it is a lower bound.
@@ -166,8 +164,12 @@ class VerifyContext:
         """The base surface's geometry under each record, by record index,
         for entries built over one (``aux["base_entry"]``)."""
         base = self.entry.aux["base_entry"]
-        return [point_geometry(base.chart, rec.x[:2], base.max_normal_order,
-                               self.rank_tol) for rec in self.records]
+        geoms, error = point_geometries(
+            base.chart, [rec.x[:2] for rec in self.records],
+            base.max_normal_order, self.rank_tol)
+        if error is not None:
+            raise error
+        return geoms
 
     def ruling_space(self, rec: PointRecord) -> sub.Subspace:
         if self.entry.ruling_from == "D":
@@ -391,8 +393,7 @@ def check_vertical_alpha_span(ctx: VerifyContext) -> CheckResult:
         return (sub.span_of(vals, ctx.rank_tol,
                             ambient_dim=rec.geom.ambient_dim),
                 sub.intersection(slab, rec.geom.first_normal,
-                                 angle_tol=max(GATES["vertical_alpha_span"],
-                                               INTERSECTION_FLOOR)))
+                                 angle_tol=GATES["vertical_alpha_span"]))
     return _angles("vertical_alpha_span", map(pair, ctx.records))
 
 
@@ -546,13 +547,19 @@ def check_s_constancy(ctx: VerifyContext, ratio: bool) -> CheckResult:
 
     def fd_drift(x, directions, step) -> float:
         # as geometry.drift, on central differences of the S-projector of
-        # the frame-difference phi, one phi_frame_fd stencil per point
+        # the frame-difference phi: the geometries at the outer stencil
+        # points in one batch, their inner stencils in another; a point
+        # fails after the inner stencils of the points before it
         def s_projectors_at(points) -> np.ndarray:
+            geoms, error = point_geometries(ctx.chart, points, 1,
+                                            ctx.rank_tol)
+            phis = phi_frame_fds(ctx.chart, geoms, step, ctx.rank_tol)
+            if error is not None:
+                raise error
             return np.array([sub.span_of(
-                phi_frame_fd(ctx.chart, y, step, ctx.rank_tol)
-                .ambient_values(), FD_SPAN_TOL,
+                phi.ambient_values(), FD_SPAN_TOL,
                 ambient_dim=ctx.chart.ambient_dim).projector()
-                for y in points])
+                for phi in phis])
         stacked = frame_derivative(s_projectors_at, x, directions, step)
         return float(np.linalg.norm(
             stacked.reshape(len(directions), -1), 2))

@@ -298,10 +298,20 @@ def frame_derivative(field: Callable[[np.ndarray], np.ndarray], x,
     second-order accurate in h.  ``field`` must be smooth: a projection
     frame keeps the pivot order of the stencil center.
     """
+    return central_differences(field(stencil(x, directions, h)), h)
+
+
+def stencil(x, directions, h: float) -> np.ndarray:
+    """The points x + h*w_1, x - h*w_1, x + h*w_2, ... ``(2d, n)`` of a
+    central-difference stencil along the rows w_i of ``directions``."""
     x = np.asarray(x, dtype=float)
     steps = h * np.asarray(directions, dtype=float)
-    values = field((x + np.stack([steps, -steps], axis=1)).reshape(-1,
-                                                                  x.size))
+    return (x + np.stack([steps, -steps], axis=1)).reshape(-1, x.size)
+
+
+def central_differences(values: np.ndarray, h: float) -> np.ndarray:
+    """(f(x + h*w_i) - f(x - h*w_i)) / (2h) from a field's values on a
+    ``stencil``, one row per direction."""
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
@@ -450,16 +460,40 @@ def _audit_error(chart: ImmersionChart, x: np.ndarray, finite: np.ndarray,
 
 def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
                    tol: float = sub.DEFAULT_RANK_TOL) -> PointGeometry:
-    """Tangent frame, second fundamental form and normal flag at one point.
-
-    Raises the error ``audited_jet`` finds, whose jet and SVDs it reads.
-    """
-    x = np.asarray(x, dtype=float)
-    tables, svds, error = audited_jet(chart, x[None], max_normal_order, tol)
+    """Tangent frame, second fundamental form and normal flag at one point:
+    the batch of one of ``point_geometries``, raising the error it finds."""
+    geoms, error = point_geometries(chart, np.asarray(x, dtype=float)[None],
+                                    max_normal_order, tol)
     if error is not None:
         raise error
-    derivs = DerivativeTensor(tables[0], signature(chart.intrinsic_dim,
-                                                   max_normal_order + 1))
+    return geoms[0]
+
+
+def point_geometries(chart: ImmersionChart, points, max_normal_order: int = 1,
+                     tol: float = sub.DEFAULT_RANK_TOL
+                     ) -> tuple[list[PointGeometry], OscflagError | None]:
+    """The geometries at points ``(B, n)``, in order, from one
+    ``audited_jet`` call, whose jet and SVDs each reads: those before the
+    first point that fails, and that point's error (``audited_jet``'s, or
+    the NotImmersionError of ``_gram_schmidt_rows``), None when none fails.
+    Each geometry equals its batch of one, array for array."""
+    points = np.asarray(points, dtype=float)
+    tables, svds, error = audited_jet(chart, points, max_normal_order, tol)
+    sig = signature(chart.intrinsic_dim, max_normal_order + 1)
+    geoms = []
+    for i, table in enumerate(tables):
+        try:
+            geoms.append(_geometry(chart, points[i], DerivativeTensor(
+                table, sig), [(svals[i], vt[i]) for svals, vt in svds], tol))
+        except NotImmersionError as exc:
+            return geoms, exc
+    return geoms, error
+
+
+def _geometry(chart: ImmersionChart, x: np.ndarray, derivs: DerivativeTensor,
+              svds: list[tuple], tol: float) -> PointGeometry:
+    """The geometry at an audited point from its jet and its SVD per
+    osculating prefix."""
     big_n = chart.ambient_dim
     d1 = derivs.tensor(1)
     frame, coeff = _gram_schmidt_rows(d1)
@@ -468,8 +502,8 @@ def point_geometry(chart: ImmersionChart, x, max_normal_order: int = 1,
 
     osculating = tangent
     normal_flag: list[sub.Subspace] = []
-    for svals, vt in svds[1:]:
-        nxt = sub.span_from_svd((svals[0], vt[0]), tol)
+    for svd in svds[1:]:
+        nxt = sub.span_from_svd(svd, tol)
         stage = sub.complement_within(osculating, nxt)
         if stage.dim == 0:
             break

@@ -16,10 +16,10 @@ import numpy as np
 from . import subspaces as sub
 from .errors import ParameterError, RegularityError
 from .geometry import (ImmersionChart, PointGeometry, audited_jet,
-                       chart_table, flattened_alpha_restricted,
-                       frame_derivative, pivot_frames, point_geometry,
-                       projection_frame, relative_nullity, span_projector,
-                       to_frame)
+                       central_differences, chart_table,
+                       flattened_alpha_restricted, pivot_frames,
+                       point_geometry, projection_frame, relative_nullity,
+                       span_projector, stencil, to_frame)
 from .jets import matrix_product, partial_jets, signature
 
 
@@ -110,44 +110,66 @@ def phi_pairing(geom: PointGeometry) -> PhiTensor:
 def phi_frame_fd(chart: ImmersionChart, x, h: float,
                  tol: float = sub.DEFAULT_RANK_TOL,
                  geom: PointGeometry | None = None) -> PhiTensor:
-    """phi from central differences of a smooth complement frame.
-
-    Builds the complement frame at all stencil points at once, by
-    projecting the standard basis with the pivot order fixed at the center:
-    one ``audited_jet`` over the stencil (each point passes the immersion
-    check and the rank audit), one batched SVD for the complements and one
-    batch of pivoted frames.  It differentiates each frame field along the
-    tangent frame directions and projects the ambient derivative onto the
-    center first normal space.  Second-order accurate in h; retained as the
-    independent oracle for phi_pairing.
+    """phi from central differences of a smooth complement frame at x: the
+    batch of one of ``phi_frame_fds``, centred on ``geom`` or, without
+    one, on the geometry ``point_geometry`` builds at x (order 1, ``tol``).
     """
     if geom is None:
         geom = point_geometry(chart, x, max_normal_order=1, tol=tol)
-    n1 = geom.first_normal
-    mu_frame, pivots = projection_frame(geom.first_normal_complement())
-    if n1.dim == 0 or mu_frame.shape[0] == 0:
-        return _empty_phi(geom, mu_frame)
+    return phi_frame_fds(chart, [geom], h, tol)[0]
 
-    q, big_n = len(pivots), chart.ambient_dim
 
-    def frames_at(points) -> np.ndarray:
+def phi_frame_fds(chart: ImmersionChart, geoms: list[PointGeometry],
+                  h: float, tol: float = sub.DEFAULT_RANK_TOL
+                  ) -> list[PhiTensor]:
+    """phi from central differences of a smooth complement frame, at the
+    point of each geometry.
+
+    Builds the complement frames at the stencil points of every centre at
+    once, by projecting the standard basis with the pivot order fixed at
+    that centre: one ``audited_jet`` over the stacked stencils (each point
+    passes the immersion check and the rank audit), then per centre one
+    batched SVD for the complements and one batch of pivoted frames.  It
+    differentiates each frame field along its centre's tangent frame
+    directions and projects the ambient derivative onto that centre's first
+    normal space.  Second-order accurate in h; retained as the independent
+    oracle for phi_pairing.  The first centre whose stencil fails raises
+    the error of its first failing point, a lost pivot before an audit
+    error at a later point.
+    """
+    big_n, size = chart.ambient_dim, 2 * chart.intrinsic_dim
+    phis: list[PhiTensor | None] = []
+    live = []
+    for geom in geoms:
+        mu_frame, pivots = projection_frame(geom.first_normal_complement())
+        if geom.first_normal.dim == 0 or mu_frame.shape[0] == 0:
+            phis.append(_empty_phi(geom, mu_frame))
+        else:
+            live.append((len(phis), geom, mu_frame, pivots))
+            phis.append(None)
+    if not live:
+        return phis
+
+    _, svds, error = audited_jet(chart, np.concatenate(
+        [stencil(geom.x, geom.frame_in_chart, h) for _, geom, _, _ in live]),
+        1, tol)
+    svals, vt = svds[1]
+    for k, (i, geom, mu_frame, pivots) in enumerate(live):
+        rows, q = slice(k * size, (k + 1) * size), len(pivots)
         # the complement of the second osculating space at each stencil
-        # point, off the audited SVD of its prefix: no PointGeometry there
-        _, svds, error = audited_jet(chart, points, 1, tol)
-        svals, vt = svds[1]
+        # point, off the audited SVD of its prefix: no PointGeometry there;
         # as sub.kernel_of on each osc2 basis, whose rows are orthonormal
-        kernels = np.linalg.svd(vt[:, :big_n - q])[2][:, big_n - q:]
+        kernels = np.linalg.svd(vt[rows, :big_n - q])[2][:, big_n - q:]
         frames, failed = pivot_frames(
-            kernels, big_n - sub.numerical_ranks(svals, tol), pivots)
+            kernels, big_n - sub.numerical_ranks(svals[rows], tol), pivots)
         if failed is not None:
             raise failed[1]
-        if error is not None:
+        if len(vt) < rows.stop:
             raise error
-        return frames
-
-    derivs = frame_derivative(frames_at, geom.x, geom.frame_in_chart, h)
-    values = np.einsum("aqN,iN->qai", derivs, n1.basis)
-    return PhiTensor(values, mu_frame, n1.basis)
+        n1 = geom.first_normal.basis
+        phis[i] = PhiTensor(np.einsum("aqN,iN->qai", central_differences(
+            frames, h), n1), mu_frame, n1)
+    return phis
 
 
 def s_projector(geom: PointGeometry, order: int,

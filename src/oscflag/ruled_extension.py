@@ -306,31 +306,14 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
     ext = RuledExtension(spec, pivots, lam.dim, lambda_radius, probe_splits)
     probes = [(split.geom.x, ext.jacobian(split.geom.x, np.zeros(ext.r)))
               for split in probe_splits]
-
-    def feasible(radius: float) -> bool:
-        # eval is affine in the translation coordinates, so the Jacobian
-        # along each ray is a linear pencil; a dense sweep of its smallest
-        # singular value costs two Jacobian builds per ray and catches rank
-        # loss anywhere inside the box, not just at probe shells
-        for x, jac0 in probes:
-            floor = np.linalg.svd(jac0, compute_uv=False)[-1]
-            for corner in _signed_corners(ext.r):
-                jac1 = ext.jacobian(x, radius * corner) - jac0
-                for t in np.linspace(0.0, 1.0, 33):
-                    svals = np.linalg.svd(jac0 + t * jac1, compute_uv=False)
-                    if svals[-1] <= max(JACOBIAN_RANK_TOL * svals[0],
-                                        JACOBIAN_FLOOR_SHARE * floor):
-                        return False
-        return True
-
-    if feasible(lambda_radius):
+    if jacobian_feasible(ext, probes, lambda_radius):
         return ext
     lo, hi = 0.0, lambda_radius
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         if mid < MIN_LAMBDA_RADIUS:
             break
-        if feasible(mid):
+        if jacobian_feasible(ext, probes, mid):
             lo = mid
         else:
             hi = mid
@@ -339,6 +322,33 @@ def build_extension(spec: SplittingSpec, lambda_radius: float,
             f"no admissible translation radius above {MIN_LAMBDA_RADIUS:g}")
     ext.lambda_radius = 0.5 * lo  # stay clear of the rank boundary
     return ext
+
+
+def jacobian_feasible(ext: RuledExtension, probes: list[tuple],
+                      radius: float) -> bool:
+    """Whether the extension's Jacobian keeps full rank on the rays from
+    each probe ``(x, Jacobian at (x, 0))`` to the signed corners of the
+    translation box of ``radius``.
+
+    eval is affine in the translation coordinates, so the Jacobian along
+    each ray is a linear pencil; a dense sweep of its smallest singular
+    value costs one Jacobian build per ray and catches rank loss anywhere
+    inside the box, not just at probe shells.  A point fails at or below
+    JACOBIAN_RANK_TOL of its largest singular value or JACOBIAN_FLOOR_SHARE
+    of the probe's smallest; each probe sweeps all its rays in one SVD.
+    """
+    sweep = np.linspace(0.0, 1.0, 33)[:, None, None]
+    for x, jac0 in probes:
+        floor = np.linalg.svd(jac0, compute_uv=False)[-1]
+        rays = np.array([ext.jacobian(x, radius * corner) - jac0
+                         for corner in _signed_corners(ext.r)])
+        svals = np.linalg.svd(jac0 + sweep * rays[:, None],
+                              compute_uv=False)
+        if np.any(svals[..., -1] <= np.maximum(JACOBIAN_RANK_TOL
+                                               * svals[..., 0],
+                                               JACOBIAN_FLOOR_SHARE * floor)):
+            return False
+    return True
 
 
 def _signed_corners(r: int) -> np.ndarray:

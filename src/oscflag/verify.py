@@ -19,7 +19,7 @@ from . import checks as chk
 from .catalog import CatalogEntry, get_entry
 from .errors import (CapabilityError, DegeneracyError, NotImmersionError,
                      OscflagError, RegularityError, UsageError)
-from .geometry import point_geometry, s_nullity
+from .geometry import point_geometries, s_nullity
 from .nonparallel import classify_case
 
 SCHEMA_VERSION = "3"
@@ -93,7 +93,11 @@ def _sample_points(entry: CatalogEntry,
     """Accepted sample records plus rejection notes.
 
     Points where the immersion or flag-rank audit fails are rejected and
-    resampled, matching the constant-rank assumption of the analysis.
+    resampled, matching the constant-rank assumption of the analysis.  Each
+    round draws as many points as are still missing, so the draws are those
+    of a loop drawing one point at a time, and audits them with one
+    ``point_geometries`` call per run of points up to a rejected one.
+    Attempts are numbered in draw order, at most 64 per sample.
     """
     rng = np.random.default_rng(config.seed)
     records: list[chk.PointRecord] = []
@@ -101,17 +105,29 @@ def _sample_points(entry: CatalogEntry,
     attempts = 0
     max_attempts = 64 * config.samples
     while len(records) < config.samples and attempts < max_attempts:
-        attempts += 1
-        x = entry.sampler(rng)
-        try:
-            geom = point_geometry(entry.chart, x, entry.max_normal_order,
-                                  config.rank_tol)
-            nd = geom.nd
-        except (NotImmersionError, RegularityError) as exc:
-            notes.append(f"rejected sample {attempts}: {exc}")
-            continue
-        records.append(chk.PointRecord(index=len(records), x=x, geom=geom,
-                                       nd=nd, nu_s=[]))
+        pending = [entry.sampler(rng) for _ in range(min(
+            config.samples - len(records), max_attempts - attempts))]
+        done = 0
+        while done < len(pending):
+            geoms, error = point_geometries(entry.chart, pending[done:],
+                                            entry.max_normal_order,
+                                            config.rank_tol)
+            for geom in geoms:
+                done += 1
+                try:
+                    nd = geom.nd
+                except (NotImmersionError, RegularityError) as exc:
+                    notes.append(f"rejected sample {attempts + done}: {exc}")
+                    continue
+                records.append(chk.PointRecord(
+                    index=len(records), x=pending[done - 1], geom=geom, nd=nd,
+                    nu_s=[]))
+            if error is not None:
+                if not isinstance(error, (NotImmersionError, RegularityError)):
+                    raise error
+                done += 1
+                notes.append(f"rejected sample {attempts + done}: {error}")
+        attempts += len(pending)
     if len(records) < config.samples:
         raise DegeneracyError(
             f"only {len(records)}/{config.samples} usable points after "

@@ -17,3 +17,20 @@ def assert_rows_match_single_points(chart, points, order):
     for x, row in zip(points, tables):
         single = chart.tables(x[None], order)[0]
         assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def assert_same_geometry(got, want):
+    """Two ``PointGeometry`` agree array for array: point, jet, frame,
+    alpha and the bases of the tangent, normal and flag spaces."""
+    pairs = [(got.x, want.x), (got.derivs.coeffs, want.derivs.coeffs),
+             (got.frame, want.frame),
+             (got.frame_in_chart, want.frame_in_chart),
+             (got.alpha, want.alpha),
+             (got.tangent.basis, want.tangent.basis),
+             (got.normal_space.basis, want.normal_space.basis)]
+    assert len(got.normal_flag) == len(want.normal_flag)
+    pairs.extend((a.basis, b.basis)
+                 for a, b in zip(got.normal_flag, want.normal_flag))
+    assert got.tol == want.tol
+    for a, b in pairs:
+        assert np.array_equal(a, b)

@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
-from batch_rows import columns
+from types import SimpleNamespace
+
+from batch_rows import assert_same_geometry, columns
 from oscflag import subspaces as sub
-from oscflag.catalog import get_entry
-from oscflag.errors import (CapabilityError, FrameError, NotImmersionError,
-                            ParameterError, RegularityError)
+from oscflag.catalog import entry_names, get_entry
+from oscflag.errors import (CapabilityError, DegeneracyError, FrameError,
+                            NotImmersionError, ParameterError,
+                            RegularityError)
 from oscflag import geometry
 from oscflag.geometry import (ImmersionChart, audited_jet, box,
-                              frame_derivative, point_geometry,
-                              projection_frame, relative_nullity, ricci,
-                              s_nullity, sectional_curvature, to_frame)
+                              frame_derivative, point_geometries,
+                              point_geometry, projection_frame,
+                              relative_nullity, ricci, s_nullity,
+                              sectional_curvature, to_frame)
 from oscflag.jets import jet_constant, jet_cos, jet_sin, signature, variables
 from oscflag.verify import RunConfig, _sample_points
 from s_nullity_loop import s_nullity_loop
+from sample_points_loop import sample_points_loop
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,72 @@ def test_audited_jet_raises_as_point_geometry():
         assert getattr(helper, "level", None) == \
             getattr(whole.value, "level", None)
     assert whole.value.level == 1
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_point_geometries_rows_equal_batch_of_one(name):
+    # one audited_jet for the batch, and each geometry array for array the
+    # one point_geometry builds at its point
+    entry = get_entry(name)
+    rng = np.random.default_rng(11)
+    points = np.array([entry.sampler(rng) for _ in range(4)])
+    geoms, error = point_geometries(entry.chart, points,
+                                    entry.max_normal_order, 1e-8)
+    assert error is None and len(geoms) == len(points)
+    for x, geom in zip(points, geoms):
+        assert_same_geometry(geom, point_geometry(
+            entry.chart, x, entry.max_normal_order, 1e-8))
+
+
+def _cubic_chart() -> ImmersionChart:
+    # (u, w^3, u^2, u w^3): the Jacobian's small singular value is about
+    # 3 w^2, so w = 1e-5 is no immersion, w = 1e-4 ambiguous across the
+    # band (tol/10, tol*10) and |w| >= 0.3 regular
+    def fn(x, order):
+        u, w = variables(x, order)
+        return columns([u, w * w * w, u * u, u * w * w * w])
+
+    return ImmersionChart("cubic", 2, 4, box([-1, -1], [1, 1]), fn, 4)
+
+
+def _rejecting_entry(weights) -> SimpleNamespace:
+    """An entry on ``_cubic_chart`` whose sampler draws w = 0.5, -0.3, 1e-4
+    and 1e-5 with the given weights."""
+    def sampler(rng):
+        w = rng.choice([0.5, -0.3, 1e-4, 1e-5], p=weights)
+        return np.array([rng.uniform(-0.5, 0.5), w])
+
+    return SimpleNamespace(chart=_cubic_chart(), sampler=sampler,
+                           max_normal_order=2)
+
+
+@pytest.mark.parametrize("weights,samples,seed", [
+    ([0.3, 0.2, 0.25, 0.25], 6, 1),
+    ([0.3, 0.2, 0.25, 0.25], 20, 4),
+    ([0.005, 0.005, 0.5, 0.49], 3, 0),    # 2 of 3 usable points
+    ([0.005, 0.005, 0.5, 0.49], 3, 3),    # 3 of 3 after 91 rejections
+    ([0.0, 0.0, 0.0, 1.0], 2, 0),         # none
+])
+def test_batched_sampling_matches_loop_oracle(weights, samples, seed):
+    # the same draws, accepted points, notes and attempt numbers as the
+    # per-draw loop, or its DegeneracyError message
+    entry = _rejecting_entry(weights)
+    config = RunConfig("cubic", samples=samples, seed=seed)
+    try:
+        want = sample_points_loop(entry, config)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError) as raised:
+            _sample_points(entry, config)
+        assert str(raised.value) == str(exc)
+        return
+    records, notes = _sample_points(entry, config)
+    assert notes == want[1]
+    assert any("ambiguous rank" in note for note in notes)
+    assert any("Jacobian rank" in note for note in notes)
+    assert [rec.index for rec in records] == list(range(samples))
+    for rec, expected in zip(records, want[0], strict=True):
+        assert np.array_equal(rec.x, expected.x)
+        assert_same_geometry(rec.geom, expected.geom)
 
 
 def test_capability_precondition():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from batch_rows import columns
+from batch_rows import assert_same_geometry, columns
 from oscflag import geometry, nonparallel, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
@@ -14,11 +14,13 @@ from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
                             check_phi_convergence, check_ricci_rulings,
                             check_rulings_alpha_nonzero, check_s_constancy)
 from oscflag.errors import DomainError, ParameterError, RegularityError
-from oscflag.geometry import ImmersionChart, box, drift, point_geometry
+from oscflag.geometry import (ImmersionChart, box, drift, point_geometries,
+                              point_geometry)
 from oscflag.jets import first_partials, jet_constant, variables
 from oscflag.nonparallel import (NonparallelData, PhiTensor, classify_case,
                                  codazzi_residual, nonparallel_data,
-                                 phi_difference, phi_frame_fd, phi_pairing)
+                                 phi_difference, phi_frame_fd, phi_frame_fds,
+                                 phi_pairing)
 from oscflag.ruled_extension import SplittingSpec
 from p_parallel_fd import p_l_components, p_parallel_drift
 
@@ -179,6 +181,64 @@ def test_stencil_raises_at_its_first_failing_point(k, error, point):
     with pytest.raises(error) as raised:
         phi_frame_fd(chart, geom.x, 1e-3, geom=geom)
     assert str(np.array(point)) in str(raised.value)
+
+
+@pytest.mark.parametrize("points,error,bad", [
+    # the ambiguous point comes first, then the one outside the box
+    ([[0.5, -0.5], [1e-3, 0.0], [0.0, 1e-3]], RegularityError, [1e-3, 0.0]),
+    ([[0.5, -0.5], [0.0, 1e-3], [1e-3, 0.0]], DomainError, [0.0, 1e-3]),
+])
+def test_point_geometries_stop_at_first_failing_point(points, error, bad):
+    # the geometries before it, and the error its batch of one raises
+    chart = _stencil_chart(5e-5)
+    geoms, got = point_geometries(chart, points, 1)
+    assert len(geoms) == 1
+    assert_same_geometry(geoms[0], point_geometry(chart, points[0], 1))
+    assert isinstance(got, error) and str(np.array(bad)) in str(got)
+    with pytest.raises(error) as single:
+        point_geometry(chart, bad, 1)
+    assert str(single.value) == str(got)
+
+
+@pytest.mark.parametrize("name,params", [("section4-ruled", {"m": 2}),
+                                         ("curve-parallel", {})])
+def test_phi_frame_fds_equal_per_centre(name, params):
+    # the stencils of all centres in one audit, each centre differenced
+    # with its own pivots (section4-ruled picks (8, 9) at some and (9, 8) at
+    # others): each phi equals that centre's batch of one
+    entry = get_entry(name, params)
+    records, _ = verify._sample_points(
+        entry, verify.RunConfig(name, params, samples=4, seed=3))
+    geoms = [rec.geom for rec in records]
+    for h in (1e-3, 5e-4):
+        for geom, phi in zip(geoms, phi_frame_fds(entry.chart, geoms, h),
+                             strict=True):
+            single = phi_frame_fd(entry.chart, geom.x, h, geom=geom)
+            assert not phi.is_empty
+            for got, want in ((phi.values, single.values),
+                              (phi.mu_frame, single.mu_frame),
+                              (phi.n1_basis, single.n1_basis)):
+                assert np.array_equal(got, want)
+
+
+def test_phi_frame_fds_raise_the_first_failing_centre():
+    # centre (0, 0) fails at its ambiguous stencil point (1e-3, 0), centre
+    # (0.3, 4e-4) where its stencil leaves the box; a batch raises the
+    # error of whichever comes first, as its batch of one does
+    chart = _stencil_chart(5e-5)
+    good, ambiguous, edge = (point_geometry(chart, x, 1) for x in
+                             ([0.5, -0.5], [0.0, 0.0], [0.3, 4e-4]))
+    singles = {}
+    for geom, error in ((ambiguous, RegularityError), (edge, DomainError)):
+        with pytest.raises(error) as raised:
+            phi_frame_fd(chart, geom.x, 1e-3, geom=geom)
+        singles[id(geom)] = raised.value
+    for geoms in ([good, ambiguous, edge], [good, edge, ambiguous],
+                  [edge, good, ambiguous]):
+        want = singles[id(next(g for g in geoms if g is not good))]
+        with pytest.raises(type(want)) as raised:
+            phi_frame_fds(chart, geoms, 1e-3)
+        assert str(raised.value) == str(want)
 
 
 def test_one_phi_per_geometry(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from batch_rows import assert_rows_match_single_points
 from commutator_fd import commutator_residual_fd
 from extension_fd import extension_second_fd
+from feasible_loop import feasible_loop
 from gamma_fd import gamma_values_fd
 from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
@@ -149,6 +150,40 @@ def test_extension_radius_bisection(curve_entry):
         jac = ext.jacobian(pts[0], ext.lambda_radius * corner)
         svals = np.linalg.svd(jac, compute_uv=False)
         assert svals[-1] > 1e-6 * svals[0]
+
+
+@pytest.mark.parametrize("name,params,exercise,start", [
+    ("curve-parallel", {}, 0, 50.0),      # parallel line: r = 1
+    ("section4-ruled", {"m": 2}, 0, 10.0),  # default split: r = 2
+])
+def test_batched_feasibility_matches_loop_oracle(name, params, exercise,
+                                                 start, monkeypatch):
+    # an initial radius the Jacobian does not admit, so that the bisection
+    # runs: the batched sweep and the per-point loop agree at every radius
+    # it visits, at the accepted one and at larger ones
+    entry = get_entry(name, params)
+    spec = SplittingSpec(entry.chart,
+                         rule=entry.split_exercises[exercise].rule)
+    rng = np.random.default_rng(5)
+    splits = splits_at(spec, [entry.sampler(rng) for _ in range(3)])
+    real, visited = ruled_extension.jacobian_feasible, []
+
+    def recording(ext, probes, radius):
+        got = real(ext, probes, radius)
+        visited.append((probes, radius, got))
+        return got
+
+    monkeypatch.setattr(ruled_extension, "jacobian_feasible", recording)
+    ext = build_extension(spec, start, splits)
+    assert {got for _, _, got in visited} == {True, False}
+    for probes, radius, got in visited:
+        assert feasible_loop(ext, probes, radius) == got, radius
+    probes = visited[0][0]
+    accepted = ext.lambda_radius
+    for radius in (accepted, 2.0 * accepted, 4.0 * accepted, start,
+                   2.0 * start):
+        assert (feasible_loop(ext, probes, radius)
+                == real(ext, probes, radius)), radius
 
 
 def test_extension_tables_over_points_match_single_points(curve_entry):
