@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from . import subspaces as sub
-from .errors import (CapabilityError, DataError, DomainError, FrameError,
-                     NotImmersionError, OscflagError, ParameterError,
-                     RegularityError, ShapeError)
+from .errors import (CapabilityError, ContainmentError, DataError,
+                     DomainError, FrameError, NotImmersionError, OscflagError,
+                     ParameterError, RegularityError, ShapeError)
 from .jets import (DerivativeTensor, JetSignature, first_partials,
                    matrix_inverse, matrix_product, partial_jets, signature)
 
@@ -122,26 +122,31 @@ MIN_PIVOT_RESIDUAL = 0.1
 
 
 def _gram_schmidt_rows(rows: np.ndarray):
-    """Orthonormalize rows in index order; returns (Q, C) with Q = C @ rows."""
-    m, _ = rows.shape
-    scale = float(np.max(np.linalg.norm(rows, axis=1)))
+    """Orthonormalize the rows of each matrix of ``rows`` ``(B, m, N)`` in
+    index order; returns (Q, C, dependent) with Q = C @ rows per matrix and
+    ``dependent`` the index of each matrix's first row that is numerically
+    dependent on those before it, m where there is none (its Q and C are
+    then not orthonormalized)."""
+    count, m, _ = rows.shape
+    scale = np.max(np.linalg.norm(rows, axis=2), axis=1)
     q = np.zeros_like(rows)
-    coeff = np.eye(m)
+    coeff = np.zeros((count, m, m))
+    dependent = np.full(count, m)
     for i in range(m):
-        v = rows[i].copy()
-        c = np.zeros(m)
-        c[i] = 1.0
+        v = rows[:, i].copy()
+        c = np.zeros((count, m))
+        c[:, i] = 1.0
         for j in range(i):
-            r = float(v @ q[j])
-            v -= r * q[j]
-            c -= r * coeff[j]
-        nrm = float(np.linalg.norm(v))
-        if nrm <= GRAM_SCHMIDT_REL_TOL * scale:
-            raise NotImmersionError(
-                f"row {i} numerically dependent during orthonormalization")
-        q[i] = v / nrm
-        coeff[i] = c / nrm
-    return q, coeff
+            r = _row_dots(v, q[:, j])[:, None]
+            v -= r * q[:, j]
+            c -= r * coeff[:, j]
+        nrm = np.sqrt(_row_dots(v, v))
+        low = nrm <= GRAM_SCHMIDT_REL_TOL * scale
+        dependent[low & (dependent == m)] = i
+        nrm = np.where(low, 1.0, nrm)[:, None]
+        q[:, i] = v / nrm
+        coeff[:, i] = c / nrm
+    return q, coeff, dependent
 
 
 def projection_frame(space: sub.Subspace,
@@ -473,55 +478,94 @@ def point_geometries(chart: ImmersionChart, points, max_normal_order: int = 1,
                      tol: float = sub.DEFAULT_RANK_TOL
                      ) -> tuple[list[PointGeometry], OscflagError | None]:
     """The geometries at points ``(B, n)``, in order, from one
-    ``audited_jet`` call, whose jet and SVDs each reads: those before the
-    first point that fails, and that point's error (``audited_jet``'s, or
-    the NotImmersionError of ``_gram_schmidt_rows``), None when none fails.
-    Each geometry equals its batch of one, array for array."""
+    ``audited_jet`` call, whose jet and SVDs they read: those before the
+    first point that fails, and that point's error (``audited_jet``'s, the
+    NotImmersionError of a dependent frame row or the ContainmentError of
+    a flag stage), None when none fails.  Frames, normal spaces, flag
+    stages and alpha are built for the whole batch at once; each geometry
+    equals its batch of one, array for array."""
     points = np.asarray(points, dtype=float)
     tables, svds, error = audited_jet(chart, points, max_normal_order, tol)
     sig = signature(chart.intrinsic_dim, max_normal_order + 1)
-    geoms = []
-    for i, table in enumerate(tables):
-        try:
-            geoms.append(_geometry(chart, points[i], DerivativeTensor(
-                table, sig), [(svals[i], vt[i]) for svals, vt in svds], tol))
-        except NotImmersionError as exc:
-            return geoms, exc
-    return geoms, error
-
-
-def _geometry(chart: ImmersionChart, x: np.ndarray, derivs: DerivativeTensor,
-              svds: list[tuple], tol: float) -> PointGeometry:
-    """The geometry at an audited point from its jet and its SVD per
-    osculating prefix."""
+    derivs = [DerivativeTensor(table, sig) for table in tables]
     big_n = chart.ambient_dim
-    d1 = derivs.tensor(1)
-    frame, coeff = _gram_schmidt_rows(d1)
-    tangent = sub.Subspace(big_n, frame)
-    normal_space = sub.kernel_of(frame, tol)
+    frames, coeffs, dependent = _gram_schmidt_rows(
+        np.array([d.tensor(1) for d in derivs]).reshape(
+            len(derivs), chart.intrinsic_dim, big_n))
+    failed = np.flatnonzero(dependent < chart.intrinsic_dim)
+    if failed.size:
+        i = int(failed[0])
+        error = NotImmersionError(f"row {dependent[i]} numerically dependent "
+                                  f"during orthonormalization")
+        derivs, frames, coeffs = derivs[:i], frames[:i], coeffs[:i]
+        svds = [(svals[:i], vt[:i]) for svals, vt in svds]
+    flags, failure = _normal_flags(frames, svds, tol)
+    if failure is not None:
+        i, error = failure
+        derivs, frames, coeffs = derivs[:i], frames[:i], coeffs[:i]
+    if not derivs:
+        return [], error
 
-    osculating = tangent
-    normal_flag: list[sub.Subspace] = []
-    for svd in svds[1:]:
-        nxt = sub.span_from_svd(svd, tol)
-        stage = sub.complement_within(osculating, nxt)
-        if stage.dim == 0:
-            break
-        osculating = nxt
-        normal_flag.append(stage)
-
+    # the normal space is the kernel of the frame, as sub.kernel_of
+    svals, vt = np.linalg.svd(frames)[1:]
+    ranks = sub.numerical_ranks(svals, tol)
     # Second fundamental form: normal projection of second derivatives,
-    # expressed on the orthonormal tangent frame.
-    t2 = derivs.tensor(2)
-    alpha_chart = t2 - np.einsum("ijN,nN,nM->ijM", t2, frame, frame)
-    # alpha keeps the einsum summation order: to_frame would move every
-    # residual built on alpha by rounding
-    alpha = np.einsum("ai,bj,ijN->abN", coeff, coeff, alpha_chart)
+    # expressed on the orthonormal tangent frame.  alpha keeps the einsum
+    # summation order: to_frame would move every residual built on alpha
+    # by rounding
+    t2 = np.array([d.tensor(2) for d in derivs])
+    alpha_chart = t2 - np.einsum("pijN,pnN,pnM->pijM", t2, frames, frames)
+    alphas = np.einsum("pai,pbj,pijN->pabN", coeffs, coeffs, alpha_chart)
+    return [PointGeometry(
+        chart=chart, x=points[i], tangent=sub.Subspace(big_n, frames[i]),
+        frame=frames[i], frame_in_chart=coeffs[i],
+        normal_space=sub.Subspace(big_n, vt[i, ranks[i]:].copy()),
+        alpha=alphas[i], normal_flag=flags[i], derivs=derivs[i], tol=tol)
+        for i in range(len(derivs))], error
 
-    return PointGeometry(
-        chart=chart, x=x, tangent=tangent,
-        frame=frame, frame_in_chart=coeff, normal_space=normal_space,
-        alpha=alpha, normal_flag=normal_flag, derivs=derivs, tol=tol)
+
+def _normal_flags(frames: np.ndarray, svds: list[tuple], tol: float
+                  ) -> tuple[list[list[sub.Subspace]],
+                             tuple[int, OscflagError] | None]:
+    """The normal flag at each point of a batch: stage k is the complement
+    of the osculating space of order k in that of order k + 1, read off the
+    prefix SVDs at ``tol``, as ``sub.complement_within`` builds it, one
+    batch per step for the points whose spaces have equal dimensions; a
+    point's flag ends at its first empty stage.  Also returns the first
+    point whose osculating space leaves the next one, and its
+    ContainmentError, or None; the flags are those of the points before."""
+    flags: list[list[sub.Subspace]] = [[] for _ in frames]
+    osculating = list(frames)
+    live = range(len(frames))
+    failure = None
+    for svals, vt in svds[1:]:
+        ranks = sub.numerical_ranks(svals, tol)
+        groups: dict[tuple, list[int]] = {}
+        for p in live:
+            groups.setdefault((len(osculating[p]), ranks[p]), []).append(p)
+        live = []
+        for (low, high), group in groups.items():
+            inner, outer = np.array([osculating[p] for p in group]), \
+                vt[group, :high]
+            outside = inner - (inner @ outer.swapaxes(1, 2)) @ outer
+            residuals = np.max(np.linalg.norm(outside, axis=2), axis=1)
+            stages = np.linalg.svd(
+                outer - (outer @ inner.swapaxes(1, 2)) @ inner,
+                full_matrices=False)[2][:, :high - low]
+            for p, residual, stage, nxt in zip(group, residuals, stages,
+                                               outer):
+                if residual >= sub.CONTAINMENT_TOL:
+                    if failure is None or p < failure[0]:
+                        failure = (p, ContainmentError(
+                            f"subspace not contained (worst residual "
+                            f"{residual:.3e})", residual))
+                elif len(stage):
+                    flags[p].append(sub.Subspace(nxt.shape[1], stage.copy()))
+                    osculating[p] = nxt
+                    live.append(p)
+    if failure is not None:
+        flags = flags[:failure[0]]
+    return flags, failure
 
 
 def chart_table(geom: PointGeometry, order: int) -> np.ndarray:

@@ -14,6 +14,10 @@ from .errors import ContainmentError, DataError, ParameterError, ShapeError
 
 DEFAULT_RANK_TOL = 1e-8
 
+# complement_within's working floor: the largest residual of inner outside
+# outer that still counts as contained
+CONTAINMENT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -125,11 +129,12 @@ def containment_residual(inner: Subspace, outer: Subspace) -> float:
 def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
     """Orthogonal complement of ``inner`` inside ``outer``.
 
-    Requires inner to be contained in outer up to a residual of 1e-8; the
-    result has dimension dim(outer) - dim(inner) by construction.
+    Requires inner to be contained in outer up to a residual of
+    CONTAINMENT_TOL; the result has dimension dim(outer) - dim(inner) by
+    construction.
     """
     residual = containment_residual(inner, outer)
-    if residual >= 1e-8:
+    if residual >= CONTAINMENT_TOL:
         raise ContainmentError(
             f"subspace not contained (worst residual {residual:.3e})", residual)
     k = outer.dim - inner.dim

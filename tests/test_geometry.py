@@ -153,6 +153,21 @@ def _cubic_chart() -> ImmersionChart:
     return ImmersionChart("cubic", 2, 4, box([-1, -1], [1, 1]), fn, 4)
 
 
+def test_point_geometries_return_a_dependent_frame_row():
+    # at tol 1e-12 the audit admits w = 4e-6 (Jacobian singular value
+    # 4.8e-11, above tol*10 of the largest), but its second frame row keeps
+    # less than GRAM_SCHMIDT_REL_TOL of the largest row's length
+    chart = _cubic_chart()
+    points = [[0.2, 0.5], [0.2, 4e-6], [0.2, 1e-4]]
+    geoms, error = point_geometries(chart, points, 1, 1e-12)
+    assert len(geoms) == 1 and isinstance(error, NotImmersionError)
+    assert str(error) == "row 1 numerically dependent during orthonormalization"
+    assert_same_geometry(geoms[0], point_geometry(chart, points[0], 1, 1e-12))
+    with pytest.raises(NotImmersionError) as single:
+        point_geometry(chart, points[1], 1, 1e-12)
+    assert str(single.value) == str(error)
+
+
 def _rejecting_entry(weights) -> SimpleNamespace:
     """An entry on ``_cubic_chart`` whose sampler draws w = 0.5, -0.3, 1e-4
     and 1e-5 with the given weights."""

@@ -200,6 +200,19 @@ def test_point_geometries_stop_at_first_failing_point(points, error, bad):
     assert str(single.value) == str(got)
 
 
+def test_point_geometries_group_points_by_flag_dimensions():
+    # the first normal space has dimension 2 at the origin and 3 at the
+    # other points: the flag stages of each dimension take their own batch,
+    # and every geometry equals its batch of one
+    chart = _stencil_chart(5e-5)
+    points = [[0.5, -0.5], [0.0, 0.0], [0.2, -0.3]]
+    geoms, error = point_geometries(chart, points, 2)
+    assert error is None
+    assert [g.first_normal.dim for g in geoms] == [3, 2, 3]
+    for x, geom in zip(points, geoms):
+        assert_same_geometry(geom, point_geometry(chart, x, 2))
+
+
 @pytest.mark.parametrize("name,params", [("section4-ruled", {"m": 2}),
                                          ("curve-parallel", {})])
 def test_phi_frame_fds_equal_per_centre(name, params):
