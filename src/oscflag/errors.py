@@ -58,7 +58,8 @@ class ParameterError(OscflagError):
 
 
 class FrameError(OscflagError):
-    """A pivoted projection frame lost rank across a stencil."""
+    """A subspace changed dimension across a finite-difference stencil, so
+    a frame field projected onto it from the centre is not smooth there."""
 
 
 class NumericalRankError(OscflagError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import subspaces as sub
 from .errors import (CapabilityError, ContainmentError, DataError,
-                     DomainError, FrameError, NotImmersionError, OscflagError,
+                     DomainError, NotImmersionError, OscflagError,
                      ParameterError, RegularityError, ShapeError)
 from .jets import (DerivativeTensor, JetSignature, first_partials,
                    matrix_inverse, matrix_product, partial_jets, signature)
@@ -115,10 +115,8 @@ class ImmersionChart:
         return self.eval(x, 0).coeffs[0]
 
 
-# Working floors of _gram_schmidt_rows (a share of the largest row) and of a
-# reused pivot of projection_frame; a greedy pick keeps at least 1/sqrt(N).
+# Working floor of _gram_schmidt_rows, a share of the largest row.
 GRAM_SCHMIDT_REL_TOL = 1e-10
-MIN_PIVOT_RESIDUAL = 0.1
 
 
 def _gram_schmidt_rows(rows: np.ndarray):
@@ -149,70 +147,21 @@ def _gram_schmidt_rows(rows: np.ndarray):
     return q, coeff, dependent
 
 
-def projection_frame(space: sub.Subspace,
-                     pivots: tuple[int, ...] | None = None):
-    """Orthonormal frame of a subspace by pivoted projection of e_1..e_N.
+def projection_frame(space: sub.Subspace):
+    """Orthonormal frame of a subspace by pivoted projection of e_1..e_N,
+    and the pivots.
 
-    Projects the standard basis vectors onto the subspace and orthonormalizes.
-    When ``pivots`` is None the pivot order is chosen greedily by largest
-    residual (deterministic); passing a pivot order back in reuses the same
-    selection at nearby points (``pivot_frames``), which keeps frames varying
-    smoothly across a finite-difference stencil.
+    Projects the standard basis vectors onto the subspace and orthonormalizes
+    them, picking the pivot order greedily by largest residual: the frame
+    depends on the space, not on its basis, and is deterministic.
     """
-    k = space.dim
-    if pivots is not None and len(pivots) != k:
-        raise _rank_changed(pivots, k)
-    if k == 0:
-        return np.zeros((0, space.ambient_dim)), ()
-    if pivots is None:
-        return _greedy_pivots(space.project(np.eye(space.ambient_dim)), k)
-    frames, error = pivot_frames(space.basis[None], [k], pivots)
-    if error is not None:
-        raise error[1]
-    return frames[0], tuple(pivots)
-
-
-def _rank_changed(pivots: tuple[int, ...], dim: int) -> FrameError:
-    return FrameError(f"{len(pivots)} pivots for a {dim}-dimensional space: "
-                      f"rank changed across the stencil")
+    return _greedy_pivots(space.project(np.eye(space.ambient_dim)), space.dim)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of ``a`` ``(B, N)`` with that of ``b``,
     one BLAS dot per row, as a single point's ``a @ b`` takes it."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def pivot_frames(bases: np.ndarray, dims, pivots: tuple[int, ...]
-                 ) -> tuple[np.ndarray, tuple[int, FrameError] | None]:
-    """Frames ``(B, k, N)`` of B subspaces by Gram-Schmidt of the
-    projections of e_p, p in ``pivots``, in that order, and the first point
-    that fails, as (index, FrameError), or None.
-
-    ``bases`` ``(B, k, N)``, k = len(pivots), holds orthonormal rows of
-    each subspace whose dimension ``dims[b]`` is k; a point of another
-    dimension fails by a rank change, one whose pivot residual falls below
-    ``MIN_PIVOT_RESIDUAL`` by a lost pivot.
-    """
-    changed = np.flatnonzero(np.asarray(dims) != len(pivots))
-    error = None
-    if changed.size:
-        error = (int(changed[0]), _rank_changed(pivots, dims[changed[0]]))
-    projected = (np.eye(bases.shape[2]) @ bases.swapaxes(1, 2)) @ bases
-    frames = np.zeros(bases.shape)
-    for i, pick in enumerate(pivots):
-        v = projected[:, pick].copy()
-        for j in range(i):
-            v -= _row_dots(v, frames[:, j])[:, None] * frames[:, j]
-        nrm = np.sqrt(_row_dots(v, v))
-        low = np.flatnonzero(nrm < MIN_PIVOT_RESIDUAL)
-        if low.size and (error is None or low[0] < error[0]):
-            error = (int(low[0]), FrameError(
-                f"pivot {pick} lost rank across stencil (residual "
-                f"{nrm[low[0]]:.3e})"))
-        frames[:, i] = v / np.where(nrm < MIN_PIVOT_RESIDUAL, 1.0,
-                                    nrm)[:, None]
-    return frames, error
 
 
 def _greedy_pivots(rows: np.ndarray, count: int):
@@ -300,8 +249,8 @@ def frame_derivative(field: Callable[[np.ndarray], np.ndarray], x,
     once, on the stencil x + h*w_1, x - h*w_1, x + h*w_2, ... for the rows
     w_i of ``directions``; out[i] = (field(x + h*w_i) - field(x - h*w_i)) /
     (2h), so the result has shape ``(len(directions),)`` + the value shape;
-    second-order accurate in h.  ``field`` must be smooth: a projection
-    frame keeps the pivot order of the stencil center.
+    second-order accurate in h.  ``field`` must be smooth, such as a
+    frame fixed at x and projected onto each stencil point's subspace.
     """
     return central_differences(field(stencil(x, directions, h)), h)
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspaces as sub
-from .errors import ParameterError, RegularityError
+from .errors import FrameError, ParameterError, RegularityError
 from .geometry import (ImmersionChart, PointGeometry, audited_jet,
                        central_differences, chart_table,
-                       flattened_alpha_restricted, pivot_frames,
-                       point_geometry, projection_frame, relative_nullity,
-                       span_projector, stencil, to_frame)
+                       flattened_alpha_restricted, point_geometry,
+                       projection_frame, relative_nullity, span_projector,
+                       stencil, to_frame)
 from .jets import matrix_product, partial_jets, signature
 
 
@@ -122,50 +122,53 @@ def phi_frame_fd(chart: ImmersionChart, x, h: float,
 def phi_frame_fds(chart: ImmersionChart, geoms: list[PointGeometry],
                   h: float, tol: float = sub.DEFAULT_RANK_TOL
                   ) -> list[PhiTensor]:
-    """phi from central differences of a smooth complement frame, at the
+    """phi from central differences of a complement frame field, at the
     point of each geometry.
 
-    Builds the complement frames at the stencil points of every centre at
-    once, by projecting the standard basis with the pivot order fixed at
-    that centre: one ``audited_jet`` over the stacked stencils (each point
-    passes the immersion check and the rank audit), then per centre one
-    batched SVD for the complements and one batch of pivoted frames.  It
-    differentiates each frame field along its centre's tangent frame
-    directions and projects the ambient derivative onto that centre's first
-    normal space.  Second-order accurate in h; retained as the independent
-    oracle for phi_pairing.  The first centre whose stencil fails raises
-    the error of its first failing point, a lost pivot before an audit
-    error at a later point.
+    phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu depends only on mu at the point,
+    so the field differenced is the centre's complement frame mu0 projected
+    onto the complement of the second osculating space at each stencil
+    point, mu0 - (mu0 V^T) V for the orthonormal rows V of that space.  One
+    ``audited_jet`` over the stacked stencils of every centre (each point
+    passes the immersion check and the rank audit) gives V; each frame
+    field is differenced along its centre's tangent frame directions and
+    projected onto that centre's first normal space.  Second-order accurate
+    in h; retained as the independent oracle for phi_pairing.  The first
+    centre whose stencil fails raises the error of its first failing point:
+    a FrameError where the order-2 rank differs from the centre's n + p,
+    before an audit error at a later point.
     """
-    big_n, size = chart.ambient_dim, 2 * chart.intrinsic_dim
+    size = 2 * chart.intrinsic_dim
     phis: list[PhiTensor | None] = []
     live = []
     for geom in geoms:
-        mu_frame, pivots = projection_frame(geom.first_normal_complement())
+        mu_frame, _ = projection_frame(geom.first_normal_complement())
         if geom.first_normal.dim == 0 or mu_frame.shape[0] == 0:
             phis.append(_empty_phi(geom, mu_frame))
         else:
-            live.append((len(phis), geom, mu_frame, pivots))
+            live.append((len(phis), geom, mu_frame))
             phis.append(None)
     if not live:
         return phis
 
-    _, svds, error = audited_jet(chart, np.concatenate(
-        [stencil(geom.x, geom.frame_in_chart, h) for _, geom, _, _ in live]),
-        1, tol)
+    points = np.concatenate([stencil(geom.x, geom.frame_in_chart, h)
+                             for _, geom, _ in live])
+    _, svds, error = audited_jet(chart, points, 1, tol)
     svals, vt = svds[1]
-    for k, (i, geom, mu_frame, pivots) in enumerate(live):
-        rows, q = slice(k * size, (k + 1) * size), len(pivots)
-        # the complement of the second osculating space at each stencil
-        # point, off the audited SVD of its prefix: no PointGeometry there;
-        # as sub.kernel_of on each osc2 basis, whose rows are orthonormal
-        kernels = np.linalg.svd(vt[rows, :big_n - q])[2][:, big_n - q:]
-        frames, failed = pivot_frames(
-            kernels, big_n - sub.numerical_ranks(svals[rows], tol), pivots)
-        if failed is not None:
-            raise failed[1]
+    for k, (i, geom, mu_frame) in enumerate(live):
+        rows = slice(k * size, (k + 1) * size)
+        rank = geom.n + geom.first_normal.dim
+        ranks = sub.numerical_ranks(svals[rows], tol)
+        if (ranks != rank).any():
+            j = int(np.argmax(ranks != rank))
+            raise FrameError(
+                f"order-2 rank {ranks[j]} at stencil point {points[rows][j]}"
+                f", {rank} at its centre: the complement frame field is "
+                f"not smooth across the stencil")
         if len(vt) < rows.stop:
             raise error
+        osc2 = vt[rows, :rank]
+        frames = mu_frame - (mu_frame @ osc2.swapaxes(1, 2)) @ osc2
         n1 = geom.first_normal.basis
         phis[i] = PhiTensor(np.einsum("aqN,iN->qai", central_differences(
             frames, h), n1), mu_frame, n1)

@@ -1,10 +1,11 @@
 """Finite-difference oracle for P being parallel along D.
 
 P is the sum of S and the complement of the first normal space (the
-default splitting), L its complement in the normal space.  Central
-differences of a P-frame with its pivot order frozen at the stencil centre
-give the L-components of the derivatives of P-sections along D, second-order
-accurate in h; ``geometry.drift`` of the exact Pi_P jet is their limit.
+default splitting), L its complement in the normal space.  The L-part of
+the derivative of a P-section depends only on its value at the centre,
+L (d_w Pi_P) mu, so central differences of the centre's P-frame projected
+onto P at each stencil point give it, second-order accurate in h;
+``geometry.drift`` of the exact Pi_P jet is their limit.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from oscflag.nonparallel import nonparallel_data
 def p_l_components(chart, geom, nd, h: float, directions,
                    tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """L-components of D_w mu for w in ``directions`` (tangent-frame
-    coordinates) and mu the rows of the pivoted P-frame at the centre, on an
+    coordinates) and mu the rows of the P-frame at the centre, on an
     orthonormal basis of L: shape (#directions, dim P, dim L), with that
     P-frame."""
     tol = geom.tol if tol is None else tol
@@ -27,13 +28,12 @@ def p_l_components(chart, geom, nd, h: float, directions,
         nd_y = nonparallel_data(g_y)
         return sub.direct_sum(nd_y.S, g_y.first_normal_complement(), tol)
 
-    p_frame, pivots = projection_frame(
+    p_frame, _ = projection_frame(
         sub.direct_sum(nd.S, geom.first_normal_complement(), tol))
     l_basis = sub.complement_within(nd.S, geom.first_normal)
 
     def frames_at(points):
-        return np.array([projection_frame(p_space_at(y), pivots=pivots)[0]
-                         for y in points])
+        return np.array([p_space_at(y).project(p_frame) for y in points])
 
     d_mu = frame_derivative(frames_at, geom.x,
                             [v @ geom.frame_in_chart for v in directions], h)

@@ -18,8 +18,8 @@ from oscflag.errors import ParameterError
 from oscflag.geometry import point_geometry
 from oscflag.jets import (Jet, affine_lift, jet_constant, jet_reciprocal,
                           signature)
-from oscflag.nonparallel import nonparallel_data
-from oscflag.verify import RunConfig, _sample_points
+from oscflag.nonparallel import classify_case, nonparallel_data
+from oscflag.verify import RunConfig, _nu_s_table, _sample_points
 from picard import antiderivative
 from rk4 import rk4_transport
 
@@ -237,6 +237,36 @@ def test_gated_check_fails_where_its_claim_is_false(check, name, params):
     result = CHECKS[check](VerifyContext(entry, records, 3, 1e-8), **params)
     assert not result.passed
     assert result.residual > result.tolerance
+
+
+@pytest.mark.parametrize("check,name,params,claim,holds", [
+    ("phi_absent", "product-torus", {}, {}, None),
+    ("s_rank", "curve-parallel", {}, {"expected": 2}, {"expected": 1}),
+    ("flag_dims", "product-torus", {}, {"stages": [1], "total": None},
+     {"stages": [2], "total": None}),
+    ("flag_dims", "curve-parallel", {}, {"stages": None, "total": 9},
+     {"stages": None, "total": 8}),
+    ("case_label", "sphere", {"n": 2}, {"expected": "case-i"},
+     {"expected": "parallel"}),
+    ("nu_s_violation", "section4-ruled", {"m": 2}, {"s": 1}, {"s": 2}),
+])
+def test_declared_check_fails_where_its_claim_is_false(check, name, params,
+                                                       claim, holds):
+    # each claim is false on the sampled records, and the claim they hold
+    # passes on the same records: the product torus has a complement of
+    # dimension 2, curve-parallel s = 1 and flag total 8 (stages 1, 1, 1,
+    # 1, 1), the torus's single stage has dimension 2, the sphere is
+    # parallel, and section4-ruled m=2 has nu_1 = 2 < n - 1 = 3
+    entry = get_entry(name, params)
+    config = RunConfig(name, params, samples=3, seed=3)
+    records, _ = _sample_points(entry, config)
+    for rec in records:
+        rec.nu_s = _nu_s_table(rec, config)
+        rec.classification = classify_case(rec.nd, rec.geom.n)
+    ctx = VerifyContext(entry, records, 3, 1e-8)
+    assert not CHECKS[check](ctx, **claim).passed
+    if holds is not None:
+        assert CHECKS[check](ctx, **holds).passed
 
 
 def test_section4_sampler_avoids_zero_section():

@@ -13,7 +13,8 @@ from oscflag.catalog import get_entry
 from oscflag.checks import (PointRecord, VerifyContext, check_codazzi,
                             check_phi_convergence, check_ricci_rulings,
                             check_rulings_alpha_nonzero, check_s_constancy)
-from oscflag.errors import DomainError, ParameterError, RegularityError
+from oscflag.errors import (DomainError, FrameError, ParameterError,
+                            RegularityError)
 from oscflag.geometry import (ImmersionChart, box, drift, point_geometries,
                               point_geometry)
 from oscflag.jets import first_partials, jet_constant, variables
@@ -173,14 +174,22 @@ def _stencil_chart(k: float) -> ImmersionChart:
     (5e-5, RegularityError, [1e-3, 0.0]),
     # no point is ambiguous: the one outside the box decides
     (0.0, DomainError, [0.0, 1e-3]),
+    # the first normal space has dimension 3 at (1e-3, 0), unambiguously:
+    # the complement frame projected from the centre is not smooth there
+    (1.0, FrameError, [1e-3, 0.0]),
 ])
 def test_stencil_raises_at_its_first_failing_point(k, error, point):
+    # a batch after a centre whose stencil passes raises the same error
     chart = _stencil_chart(k)
-    geom = point_geometry(chart, [0.0, 0.0], 1)
+    good, geom = (point_geometry(chart, x, 1)
+                  for x in ([0.5, -0.5], [0.0, 0.0]))
     assert geom.first_normal.dim == 2
     with pytest.raises(error) as raised:
         phi_frame_fd(chart, geom.x, 1e-3, geom=geom)
     assert str(np.array(point)) in str(raised.value)
+    with pytest.raises(error) as batch:
+        phi_frame_fds(chart, [good, geom], 1e-3)
+    assert str(batch.value) == str(raised.value)
 
 
 @pytest.mark.parametrize("points,error,bad", [
@@ -216,9 +225,9 @@ def test_point_geometries_group_points_by_flag_dimensions():
 @pytest.mark.parametrize("name,params", [("section4-ruled", {"m": 2}),
                                          ("curve-parallel", {})])
 def test_phi_frame_fds_equal_per_centre(name, params):
-    # the stencils of all centres in one audit, each centre differenced
-    # with its own pivots (section4-ruled picks (8, 9) at some and (9, 8) at
-    # others): each phi equals that centre's batch of one
+    # the stencils of all centres in one audit, each centre's complement
+    # frame projected onto its own stencil points: each phi equals that
+    # centre's batch of one
     entry = get_entry(name, params)
     records, _ = verify._sample_points(
         entry, verify.RunConfig(name, params, samples=4, seed=3))
