@@ -41,7 +41,7 @@ class SplitExercise:
     """A normal-splitting rule to push through the ruled-extension pipeline."""
 
     name: str
-    rule: Callable  # (geom, order) -> rows spanning L, see SplittingSpec
+    rule: Callable  # (geoms, order) -> rows spanning L, see SplittingSpec
     expected: dict  # k, r, and optional n1f_rank / nu_ext / delta_in_nullity
 
 
@@ -243,26 +243,27 @@ def make_curve_parallel_subbundle(n: int = 3, N: int = 8,
         return chart.domain.sample(rng, margin=0.01)
 
     def witness_rule(indices: tuple[int, ...], rotate: bool = False):
-        def rule(geom, order: int) -> np.ndarray:
+        def rule(geoms, order: int) -> np.ndarray:
             # Taylor series in t of each field; the s-partials vanish
-            t = float(geom.x[0])
-            series = system.field_taylor(0, geom.x[:1], order)[0]
-            series = series[list(indices)]
+            t = np.array([geom.x[0] for geom in geoms])
+            series = system.field_taylor(0, t, order)[:, list(indices)]
             if rotate:
                 # cos 3t and sin 3t as series at t, times the first two fields
                 k = np.arange(order + 1)
                 scale = 3.0 ** k / np.array([math.factorial(j) for j in k])
-                cos3 = scale * np.cos(3.0 * t + k * math.pi / 2.0)
-                sin3 = scale * np.sin(3.0 * t + k * math.pi / 2.0)
-                first = np.stack([series[0, :, :j + 1] @ cos3[j::-1]
-                                  + series[1, :, :j + 1] @ sin3[j::-1]
-                                  for j in k], axis=-1)
-                series = np.concatenate([first[None], series[2:]])
+                cos3 = scale * np.cos(3.0 * t[:, None] + k * math.pi / 2.0)
+                sin3 = scale * np.sin(3.0 * t[:, None] + k * math.pi / 2.0)
+                first = np.stack([
+                    (series[:, 0, :, :j + 1] @ cos3[:, j::-1, None]
+                     + series[:, 1, :, :j + 1] @ sin3[:, j::-1, None])[..., 0]
+                    for j in k], axis=-1)
+                series = np.concatenate([first[:, None], series[:, 2:]],
+                                        axis=1)
             # series in t alone: the lift with no ruling variables
-            table = series.transpose(2, 0, 1)[None]
-            return affine_lift(signature(geom.n, order), table,
-                               table[:, None][:, :0], np.zeros((1, 0)),
-                               (0,), ())[0]
+            table = series.transpose(0, 3, 1, 2)
+            return affine_lift(signature(geoms[0].n, order), table,
+                               table[:, None][:, :0], np.zeros((len(t), 0)),
+                               (0,), ())
         return rule
 
     exercises = []

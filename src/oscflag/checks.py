@@ -134,7 +134,7 @@ class PointRecord:
     def pi_s(self) -> np.ndarray:
         """Order-1 jet of Pi_S, of rank s, shared by the constancy checks
         along the rulings."""
-        return s_projector(self.geom, 1, rank=self.nd.s)[1]
+        return s_projector([self.geom], 1, [self.nd.s])[1][0]
 
     @cached_property
     def phi_fd(self) -> tuple[PhiTensor, PhiTensor]:
@@ -180,14 +180,14 @@ class VerifyContext:
         """Order-1 jet of the ambient projector onto the ruling space: the
         kernel of alpha restricted to U = S (D) or to U = I - Pi_T (the
         relative nullity)."""
-        tangent, pi_t = tangent_jets(rec.geom, 2)
+        tangent, pi_t = tangent_jets([rec.geom], 2)
         if self.entry.ruling_from == "D":
-            pi_u, rank = rec.pi_s, rec.nd.D.dim
+            pi_u, rank = rec.pi_s[None], rec.nd.D.dim
         else:
             pi_u, rank = -pi_t, rec.nd.nu
-            pi_u[0] += np.eye(rec.geom.ambient_dim)
+            pi_u[0, 0] += np.eye(rec.geom.ambient_dim)
         return kernel_projector(signature(rec.geom.n, 1), pi_u, pi_t, tangent,
-                                rank, rec.geom.tol)[1]
+                                [rank], rec.geom.tol)[1][0]
 
 
 def _chart_directions(geom: PointGeometry, space: sub.Subspace) -> np.ndarray:
@@ -523,14 +523,15 @@ def check_p_parallel_drift(ctx: VerifyContext) -> CheckResult:
     of P-sections.  Pi_P is the jet of the default splitting's ``PointSplit``.
     """
     spec = SplittingSpec(ctx.chart, tol=ctx.rank_tol)
+    records = [rec for rec in ctx.records[:CONSTANCY_POINTS]
+               if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim]
     try:
-        worst = sub.worst(drift(spec.at(rec.geom, 1).pi_p,
-                                _chart_directions(rec.geom, rec.nd.D))
-                          for rec in ctx.records[:CONSTANCY_POINTS]
-                          if 0 < rec.nd.s < rec.nd.p and rec.nd.D.dim)
+        splits = spec.at([rec.geom for rec in records], 1)
     except NumericalRankError as exc:
         return CheckResult("p_parallel_drift", False,
                            details={"error": str(exc)})
+    worst = sub.worst(drift(split.pi_p, _chart_directions(rec.geom, rec.nd.D))
+                      for rec, split in zip(records, splits))
     return _bound("p_parallel_drift", worst, "P is parallel along D")
 
 
@@ -645,7 +646,9 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
 
     k, r and the lemma angle are read at every sampled point, split once:
     at ``SPLIT_ORDER`` at the probe points, where the extension is built and
-    audited, and at order 1 elsewhere.  The splitting lemma bounds the angle
+    audited, each probe a batch of its own (the order-3 products grow with
+    the batch), and at order 1 elsewhere, in one batch; the first failing
+    point fails the exercise.  The splitting lemma bounds the angle
     between Lambda and the tangent space away from zero, so a small angle
     falsifies the implementation rather than the construction.
     """
@@ -660,19 +663,19 @@ def check_split_exercise(ctx: VerifyContext, index: int) -> CheckResult:
     k_seen, r_seen = set(), set()
     rform_ok = True
     angles = []
-    splits = []
-    for i, rec in enumerate(ctx.records):
-        try:
-            split = spec.at(rec.geom, SPLIT_ORDER if i < PROBES else 1)
-        except NumericalRankError as exc:
-            # split_jets raises where rank L leaves 0 < ell < N - n, d = 0
-            # or dim Gamma leaves n - d <= k <= n - d + ell: no extension
-            failure = ("gamma-band" if isinstance(exc, GammaBandError) else
-                       "l-rank" if isinstance(exc, LRankError) else "d-zero")
-            details.update(error=str(exc), band_holds=failure != "gamma-band")
-            return CheckResult(name, False, description=description,
-                               details={**details, "failures": [failure]})
-        splits.append(split)
+    try:
+        splits = [spec.at([rec.geom], SPLIT_ORDER)[0]
+                  for rec in ctx.records[:PROBES]]
+        splits += spec.at([rec.geom for rec in ctx.records[PROBES:]], 1)
+    except NumericalRankError as exc:
+        # split_jets fails where rank L leaves 0 < ell < N - n, d = 0 or
+        # dim Gamma leaves n - d <= k <= n - d + ell: no extension
+        failure = ("gamma-band" if isinstance(exc, GammaBandError) else
+                   "l-rank" if isinstance(exc, LRankError) else "d-zero")
+        details.update(error=str(exc), band_holds=failure != "gamma-band")
+        return CheckResult(name, False, description=description,
+                           details={**details, "failures": [failure]})
+    for split in splits:
         k, r = split.Gamma.dim, split.Lambda.dim
         k_seen.add(k)
         r_seen.add(r)

@@ -155,7 +155,9 @@ def projection_frame(space: sub.Subspace):
     them, picking the pivot order greedily by largest residual: the frame
     depends on the space, not on its basis, and is deterministic.
     """
-    return _greedy_pivots(space.project(np.eye(space.ambient_dim)), space.dim)
+    frame, picks = _greedy_pivots(
+        space.project(np.eye(space.ambient_dim))[None], space.dim)
+    return frame[0], tuple(int(pick) for pick in picks[0])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,65 +167,94 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _greedy_pivots(rows: np.ndarray, count: int):
-    """Orthonormal frame of ``count`` rows picked greedily by largest
-    residual, and the picks."""
+    """Orthonormal frames ``(B, count, N)`` of ``count`` rows of each
+    family of ``rows`` ``(B, m, N)``, picked greedily by largest residual,
+    and the picks ``(B, count)``: one argmax per step over the batch."""
     work = rows.copy()
-    frame = np.zeros((count, rows.shape[1]))
-    chosen: list[int] = []
+    frame = np.zeros((len(rows), count, rows.shape[2]))
+    picks = np.zeros((len(rows), count), dtype=np.intp)
+    at = np.arange(len(rows))
     for i in range(count):
-        norms = np.linalg.norm(work, axis=1)
-        pick = int(np.argmax(norms))
-        frame[i] = work[pick] / norms[pick]
-        work -= np.outer(work @ frame[i], frame[i])
-        chosen.append(pick)
-    return frame, tuple(chosen)
+        # the row norms as np.linalg.norm takes them
+        norms = np.sqrt(np.add.reduce(work * work, axis=2))
+        picks[:, i] = np.argmax(norms, axis=1)
+        frame[:, i] = work[at, picks[:, i]] / norms[at, picks[:, i], None]
+        work -= (work @ frame[:, i, :, None]) * frame[:, i, None, :]
+    return frame, picks
+
+
+def groups(keys) -> dict:
+    """The positions of each distinct key of ``keys``, in order of first
+    appearance: the points of a batch that share ranks, and so shapes."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
-                   rank: int | None = None
-                   ) -> tuple[sub.Subspace, np.ndarray]:
-    """Span at the centre of a row family jet ``(sig.size, m, N)``, and the
-    ``(sig.size, N, N)`` jet of its projector Pi = F^T (F F^T)^-1 F.
+                   ranks: list[int] | None = None
+                   ) -> tuple[list[sub.Subspace], np.ndarray]:
+    """Span at the centre of each row family jet of ``rows`` ``(B,
+    sig.size, m, N)``, and the ``(B, sig.size, N, N)`` jets of their
+    projectors Pi = F^T (F F^T)^-1 F.
 
-    The rank is read off the centre rows at ``tol`` unless the caller
-    already knows it; F holds the rows picked there by largest residual, as
-    ``projection_frame`` picks pivots, so for a span of constant rank Pi is
-    the analytic projector nearby.
+    Each rank is read off the point's centre rows at ``tol`` unless the
+    caller already knows them (``ranks``, one per point); F holds the rows
+    picked there by largest residual, as ``projection_frame`` picks
+    pivots, so for a span of constant rank Pi is the analytic projector
+    nearby.  The points of equal rank share one product chain.
     """
-    svals, vt = sub.row_svd(rows[0])
-    if rank is None:
-        rank = sub.numerical_rank(svals, tol)
-    space = sub.Subspace(vt.shape[1], vt[:rank].copy())
-    f = rows[:, list(_greedy_pivots(rows[0], space.dim)[1])]
+    svals, vt = sub.row_svd(rows[:, 0])
+    if ranks is None:
+        ranks = sub.numerical_ranks(svals, tol).tolist()
+    spaces = [sub.Subspace(vt.shape[2], v[:r].copy())
+              for v, r in zip(vt, ranks)]
+    by_rank = groups(ranks)
+    if len(by_rank) == 1:
+        return spaces, _pivot_projector(sig, rows, ranks[0])
+    out = np.empty(rows.shape[:2] + (vt.shape[2],) * 2)
+    for rank, group in by_rank.items():
+        out[group] = _pivot_projector(sig, rows[group], rank)
+    return spaces, out
+
+
+def _pivot_projector(sig: JetSignature, rows: np.ndarray,
+                     rank: int) -> np.ndarray:
+    """``span_projector``'s jets for row families of one rank."""
+    picks = _greedy_pivots(rows[:, 0], rank)[1]
+    f = rows[np.arange(len(rows))[:, None, None],
+             np.arange(rows.shape[1])[:, None], picks[:, None]]
     f_t = f.swapaxes(-1, -2)
     gram_inv = matrix_inverse(sig, matrix_product(sig, f, f_t))
-    return space, matrix_product(sig, f_t, matrix_product(sig, gram_inv, f))
+    return matrix_product(sig, f_t, matrix_product(sig, gram_inv, f))
 
 
 def kernel_projector(sig: JetSignature, pi_u: np.ndarray, pi_t: np.ndarray,
-                     tangent: np.ndarray, rank: int,
+                     tangent: np.ndarray, ranks: list[int],
                      tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Jets in ``sig``, one order below ``pi_t``, of the projectors onto the
-    kernel K of c -> sum_i c_i Pi_U (d_i Pi_T) Pi_T: Q_K in chart
-    coordinates and Pi_K in ambient ones.
+    kernel K of c -> sum_i c_i Pi_U (d_i Pi_T) Pi_T at each point of a
+    batch: Q_K in chart coordinates and Pi_K in ambient ones.
 
     For tangent Y, Pi_U (d_X Pi_T) Y = alpha_U(X, Y) when U is normal, so K
     is the kernel of alpha restricted to U; U = I - Pi_T gives the relative
     nullity.  ``tangent`` holds the first partials (the rows of Q_K's image
-    in R^N) and ``rank`` = dim K is read elsewhere, at the point.
+    in R^N) and ``ranks``, dim K at each point, are read elsewhere, at the
+    point.
     """
-    n, big_n = tangent.shape[1], tangent.shape[2]
+    count, n, big_n = len(tangent), tangent.shape[2], tangent.shape[3]
     # rows over (a, b) of the matrices sum_i c_i [Pi_U (d_i Pi_T) Pi_T]_ab
     # span the complement of K in chart coordinates
-    d_t = np.moveaxis(partial_jets(pi_t, n, 1, sig.order), 1, 0)
+    d_t = np.moveaxis(partial_jets(pi_t, n, 1, sig.order, axis=1), 2, 1)
     rows = np.moveaxis(matrix_product(
-        sig, pi_u[:sig.size], matrix_product(sig, d_t, pi_t[:sig.size])),
-        0, -1)
-    q_k = -span_projector(sig, rows.reshape(sig.size, big_n * big_n, n), tol,
-                          rank=n - rank)[1]
-    q_k[0] += np.eye(n)
-    _, pi_k = span_projector(sig, matrix_product(sig, q_k, tangent[:sig.size]),
-                             tol, rank=rank)
+        sig, pi_u[:, None, :sig.size],
+        matrix_product(sig, d_t, pi_t[:, None, :sig.size])), 1, -1)
+    q_k = -span_projector(sig, rows.reshape(count, sig.size, big_n * big_n, n),
+                          tol, [n - rank for rank in ranks])[1]
+    q_k[:, 0] += np.eye(n)
+    _, pi_k = span_projector(
+        sig, matrix_product(sig, q_k, tangent[:, :sig.size]), tol, ranks)
     return q_k, pi_k
 
 
@@ -517,21 +548,33 @@ def _normal_flags(frames: np.ndarray, svds: list[tuple], tol: float
     return flags, failure
 
 
-def chart_table(geom: PointGeometry, order: int) -> np.ndarray:
-    """The chart's coefficient table at ``order``: a prefix of the jet behind
-    ``geom`` when that reaches far enough, else a chart evaluation."""
-    if order <= geom.derivs.order:
-        return geom.derivs.coeffs[:signature(geom.n, order).size]
-    return geom.chart.eval(geom.x, order).coeffs
+def chart_table(geoms: list[PointGeometry], order: int) -> np.ndarray:
+    """The chart's coefficient tables ``(B, size, N)`` at ``order`` at the
+    points of geometries of one chart: a prefix of the jet behind a
+    geometry when that reaches far enough, else from one chart evaluation
+    of the points whose jets fall short."""
+    size = signature(geoms[0].n, order).size
+    out = np.empty((len(geoms), size, geoms[0].ambient_dim))
+    short = []
+    for i, geom in enumerate(geoms):
+        if geom.derivs.order >= order:
+            out[i] = geom.derivs.coeffs[:size]
+        else:
+            short.append(i)
+    if short:
+        out[short] = geoms[0].chart.tables([geoms[i].x for i in short], order)
+    return out
 
 
-def tangent_jets(geom: PointGeometry,
+def tangent_jets(geoms: list[PointGeometry],
                  order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first partials and Pi_T as order-``order`` jets, from the chart
-    jet at order + 1."""
-    tangent = partial_jets(chart_table(geom, order + 1), geom.n, 1, order)
-    return tangent, span_projector(signature(geom.n, order), tangent,
-                                   geom.tol, rank=geom.n)[1]
+    """The first partials ``(B, size, n, N)`` and Pi_T ``(B, size, N, N)``
+    as order-``order`` jets at the points of geometries of one chart and
+    tolerance, from the chart jet at order + 1."""
+    n = geoms[0].n
+    tangent = partial_jets(chart_table(geoms, order + 1), n, 1, order, axis=1)
+    return tangent, span_projector(signature(n, order), tangent,
+                                   geoms[0].tol, [n] * len(geoms))[1]
 
 
 def flattened_alpha_restricted(geom: PointGeometry,

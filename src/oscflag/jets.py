@@ -62,21 +62,27 @@ def signature(num_vars: int, order: int) -> JetSignature:
                      dtype=np.float64)
 
     # Degree-filtered product table: only pairs with deg(i)+deg(j) <= order
-    # contribute, which keeps the table at C(2n+K, 2n) entries.
+    # contribute, which keeps the table at C(2n+K, 2n) entries.  Monomial i
+    # pairs with the leading monomials j of degree <= order - deg(i).
     starts = np.searchsorted(degrees, np.arange(order + 2))
-    ii: list[int] = []
-    jj: list[int] = []
-    kk: list[int] = []
-    for i, mi in enumerate(monos):
-        di = degrees[i]
-        for j in range(starts[order - di + 1]):
-            mj = monos[j]
-            ii.append(i)
-            jj.append(j)
-            kk.append(index[tuple(a + b for a, b in zip(mi, mj))])
-    table = (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
-             np.array(kk, dtype=np.intp))
+    counts = starts[order + 1 - degrees]
+    ii = np.repeat(np.arange(len(monos)), counts)
+    jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    codes, find = _monomial_codes(np.array(monos, dtype=np.int64), order)
+    table = (ii, jj, find(codes[ii] + codes[jj]))
     return JetSignature(num_vars, order, monos, index, degrees, facts, table)
+
+
+def _monomial_codes(exponents: np.ndarray, order: int):
+    """Mixed-radix codes, base order + 1, of exponent rows ``(size, n)`` of
+    total degree <= ``order``, and the map from a code to its row.  An
+    exponent stays below the base, so the code of a sum of rows of degree
+    <= ``order`` is the sum of their codes."""
+    radix = (order + 1) ** np.arange(exponents.shape[1] - 1, -1, -1,
+                                     dtype=np.int64)
+    codes = exponents @ radix
+    rows = np.argsort(codes)
+    return codes, lambda query: rows[np.searchsorted(codes[rows], query)]
 
 
 class Jet:
@@ -372,14 +378,51 @@ def jet_rsqrt(a: Jet) -> Jet:
 
 def matrix_product(sig: JetSignature, a: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
-    """Truncated product of matrix jets (..., size, r, k), (..., size, k, c):
-    one batched matmul over the pairs of ``sig.mul_table``, then one one-hot
-    contraction of the pairs onto their monomials."""
-    ii, jj, _ = sig.mul_table
-    terms = np.matmul(a[..., ii, :, :], b[..., jj, :, :])
+    """Truncated product of matrix jets (..., size, r, k), (..., size, k, c),
+    leading axes broadcast.
+
+    The pair products come in the order of ``sig.mul_table``: for each
+    degree d, one batched matmul of the matrices of ``a``'s monomials of
+    degree d with ``b``'s leading ones of degree <= order - d, all views,
+    so no pair table is gathered and each product is the one a gathered
+    pair would give.  (Where ``a`` and ``b`` may share memory, ``b`` is
+    copied in its own layout: numpy multiplies a matrix by its own
+    transpose another way.)  One one-hot contraction then sums the pairs
+    onto their monomials."""
+    lead = a.shape[:-3]
+    if lead != b.shape[:-3]:
+        lead = np.broadcast_shapes(lead, b.shape[:-3])
+    r, c = a.shape[-2], b.shape[-1]
+    if np.may_share_memory(a, b):
+        b = b.copy(order="K")
+    pairs = sig.mul_table[0].size
+    terms = np.empty(lead + (pairs, r, c))
+    for lo, hi, count, start, stop in _degree_blocks(sig.num_vars,
+                                                     sig.order):
+        np.matmul(a[..., lo:hi, None, :, :], b[..., None, :count, :, :],
+                  out=terms[..., start:stop, :, :].reshape(
+                      lead + (hi - lo, count, r, c)))
     out = _pair_sum(sig.num_vars, sig.order) @ terms.reshape(
-        terms.shape[:-2] + (-1,))
-    return out.reshape(out.shape[:-1] + terms.shape[-2:])
+        lead + (pairs, r * c))
+    return out.reshape(lead + (sig.size, r, c))
+
+
+@lru_cache(maxsize=None)
+def _degree_blocks(num_vars: int,
+                   order: int) -> tuple[tuple[int, ...], ...]:
+    """Per degree d of ``signature(num_vars, order)``: its monomials lo:hi,
+    the count of leading monomials of degree <= order - d, and the pairs
+    start:stop they make in the product table, which lists them in that
+    order."""
+    sig = signature(num_vars, order)
+    starts = np.searchsorted(sig.degrees, np.arange(order + 2)).tolist()
+    blocks, done = [], 0
+    for degree in range(order + 1):
+        lo, hi = starts[degree], starts[degree + 1]
+        count = starts[order + 1 - degree]
+        blocks.append((lo, hi, count, done, done + (hi - lo) * count))
+        done += (hi - lo) * count
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -392,12 +435,13 @@ def _pair_sum(num_vars: int, order: int) -> np.ndarray:
 
 
 def matrix_inverse(sig: JetSignature, g: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix jet (size, r, r) by the truncated Neumann
-    series G^-1 = sum_k (-G0^-1 dG)^k G0^-1, dG = G - G0."""
+    """Inverse of square matrix jets (..., size, r, r), leading axes a
+    batch, by the truncated Neumann series G^-1 = sum_k (-G0^-1 dG)^k
+    G0^-1, dG = G - G0."""
     out = np.zeros_like(g)
-    out[0] = np.linalg.inv(g[0])
-    step = -out[0] @ g
-    step[0] = 0.0
+    out[..., 0, :, :] = np.linalg.inv(g[..., 0, :, :])
+    step = -out[..., :1, :, :] @ g
+    step[..., 0, :, :] = 0.0
     term = out
     for _ in range(sig.order):  # (dG)^k vanishes past the order
         term = matrix_product(sig, step, term)
@@ -406,19 +450,20 @@ def matrix_inverse(sig: JetSignature, g: np.ndarray) -> np.ndarray:
 
 
 def partial_jets(table: np.ndarray, num_vars: int, top: int,
-                 order: int) -> np.ndarray:
+                 order: int, axis: int = 0) -> np.ndarray:
     """Order-``order`` jets of every partial of degree 1..``top`` of the
     function whose coefficients, in the layout of
-    ``signature(num_vars, top + order)``, lie along ``table``'s leading axis.
+    ``signature(num_vars, top + order)``, lie along ``table``'s ``axis``.
 
-    Returns ``(signature(num_vars, order).size, #partials) + trailing axes``,
-    the partials by degree and, within a degree, in descending
-    lexicographic order of their exponents, so the first partials come in
-    chart-variable order.
+    In place of that axis come two, ``(signature(num_vars, order).size,
+    #partials)``: the partials by degree and, within a degree, in
+    descending lexicographic order of their exponents, so the first
+    partials come in chart-variable order.
     """
     index, scale = _partial_index(num_vars, top, order)
-    picked = table[index]
-    return picked * scale.reshape(scale.shape + (1,) * (picked.ndim - 2))
+    picked = np.take(table, index, axis)
+    return picked * scale.reshape((1,) * axis + scale.shape
+                                  + (1,) * (picked.ndim - axis - 2))
 
 
 @lru_cache(maxsize=None)
@@ -427,11 +472,14 @@ def _partial_index(num_vars: int, top: int,
     # coefficient beta of d^alpha f's jet: c[alpha+beta] (alpha+beta)!/beta!
     full = signature(num_vars, top + order)
     small = signature(num_vars, order)
-    partials = sorted((m for m in full.monomials if 1 <= sum(m) <= top),
-                      key=lambda m: (sum(m), tuple(-e for e in m)))
-    index = np.array([[full.index[tuple(a + b for a, b in zip(alpha, beta))]
-                       for alpha in partials] for beta in small.monomials],
-                     dtype=np.intp)
+    exponents = np.array(full.monomials, dtype=np.int64)
+    codes, find = _monomial_codes(exponents, full.order)
+    # the partials by degree, then in descending lexicographic order of
+    # their exponents; the monomials of ``small`` lead those of ``full``
+    picked = np.flatnonzero((full.degrees >= 1) & (full.degrees <= top))
+    picked = picked[np.lexsort(list(-exponents[picked].T[::-1])
+                               + [full.degrees[picked]])]
+    index = find(codes[:small.size, None] + codes[picked])
     scale = full.factorials[index] / small.factorials[:, None]
     index.flags.writeable = False
     scale.flags.writeable = False

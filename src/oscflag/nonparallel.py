@@ -17,7 +17,7 @@ from . import subspaces as sub
 from .errors import FrameError, ParameterError, RegularityError
 from .geometry import (ImmersionChart, PointGeometry, audited_jet,
                        central_differences, chart_table,
-                       flattened_alpha_restricted, point_geometry,
+                       flattened_alpha_restricted, groups, point_geometry,
                        projection_frame, relative_nullity, span_projector,
                        stencil, to_frame)
 from .jets import matrix_product, partial_jets, signature
@@ -175,31 +175,43 @@ def phi_frame_fds(chart: ImmersionChart, geoms: list[PointGeometry],
     return phis
 
 
-def s_projector(geom: PointGeometry, order: int,
-                rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jets of Pi_N1 and Pi_S at ``order``, from the chart jet at order + 3.
+def s_projector(geoms: list[PointGeometry], order: int,
+                ranks) -> tuple[np.ndarray, np.ndarray]:
+    """Jets ``(B, size, N, N)`` of Pi_N1 and Pi_S at ``order`` at the points
+    of geometries of one chart and tolerance, from the chart jet at
+    order + 3.
 
     Pi_N1 is Pi_osc2 - Pi_T.  For mu in the complement C of the second
     osculating space, phi(mu, X) = -Pi_N1 (d_X Pi_osc2) mu, so S is the row
     span of Pi_C (d_i Pi_osc2) Pi_N1 over the chart partials i; as
     Pi_osc2 (d_i Pi_osc2) Pi_osc2 = 0, that is (d_i Pi_osc2) Pi_N1.  S has
-    rank ``rank``, s as ``nonparallel_data`` decides it: a rank read off
-    these rows sees rounding noise as rank.  A rank equal to that of N1
-    makes Pi_S = Pi_N1, from the chart jet at order + 2.
+    rank ``ranks``, one per point, s as ``nonparallel_data`` decides it: a
+    rank read off these rows sees rounding noise as rank.  A rank equal to
+    that of N1 makes Pi_S = Pi_N1, from the chart jet at order + 2; the
+    points of each kind form one batch.
     """
-    n, tol = geom.n, geom.tol
-    whole = rank == geom.first_normal.dim
-    up = order + (not whole)
-    sig, sig_up = signature(n, order), signature(n, up)
-    rows = partial_jets(chart_table(geom, up + 2), n, 2, up)
-    _, osc = span_projector(sig_up, rows, tol)
-    n1 = osc[:sig.size] - span_projector(sig, rows[:sig.size, :n], tol)[1]
-    if whole:
-        return n1, n1
-    d_osc = partial_jets(osc, n, 1, order).reshape(sig.size, -1,
-                                                   geom.ambient_dim)
-    return n1, span_projector(sig, matrix_product(sig, d_osc, n1), tol,
-                              rank=rank)[1]
+    n, tol, big_n = geoms[0].n, geoms[0].tol, geoms[0].ambient_dim
+    sig = signature(n, order)
+    n1 = np.empty((len(geoms), sig.size, big_n, big_n))
+    pi_s = np.empty_like(n1)
+    whole = [rank == geom.first_normal.dim for geom, rank in zip(geoms, ranks)]
+    for kind, group in groups(whole).items():
+        up = order + (not kind)
+        sig_up = signature(n, up)
+        rows = partial_jets(chart_table([geoms[i] for i in group], up + 2),
+                            n, 2, up, axis=1)
+        _, osc = span_projector(sig_up, rows, tol)
+        n1[group] = (osc[:, :sig.size]
+                     - span_projector(sig, rows[:, :sig.size, :n], tol)[1])
+        if kind:
+            pi_s[group] = n1[group]
+            continue
+        d_osc = partial_jets(osc, n, 1, order, axis=1).reshape(
+            len(group), sig.size, -1, big_n)
+        pi_s[group] = span_projector(
+            sig, matrix_product(sig, d_osc, n1[group]), tol,
+            [ranks[i] for i in group])[1]
+    return n1, pi_s
 
 
 @dataclass(frozen=True)

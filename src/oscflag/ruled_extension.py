@@ -22,7 +22,7 @@ from .errors import (DegenerateExtensionError, GammaBandError, LRankError,
                      NumericalRankError, ParameterError, ShapeError)
 from .geometry import (ImmersionChart, PointGeometry, box, chart_table, drift,
                        flattened_alpha_restricted, kernel_projector,
-                       point_geometry, projection_frame, span_projector,
+                       point_geometries, projection_frame, span_projector,
                        tangent_jets)
 from .jets import (affine_lift, first_partials, matrix_inverse,
                    matrix_product, partial_jets, signature)
@@ -39,15 +39,17 @@ JACOBIAN_RANK_TOL = 1e-6
 JACOBIAN_FLOOR_SHARE = 0.2
 
 
-def default_splitting_rule(geom: PointGeometry, order: int) -> np.ndarray:
+def default_splitting_rule(geoms: list[PointGeometry],
+                           order: int) -> np.ndarray:
     """L = orthogonal complement of the nonparallelism span S inside the first
     normal space (the splitting used by the trichotomy analysis).
 
-    Returns the rows of Pi_L = Pi_N1 - Pi_S at ``order``, from the chart jet
-    at order + 3 (``nonparallel.s_projector``), with Pi_S of rank s read
-    from the geometry's one nonparallel data (``geom.nd``).
+    Returns the rows ``(B, size, N, N)`` of Pi_L = Pi_N1 - Pi_S at
+    ``order`` at each geometry's point, from the chart jet at order + 3
+    (``nonparallel.s_projector``), with Pi_S of rank s read from the
+    geometry's one nonparallel data (``geom.nd``).
     """
-    n1, pi_s = s_projector(geom, order, rank=geom.nd.s)
+    n1, pi_s = s_projector(geoms, order, [geom.nd.s for geom in geoms])
     return n1 - pi_s
 
 
@@ -97,13 +99,15 @@ class PointSplit:
         return sub.direct_sum(d_ambient, self.Lambda, self.geom.tol)
 
 
-def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
-               tol: float) -> PointSplit:
-    """Projector jets of the splitting at ``geom`` from rows spanning L.
+def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
+               tol: float) -> tuple[list[PointSplit],
+                                    NumericalRankError | None]:
+    """Projector jets of the splitting at the points of geometries of one
+    chart and tolerance, from rows ``l_rows`` ``(B, size, m, N)`` spanning L.
 
-    Pi_L comes from ``l_rows`` (an order-``order`` table) and Pi_T from the
-    chart jet at q + 1, q = max(order, 1).  Then Pi_P = I - Pi_T - Pi_L to
-    ``order``, and one order below Pi_T:
+    Pi_L comes from each point's rows (an order-``order`` table) and Pi_T
+    from the chart jet at q + 1, q = max(order, 1).  Then Pi_P = I - Pi_T -
+    Pi_L to ``order``, and one order below Pi_T:
 
     - Q_D and Pi_D, D being the kernel of alpha_P (``kernel_projector``);
     - Pi_E = Pi_T - Pi_D;
@@ -114,15 +118,83 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
     - Pi_Lambda = Pi_E + Pi_L - Pi_Gamma.
 
     So the extension's second derivatives, which need Pi_Lambda to order 2,
-    need the chart to order 4 here.  Ranks are read at the point, d off
-    alpha_P on the tangent frame as ``nonparallel_data`` reads it; k must
-    lie in the band n - d <= k <= n - d + ell.
+    need the chart to order 4 here.  Ranks are read per point, at the point,
+    d off alpha_P on the tangent frame as ``nonparallel_data`` reads it; k
+    must lie in the band n - d <= k <= n - d + ell.  The points of equal
+    ranks share each product chain, and each split equals its batch of one.
+    Returns the splits before the first point that fails and that point's
+    error, None when none fails: LRankError where rank L leaves 0 < ell <
+    N - n or L leaves the normal space, NumericalRankError where d = 0 and
+    GammaBandError where k leaves its band.
     """
-    n, big_n = geom.n, geom.ambient_dim
+    n, big_n = geoms[0].n, geoms[0].ambient_dim
     top = max(order, 1)
     sig, lo = signature(n, order), signature(n, top - 1)
-    tangent, pi_t = tangent_jets(geom, top)
-    l_space, pi_l = span_projector(sig, l_rows, tol)
+    tangent, pi_t = tangent_jets(geoms, top)
+    l_spaces, pi_l = span_projector(sig, l_rows, tol)
+    spaces, error = [], None
+    for geom, l_space in zip(geoms, l_spaces):
+        try:
+            spaces.append(_p_and_d(geom, l_space, tol))
+        except NumericalRankError as exc:
+            error = exc
+            break
+    count = len(spaces)
+    if not count:
+        return [], error
+    tangent, pi_t, pi_l = tangent[:count], pi_t[:count], pi_l[:count]
+    pi_p = -pi_t[:, :sig.size] - pi_l
+    pi_p[:, 0] += np.eye(big_n)
+    q_d, pi_d = kernel_projector(lo, pi_p, pi_t, tangent,
+                                 [d_space.dim for _, d_space in spaces], tol)
+    pi_e = pi_t[:, :lo.size] - pi_d
+    splits = [PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
+                         E=sub.complement_within(d_space, sub.full(n)),
+                         order=order, pi_p=pi_p[i], q_d=q_d[i], pi_d=pi_d[i],
+                         pi_e=pi_e[i])
+              for i, (geom, l_space, (p_space, d_space))
+              in enumerate(zip(geoms, l_spaces, spaces))]
+    if order == 0:
+        return splits, error
+
+    jac = tangent[:, :lo.size]
+    gram_inv = matrix_inverse(lo, matrix_product(lo, jac,
+                                                 jac.swapaxes(-1, -2)))
+    # the columns of G^-1 (I - Q_D) span E in chart coordinates, G being the
+    # metric; row i of d_w holds d_(w_i) Pi_P for column w_i
+    q_off = -q_d
+    q_off[:, 0] += np.eye(n)
+    w_t = matrix_product(lo, q_off, gram_inv)
+    d_p = partial_jets(pi_p, n, 1, order - 1, axis=1).reshape(
+        count, lo.size, n, -1)
+    d_w = np.moveaxis(matrix_product(lo, w_t, d_p)
+                      .reshape(count, lo.size, n, big_n, big_n), 2, 1)
+    e_l = pi_e + pi_l[:, :lo.size]
+    # Gamma is the row span of the transposes Pi_P (d_w Pi_P) (Pi_E + Pi_L)
+    rows = matrix_product(lo, pi_p[:, None, :lo.size],
+                          matrix_product(lo, d_w, e_l[:, None]))
+    gammas, pi_gamma = span_projector(
+        lo, np.moveaxis(rows, 1, 2).reshape(count, lo.size, n * big_n, big_n),
+        tol)
+    out = []
+    for split, gamma, pi_lambda in zip(splits, gammas, e_l - pi_gamma):
+        k, ell, d = gamma.dim, split.ell, split.d
+        if not n - d <= k <= n - d + ell:
+            return out, GammaBandError(
+                f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
+        lam = sub.complement_within(
+            gamma, sub.direct_sum(split.e_ambient(), split.L, tol))
+        out.append(replace(split, Gamma=gamma, Lambda=lam,
+                           pi_lambda=pi_lambda))
+    return out, error
+
+
+def _p_and_d(geom: PointGeometry, l_space: sub.Subspace,
+             tol: float) -> tuple[sub.Subspace, sub.Subspace]:
+    """P, the complement of L in the normal space, and D, the kernel of
+    alpha_P, at one point; raises LRankError where rank L leaves 0 < ell <
+    N - n or L leaves the normal space, NumericalRankError where d = 0."""
+    n, big_n = geom.n, geom.ambient_dim
     if not 0 < l_space.dim < big_n - n:
         raise LRankError(
             f"splitting needs 0 < rank L < {big_n - n}, got {l_space.dim}")
@@ -131,101 +203,96 @@ def split_jets(geom: PointGeometry, l_rows: np.ndarray, order: int,
         raise LRankError(
             f"L is not a normal subspace (residual {residual:.3e})")
     p_space = sub.complement_within(l_space, geom.normal_space)
-    pi_p = -pi_t[:sig.size] - pi_l
-    pi_p[0] += np.eye(big_n)
     d_space = sub.kernel_of(flattened_alpha_restricted(geom, p_space), tol)
-    d = d_space.dim
-    if d == 0:
+    if d_space.dim == 0:
         raise NumericalRankError(
             "alpha restricted to P has trivial kernel (d = 0)")
-    e_space = sub.complement_within(d_space, sub.full(n))
-    q_d, pi_d = kernel_projector(lo, pi_p, pi_t, tangent, d, tol)
-    pi_e = pi_t[:lo.size] - pi_d
-    split = PointSplit(geom=geom, L=l_space, P=p_space, D=d_space,
-                       E=e_space, order=order, pi_p=pi_p, q_d=q_d, pi_d=pi_d,
-                       pi_e=pi_e)
-    if order == 0:
-        return split
-
-    jac = tangent[:lo.size]
-    gram_inv = matrix_inverse(lo, matrix_product(lo, jac,
-                                                 jac.swapaxes(-1, -2)))
-    # the columns of G^-1 (I - Q_D) span E in chart coordinates, G being the
-    # metric; row i of d_w holds d_(w_i) Pi_P for column w_i
-    q_off = -q_d
-    q_off[0] += np.eye(n)
-    w_t = matrix_product(lo, q_off, gram_inv)
-    d_p = partial_jets(pi_p, n, 1, order - 1).reshape(lo.size, n, -1)
-    d_w = np.moveaxis(matrix_product(lo, w_t, d_p)
-                      .reshape(lo.size, n, big_n, big_n), 1, 0)
-    e_l = pi_e + pi_l[:lo.size]
-    # Gamma is the row span of the transposes Pi_P (d_w Pi_P) (Pi_E + Pi_L)
-    rows = matrix_product(lo, pi_p[:lo.size], matrix_product(lo, d_w, e_l))
-    gamma, pi_gamma = span_projector(
-        lo, np.moveaxis(rows, 0, 1).reshape(lo.size, n * big_n, big_n), tol)
-    k, ell = gamma.dim, l_space.dim
-    if not n - d <= k <= n - d + ell:
-        raise GammaBandError(
-            f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
-    lam = sub.complement_within(
-        gamma, sub.direct_sum(split.e_ambient(), l_space, tol))
-    return replace(split, Gamma=gamma, Lambda=lam, pi_lambda=e_l - pi_gamma)
+    return p_space, d_space
 
 
 class SplittingSpec:
     """A rule assigning the normal subbundle L at every point of a chart.
 
-    ``rule(geom, order)`` returns rows spanning L as an order-``order`` jet:
-    a table ``(signature(n, order).size, m, N)`` in the layout of
-    ``signature(n, order)``.  ``at(geom, order)``, for a geometry of
-    ``chart`` with its jet to order 3 or more, asks the rule for that order
-    and returns P to it, D, E, Gamma and Lambda to one order less; order 0
+    ``rule(geoms, order)`` takes a list of B geometries of ``chart`` and
+    returns rows spanning L at each point as an order-``order`` jet: a
+    table ``(B, signature(n, order).size, m, N)``, each point's rows in the
+    layout of ``signature(n, order)``.  ``at(geoms, order)``, for
+    geometries of ``chart`` at one tolerance with jets to order 3 or more,
+    asks the rule once for the batch and returns one split per geometry:
+    P to that order, D, E, Gamma and Lambda to one order less; order 0
     serves readers of D alone, order 1 the values of Gamma and Lambda and
-    ``SPLIT_ORDER`` the extension.
+    ``SPLIT_ORDER`` the extension.  Each split equals its batch of one, and
+    a batch raises the error of its first failing point (``split_jets``).
     """
 
     def __init__(self, chart: ImmersionChart,
-                 rule: Callable[[PointGeometry, int], np.ndarray] | None = None,
+                 rule: Callable[[list[PointGeometry], int],
+                                np.ndarray] | None = None,
                  tol: float = sub.DEFAULT_RANK_TOL):
         self.chart = chart
         self.rule = rule or default_splitting_rule
         self.tol = tol
 
-    def at(self, geom: PointGeometry, order: int = 1) -> PointSplit:
-        size, big_n = signature(geom.n, order).size, geom.ambient_dim
-        rows = np.asarray(self.rule(geom, order), dtype=float)
-        if rows.ndim != 3 or rows.shape[0] != size or rows.shape[2] != big_n:
+    def at(self, geoms: list[PointGeometry],
+           order: int = 1) -> list[PointSplit]:
+        if not geoms:
+            return []
+        if any(geom.chart is not self.chart or geom.tol != geoms[0].tol
+               for geom in geoms):
+            raise ParameterError(
+                "a batch of splits needs geometries of the spec's chart at "
+                "one tolerance")
+        size = signature(geoms[0].n, order).size
+        big_n = geoms[0].ambient_dim
+        rows = np.asarray(self.rule(geoms, order), dtype=float)
+        if rows.ndim != 4 or rows.shape[:2] != (len(geoms), size) \
+                or rows.shape[3] != big_n:
             raise ShapeError(
                 f"splitting rule returned shape {rows.shape}, expected "
-                f"({size}, m, {big_n})")
-        return split_jets(geom, rows, order, self.tol)
+                f"({len(geoms)}, {size}, m, {big_n})")
+        splits, error = split_jets(geoms, rows, order, self.tol)
+        if error is not None:
+            raise error
+        return splits
 
 
-def _lambda_split(spec: SplittingSpec, r: int, splits: dict,
-                  x) -> PointSplit:
-    """The split at x, whose Lambda must have rank r, memoised per x; a point
-    outside the memo (a stencil point of an oracle) gets a fresh geometry
-    and a split at ``SPLIT_ORDER``."""
-    x = np.asarray(x, dtype=float)
-    key = x.tobytes()
-    if key not in splits:
-        splits[key] = spec.at(point_geometry(spec.chart, x, 2, spec.tol),
-                              SPLIT_ORDER)
-    split = splits[key]
-    if split.Lambda.dim != r:
-        raise NumericalRankError(
-            f"rank of Lambda changed from {r} to {split.Lambda.dim} at {x}")
-    return split
+def _lambda_splits(spec: SplittingSpec, r: int, splits: dict,
+                   points) -> list[PointSplit]:
+    """The splits at the points x ``(B, n)``, whose Lambda must have rank
+    r, memoised per x.  The points outside the memo (stencil points of an
+    oracle) get fresh geometries from one ``point_geometries`` call and
+    splits at ``SPLIT_ORDER`` from one ``SplittingSpec.at`` call, which
+    raises the error of its first failing point; then the first point
+    whose geometry fails, or whose Lambda has another rank, raises."""
+    points = np.asarray(points, dtype=float)
+    keys = [x.tobytes() for x in points]
+    missing = {key: x for key, x in zip(keys, points) if key not in splits}
+    error = None
+    if missing:
+        geoms, error = point_geometries(spec.chart, list(missing.values()),
+                                        2, spec.tol)
+        splits.update(zip(missing, spec.at(geoms, SPLIT_ORDER)))
+    out = []
+    for x, key in zip(points, keys):
+        if key not in splits:
+            raise error
+        split = splits[key]
+        if split.Lambda.dim != r:
+            raise NumericalRankError(
+                f"rank of Lambda changed from {r} to {split.Lambda.dim} at "
+                f"{x}")
+        out.append(split)
+    return out
 
 
 def _ruled_table(spec: SplittingSpec, pivots: list[int], r: int,
                  splits: dict, points: np.ndarray, order: int) -> np.ndarray:
     """Tables of F(x, lam) = f(x) + lam . Pi_Lambda(x)[pivots] at the
-    points (x, lam) ``(B, n + r)``, one split lookup per x."""
+    points (x, lam) ``(B, n + r)``, from one split lookup for the batch."""
     n = spec.chart.intrinsic_dim
     size = signature(n, order).size
-    found = [_lambda_split(spec, r, splits, point[:n]) for point in points]
-    base = np.array([chart_table(split.geom, order) for split in found])
+    found = _lambda_splits(spec, r, splits, points[:, :n])
+    base = chart_table([split.geom for split in found], order)
     rows = np.array([split.pi_lambda[:size][:, pivots] for split in found])
     return affine_lift(signature(n + r, order), base, rows.swapaxes(1, 2),
                        points[:, n:], range(n), range(n, n + r))
@@ -254,8 +321,8 @@ class RuledExtension:
         self.r = r
         self.lambda_radius = lambda_radius
         self._splits = {split.geom.x.tobytes(): split for split in splits}
-        for split in splits:
-            _lambda_split(spec, r, self._splits, split.geom.x)
+        _lambda_splits(spec, r, self._splits,
+                       [split.geom.x for split in splits])
         base = spec.chart
         if r == 0:
             self.chart = base
@@ -393,8 +460,10 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
     along itself puts each leaf into an affine subspace; the containment of
     P in the extension's normal spaces, the kernel identity for alpha
     restricted to P, and the integrability of D.  The extension's own
-    tangent space and second fundamental form come from ``point_geometry``
-    on its chart, with ranks read at the splitting's tolerance.
+    tangent space and second fundamental form come from one
+    ``point_geometries`` call on its chart at every translated point, with
+    ranks read at the splitting's tolerance; the first translated point
+    that fails its audit raises its error.
     """
     rng = np.random.default_rng(seed)
     spec = ext.spec
@@ -402,17 +471,21 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         name: [] for name in EXTENSION_GATES
         if ext.r or name != "affine-in-translation"}
 
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        lam = rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
-        # the extension's split at x, whose jets of Pi_D, Pi_Lambda and Pi_P
-        # serve the drifts and q_d the bracket of D fields
-        geom_ext = point_geometry(ext.chart, np.concatenate([x, lam]), 1,
-                                  spec.tol)
-        split = _lambda_split(spec, ext.r, ext._splits, x)
+    samples = [np.asarray(x, dtype=float) for x in samples]
+    lams = [rng.uniform(-1.0, 1.0, ext.r) * ext.lambda_radius
+            for _ in samples]
+    geoms_ext, error = point_geometries(
+        ext.chart, np.reshape([np.concatenate([x, lam])
+                               for x, lam in zip(samples, lams)],
+                              (len(samples), ext.chart.intrinsic_dim)),
+        1, spec.tol)
+    # the extension's split at x, whose jets of Pi_D, Pi_Lambda and Pi_P
+    # serve the drifts and q_d the bracket of D fields
+    found = _lambda_splits(spec, ext.r, ext._splits,
+                           samples[:len(geoms_ext)])
+    for x, lam, geom_ext, split in zip(samples, lams, geoms_ext, found):
         geom = split.geom
-
-        fx = chart_table(geom, 0)[0]
+        fx = geom.derivs.coeffs[0]
         residuals["roundtrip-zero-section"].append(
             np.linalg.norm(ext.eval(x, np.zeros(ext.r)) - fx))
         if ext.r:
@@ -439,6 +512,8 @@ def verify_extension(ext: RuledExtension, samples: list[np.ndarray],
         residuals["p-constant-along-rulings"].append(drift(split.pi_p,
                                                            along_d))
 
+    if error is not None:
+        raise error
     return [ExtensionCheck(name, sub.worst(values), EXTENSION_GATES[name])
             for name, values in residuals.items()]
 

@@ -1,6 +1,10 @@
-"""Test charts and checks on the chart contract over a point axis."""
+"""Test charts, checks and splitting rules on the contracts over a point
+axis."""
 
 import numpy as np
+
+from oscflag.geometry import point_geometries
+from oscflag.ruled_extension import SPLIT_ORDER
 
 
 def columns(jets):
@@ -34,3 +38,36 @@ def assert_same_geometry(got, want):
     assert got.tol == want.tol
     for a, b in pairs:
         assert np.array_equal(a, b)
+
+
+def per_point(rule):
+    """A splitting rule of the batch contract, ``rule(geoms, order)``, from
+    one that takes one geometry at a time."""
+    def batched(geoms, order):
+        return np.array([rule(geom, order) for geom in geoms])
+    return batched
+
+
+def splits_at(spec, points, order=SPLIT_ORDER):
+    """The splits at bare points, from one batch of their order-3
+    geometries and one ``SplittingSpec.at`` call."""
+    geoms, error = point_geometries(spec.chart, np.asarray(points, float), 2,
+                                    spec.tol)
+    if error is not None:
+        raise error
+    return spec.at(geoms, order)
+
+
+def assert_same_split(got, want):
+    """Two ``PointSplit`` agree array for array: geometry, order, jets and
+    the bases of L, P, D, E, Gamma and Lambda."""
+    assert_same_geometry(got.geom, want.geom)
+    assert got.order == want.order
+    for name in ("pi_p", "q_d", "pi_d", "pi_e", "pi_lambda"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    for name in ("L", "P", "D", "E", "Gamma", "Lambda"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a.basis, b.basis), name

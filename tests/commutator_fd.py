@@ -3,14 +3,16 @@
 The part outside D of the bracket of two D-fields depends only on their
 values at the centre, so the fields differenced are the centre's D basis
 projected onto D at each stencil point, in chart coordinates; that part of
-each bracket is second-order accurate in h.  Each stencil point costs one
-``point_geometry`` and one ``SplittingSpec.at`` at order 0.
+each bracket is second-order accurate in h.  The stencil's geometries come
+from one ``point_geometries`` call and its splits, at order 0, from one
+``SplittingSpec.at`` call.
 """
 
 import numpy as np
 
+from batch_rows import splits_at
 from oscflag import subspaces as sub
-from oscflag.geometry import frame_derivative, point_geometry
+from oscflag.geometry import frame_derivative
 
 
 def commutator_residual_fd(spec, split, h: float) -> float:
@@ -20,12 +22,9 @@ def commutator_residual_fd(spec, split, h: float) -> float:
     n = geom.n
 
     def d_frames_chart(points) -> np.ndarray:
-        frames = []
-        for y in points:
-            split_y = spec.at(point_geometry(spec.chart, y, 2, spec.tol), 0)
-            frames.append(split_y.D.project(split.D.basis)
-                          @ split_y.geom.frame_in_chart)
-        return np.array(frames)
+        return np.array([split_y.D.project(split.D.basis)
+                         @ split_y.geom.frame_in_chart
+                         for split_y in splits_at(spec, points, 0)])
 
     center = split.D.basis @ geom.frame_in_chart
     jacobians = np.ascontiguousarray(  # field, component, d/dx

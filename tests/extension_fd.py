@@ -2,8 +2,8 @@
 
 Plain central second differences of the extension chart's positions over
 all n + r coordinates (x, lam), read from one evaluation of the chart at
-every stencil point; second-order accurate in h.  Each base point of the
-stencil costs one ``SplittingSpec.at``.
+every stencil point; second-order accurate in h.  The stencil's new base
+points are split in one ``SplittingSpec.at`` batch.
 """
 
 import numpy as np

@@ -3,14 +3,15 @@
 The L-component of the derivative of a P-section depends only on its value
 at the centre, L (d_w Pi_P) mu, so the field differenced is the centre's
 P basis projected onto P at each stencil point; it is second-order
-accurate in h.  Each stencil point costs one ``point_geometry`` and one
-``SplittingSpec.at`` at order 0; the field over the stencil takes its
-points one at a time.
+accurate in h.  The stencil's geometries come from one
+``point_geometries`` call and its splits, at order 0, from one
+``SplittingSpec.at`` call.
 """
 
 import numpy as np
 
-from oscflag.geometry import frame_derivative, point_geometry
+from batch_rows import splits_at
+from oscflag.geometry import frame_derivative
 
 
 def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
@@ -22,9 +23,8 @@ def gamma_values_fd(spec, split, h: float, directions=None) -> np.ndarray:
         directions = split.E.basis
 
     def frames_at(points):
-        return np.array([spec.at(point_geometry(spec.chart, y, 2, spec.tol),
-                                 0).P.project(split.P.basis)
-                         for y in points])
+        return np.array([split_y.P.project(split.P.basis)
+                         for split_y in splits_at(spec, points, 0)])
 
     d_frames = frame_derivative(
         frames_at, geom.x, [v @ geom.frame_in_chart for v in directions], h)

@@ -1,12 +1,14 @@
 """Jet oracles shared by the jet and acceptance tests: the exponential
-primitive and the chain-rule substitution."""
+primitive, the chain-rule substitution, loop builds of the signature
+tables and the matrix-jet product over gathered pairs."""
 
 import math
 
 import numpy as np
 
 from oscflag.errors import ShapeError
-from oscflag.jets import Jet, compose_series, jet_constant, jet_variable
+from oscflag.jets import (Jet, _pair_sum, compose_series, jet_constant,
+                          jet_variable, signature)
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -50,3 +52,45 @@ def substitute_affine(a: Jet, matrix, new_point) -> Jet:
         if a.coeffs[i] != 0.0:
             out = out + a.coeffs[i] * mono_jets[i]
     return out
+
+
+def mul_table_loop(num_vars: int, order: int):
+    """The degree-filtered product table of ``signature(num_vars, order)``,
+    pair by pair: for each monomial i, every monomial j of degree at most
+    order - deg(i), and the monomial of their product."""
+    sig = signature(num_vars, order)
+    starts = np.searchsorted(sig.degrees, np.arange(order + 2))
+    ii, jj, kk = [], [], []
+    for i, mi in enumerate(sig.monomials):
+        for j in range(starts[order - sig.degrees[i] + 1]):
+            ii.append(i)
+            jj.append(j)
+            kk.append(sig.index[tuple(a + b for a, b in
+                                      zip(mi, sig.monomials[j]))])
+    return tuple(np.array(col, dtype=np.intp) for col in (ii, jj, kk))
+
+
+def partial_index_loop(num_vars: int, top: int, order: int):
+    """``jets._partial_index`` entry by entry: row beta, column alpha holds
+    the monomial alpha + beta of ``signature(num_vars, top + order)`` and
+    its scale (alpha + beta)! / beta!, the partials alpha by degree, then
+    by descending exponents."""
+    full = signature(num_vars, top + order)
+    small = signature(num_vars, order)
+    partials = sorted((m for m in full.monomials if 1 <= sum(m) <= top),
+                      key=lambda m: (sum(m), tuple(-e for e in m)))
+    index = np.array([[full.index[tuple(a + b for a, b in zip(alpha, beta))]
+                       for alpha in partials] for beta in small.monomials],
+                     dtype=np.intp)
+    return index, full.factorials[index] / small.factorials[:, None]
+
+
+def matrix_product_gathered(sig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``jets.matrix_product`` with both operands gathered along the pairs
+    of ``sig.mul_table``: one matmul of the pair tables, then the one-hot
+    contraction onto the monomials."""
+    ii, jj, _ = sig.mul_table
+    terms = np.matmul(a[..., ii, :, :], b[..., jj, :, :])
+    out = _pair_sum(sig.num_vars, sig.order) @ terms.reshape(
+        terms.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + terms.shape[-2:])

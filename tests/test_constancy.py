@@ -4,6 +4,7 @@ leaf-walk oracle, with negative and non-finite cases."""
 import numpy as np
 import pytest
 
+from batch_rows import splits_at
 from leaf_rk4 import leaf_residual
 from oscflag import checks, ruled_extension
 from oscflag import subspaces as sub
@@ -13,8 +14,8 @@ from oscflag.checks import (LAMBDA_RADIUS, PointRecord, VerifyContext,
 from oscflag.geometry import drift, point_geometry, tangent_jets
 from oscflag.jets import first_partials
 from oscflag.nonparallel import nonparallel_data
-from oscflag.ruled_extension import (SPLIT_ORDER, SplittingSpec,
-                                     build_extension, verify_extension)
+from oscflag.ruled_extension import (SplittingSpec, build_extension,
+                                     verify_extension)
 from oscflag.verify import RunConfig, run_verification
 
 
@@ -37,7 +38,7 @@ def test_walk_residual_is_first_order_with_the_identity_as_slope():
     x = entry.sampler(np.random.default_rng(1))
     geom = point_geometry(entry.chart, x, 1)
     u = np.array([0.6, 0.8])
-    _, pi_t = tangent_jets(geom, 1)
+    pi_t = tangent_jets([geom], 1)[1][0]
     d_u = np.tensordot(u @ geom.frame_in_chart, first_partials(pi_t), 1)
     slope = 0.5 * np.linalg.norm(
         (np.eye(geom.ambient_dim) - pi_t[0]) @ d_u @ (u @ geom.frame))
@@ -96,7 +97,7 @@ class ERulings(VerifyContext):
         return complement(rec.nd.D)
 
     def ruling_jet(self, rec):
-        return tangent_jets(rec.geom, 1)[1] - super().ruling_jet(rec)
+        return tangent_jets([rec.geom], 1)[1][0] - super().ruling_jet(rec)
 
 
 def test_check_fed_e_as_ruling_fails():
@@ -126,9 +127,7 @@ def test_nan_residual_fails_leaf_straightness(monkeypatch):
     spec = SplittingSpec(entry.chart, rule=exercise.rule)
     rng = np.random.default_rng(6)
     pts = [entry.sampler(rng) for _ in range(2)]
-    ext = build_extension(spec, LAMBDA_RADIUS,
-                          [spec.at(point_geometry(entry.chart, x, 2),
-                                   SPLIT_ORDER) for x in pts])
+    ext = build_extension(spec, LAMBDA_RADIUS, splits_at(spec, pts))
     monkeypatch.setattr(ruled_extension, "drift", nan_drift)
     leaf = {c.name: c for c in verify_extension(ext, pts)}["leaf-straightness"]
     assert not leaf.passed and np.isnan(leaf.residual)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from oscflag.errors import CapabilityError, DomainError, ShapeError, \
     SingularityError
 from oscflag.geometry import ImmersionChart, box
-from oscflag.jets import (DerivativeTensor, Jet, affine_lift, compose_series,
-                          jet_constant, jet_cos, jet_reciprocal, jet_sin,
-                          jet_sqrt, jet_variable, product, signature,
+from oscflag.jets import (DerivativeTensor, Jet, _partial_index, affine_lift,
+                          compose_series, jet_constant, jet_cos,
+                          jet_reciprocal, jet_sin, jet_sqrt, jet_variable,
+                          matrix_inverse, matrix_product, product, signature,
                           variables)
 from batch_rows import columns
-from jet_oracles import jet_exp, substitute_affine
+from jet_oracles import (jet_exp, matrix_product_gathered, mul_table_loop,
+                         partial_index_loop, substitute_affine)
 from picard import antiderivative
 
 
@@ -409,3 +411,57 @@ def test_richardson_fd_agreement_on_circle():
         fd = (4.0 * estimates[1] - estimates[0]) / 3.0
         rel = np.linalg.norm(fd - target) / max(1.0, np.linalg.norm(target))
         assert rel < 1e-6
+
+
+@pytest.mark.parametrize("num_vars,order", [(4, 6), (6, 3), (8, 3)])
+def test_signature_tables_match_loop_oracles(num_vars, order):
+    sig = signature(num_vars, order)
+    for got, want in zip(sig.mul_table, mul_table_loop(num_vars, order)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    for top in (1, 2):
+        for lower in (0, 1, order - top):
+            for got, want in zip(_partial_index(num_vars, top, lower),
+                                 partial_index_loop(num_vars, top, lower)):
+                assert np.array_equal(got, want)
+
+
+def test_matrix_inverse_over_leading_axes():
+    # each point of a (B, size, r, r) batch inverts its own coefficient
+    # matrices, exactly as its batch of one does
+    rng = np.random.default_rng(17)
+    sig = signature(3, 3)
+    g = rng.standard_normal((4, sig.size, 3, 3))
+    g[:, 0] += 3.0 * np.eye(3)
+    inverse = matrix_inverse(sig, g)
+    identity = np.zeros((sig.size, 3, 3))
+    identity[0] = np.eye(3)
+    for point, row in zip(g, inverse):
+        assert np.array_equal(row, matrix_inverse(sig, point[None])[0])
+        assert np.max(np.abs(matrix_product(sig, point, row)
+                             - identity)) < 1e-12
+
+
+@pytest.mark.parametrize("num_vars,order", [(4, 2), (3, 3), (2, 0), (1, 4)])
+def test_matrix_product_matches_gathered_pairs(num_vars, order):
+    # array for array, over contiguous, transposed, sliced and broadcast
+    # operands, an operand times its own transpose and row and column
+    # vectors, whose products take other BLAS paths
+    rng = np.random.default_rng(19)
+    size = signature(num_vars, order).size
+    f = rng.standard_normal((2, size, 3, 6))
+    wide = rng.standard_normal((size, 4, 9))
+    cases = [
+        (rng.standard_normal((size, 4, 5)), rng.standard_normal((size, 5, 4))),
+        (f, f.swapaxes(-1, -2)), (f.swapaxes(-1, -2), f),
+        (rng.standard_normal((size, 1, 5)), rng.standard_normal((size, 5, 3))),
+        (rng.standard_normal((size, 3, 5)), rng.standard_normal((size, 5, 1))),
+        (rng.standard_normal((2, 1, size, 3, 3)),
+         rng.standard_normal((4, size, 3, 3))),
+        (wide[..., :5], rng.standard_normal((size, 5, 2))),
+        (rng.standard_normal((size, 6, 6)),
+         rng.standard_normal((3, size, 6, 6)).swapaxes(-1, -2))]
+    sig = signature(num_vars, order)
+    for a, b in cases:
+        got = matrix_product(sig, a, b)
+        want = matrix_product_gathered(sig, a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from batch_rows import assert_rows_match_single_points
+from batch_rows import (assert_rows_match_single_points, assert_same_split,
+                        per_point, splits_at)
 from commutator_fd import commutator_residual_fd
 from extension_fd import extension_second_fd
 from feasible_loop import feasible_loop
@@ -12,8 +13,8 @@ from oscflag import checks, ruled_extension, verify
 from oscflag import subspaces as sub
 from oscflag.catalog import get_entry
 from oscflag.checks import LAMBDA_RADIUS
-from oscflag.errors import (LRankError, NumericalRankError, ParameterError,
-                            ShapeError)
+from oscflag.errors import (GammaBandError, LRankError, NumericalRankError,
+                            ParameterError, ShapeError)
 from oscflag.geometry import (ImmersionChart, frame_derivative,
                               point_geometry, projection_frame,
                               relative_nullity, span_projector)
@@ -27,12 +28,7 @@ from oscflag.ruled_extension import (SPLIT_ORDER, RuledExtension,
 
 def split_at(spec, x, order=1):
     """The split at a bare point x, from its order-3 geometry."""
-    return spec.at(point_geometry(spec.chart, x, 2, spec.tol), order)
-
-
-def splits_at(spec, points):
-    """Probe splits, at the order the extension reads."""
-    return [split_at(spec, x, SPLIT_ORDER) for x in points]
+    return splits_at(spec, [x], order)[0]
 
 
 def torus_rows(geom, partials, order):
@@ -49,6 +45,7 @@ def torus_rows(geom, partials, order):
 def constant_rule(rows_of):
     """A rule whose rows are frozen: only its value at the point matters to
     the rank and normality checks it is meant to trip."""
+    @per_point
     def rule(geom, order):
         rows = np.atleast_2d(rows_of(geom))
         table = np.zeros((signature(geom.n, order).size,) + rows.shape)
@@ -62,6 +59,7 @@ def curve_entry():
     return get_entry("curve-parallel")
 
 
+@per_point
 def torus_split_rule(geom, order):
     """L spans the curvature direction of the first circle factor, so the
     complementary kernel contains that factor's coordinate direction.  That
@@ -89,9 +87,8 @@ def test_l_must_be_normal():
 def test_rule_must_return_order_one_rows():
     # rows without their jet axis do not follow the rule contract
     entry = get_entry("product-torus")
-    spec = SplittingSpec(entry.chart,
-                         rule=lambda geom, order:
-                         torus_rows(geom, [(2, 0)], order)[0])
+    spec = SplittingSpec(entry.chart, rule=per_point(
+        lambda geom, order: torus_rows(geom, [(2, 0)], order)[0]))
     with pytest.raises(ShapeError):
         split_at(spec, np.array([1.0, 1.5]))
 
@@ -285,6 +282,7 @@ def test_gamma_rank_band_guard():
     # feeding a bogus kernel situation must trip the band check, not pass
     entry = get_entry("product-torus")
 
+    @per_point
     def bad_rule(geom, order):
         # L contains both curvature directions: alpha_P vanishes and the
         # kernel is everything, leaving E empty and the band degenerate
@@ -294,6 +292,92 @@ def test_gamma_rank_band_guard():
     split = split_at(spec, np.array([1.0, 1.5]))
     assert split.d == 2  # kernel is the whole tangent space
     assert split.Gamma.dim == 0  # no E directions: empty span, band [0, 2]
+
+
+@pytest.mark.parametrize("name,params,index,order", [
+    ("section4-ruled", {"m": 2}, 0, 0),
+    ("section4-ruled", {"m": 2}, 0, 1),
+    ("section4-ruled", {"m": 2}, 0, SPLIT_ORDER),
+    ("curve-parallel", {}, 0, 1),
+    ("curve-parallel", {}, 1, 1),
+    ("curve-parallel", {}, 2, 1),
+    ("curve-parallel", {}, 2, SPLIT_ORDER)])
+def test_split_batch_rows_match_batches_of_one(name, params, index, order):
+    # the default rule and each curve-parallel witness rule: every split of
+    # a batch equals its batch of one, array for array
+    entry = get_entry(name, params)
+    spec = SplittingSpec(entry.chart,
+                         rule=entry.split_exercises[index].rule)
+    rng = np.random.default_rng(11)
+    points = [entry.sampler(rng) for _ in range(3)]
+    batch = splits_at(spec, points, order)
+    assert len(batch) == len(points)
+    for x, split in zip(points, batch):
+        assert_same_split(split, split_at(spec, x, order))
+    assert spec.at([], order) == []
+
+
+def test_split_batch_of_mixed_ranks():
+    # L has rank 2 at the middle point and rank 1 elsewhere (a zero row),
+    # so the points differ in ell, d and k and fall in different groups
+    entry = get_entry("product-torus")
+    middle = np.array([2.0, 0.7])
+
+    @per_point
+    def rule(geom, order):
+        rows = torus_rows(geom, [(2, 0), (0, 2)], order)
+        if not np.array_equal(geom.x, middle):
+            rows[:, 1] = 0.0
+        return rows
+
+    spec = SplittingSpec(entry.chart, rule=rule)
+    points = [np.array([1.0, 1.5]), middle, np.array([0.8, 3.1])]
+    batch = splits_at(spec, points, 1)
+    assert [(s.ell, s.d, s.Gamma.dim) for s in batch] == [
+        (1, 1, 1), (2, 2, 0), (1, 1, 1)]
+    for x, split in zip(points, batch):
+        assert_same_split(split, split_at(spec, x))
+
+
+def test_split_batch_raises_its_first_failing_point_error():
+    # L fills the normal space at the second point (LRankError) and turns
+    # toward P so fast along a chart variable at the third that Gamma's
+    # L-part swamps its E-part below the rank tolerance (GammaBandError)
+    entry = get_entry("section4-ruled", {"m": 2})
+    rng = np.random.default_rng(7)
+    good, full_l, turning = (entry.sampler(rng) for _ in range(3))
+
+    def rule(geoms, order):
+        rows = ruled_extension.default_splitting_rule(geoms, order)
+        for geom, table in zip(geoms, rows):
+            if np.array_equal(geom.x, full_l):
+                table[...] = 0.0
+                table[0] = geom.normal_space.projector()
+            elif np.array_equal(geom.x, turning):
+                l_space = sub.span_of(table[0])
+                p_space = sub.complement_within(l_space, geom.normal_space)
+                table[geom.n] += 1e12 * np.outer(
+                    table[0] @ l_space.basis[0], p_space.basis[0])
+        return rows
+
+    spec = SplittingSpec(entry.chart, rule=rule)
+    with pytest.raises(LRankError, match="rank L"):
+        splits_at(spec, [good, full_l, turning], 1)
+    with pytest.raises(GammaBandError, match="outside the band"):
+        splits_at(spec, [good, turning, full_l], 1)
+    assert split_at(spec, good).Gamma.dim == 2
+
+
+def test_split_batch_needs_one_chart_and_tolerance():
+    # a batch reads one chart and one rank tolerance for all its points
+    entry = get_entry("section4-ruled", {"m": 2})
+    x = entry.sampler(np.random.default_rng(7))
+    spec = SplittingSpec(entry.chart)
+    geoms = [point_geometry(entry.chart, x, 2, tol) for tol in (1e-8, 1e-9)]
+    other = point_geometry(get_entry("section4-ruled", {"m": 2}).chart, x, 2)
+    for batch in (geoms, [geoms[0], other]):
+        with pytest.raises(ParameterError, match="one tolerance"):
+            spec.at(batch, 1)
 
 
 def sheared(chart, amount):
@@ -367,12 +451,14 @@ def test_exact_gamma_against_fd_oracle(name, params, index):
 def turning_rule(amount, a, b):
     """L spanned by the normal part of a + s b, s the first ruling
     coordinate of the curve chart before ``sheared(chart, amount)``."""
+    @per_point
     def rule(geom, order):
         n, sig = geom.n, signature(geom.n, order)
         u = [jet_variable(n, order, i, geom.x[i]) for i in range(n)]
         s = u[1] + amount * (u[2] * u[2])
         table = geom.chart.eval(geom.x, order + 1).coeffs
-        pi_n = -span_projector(sig, partial_jets(table, n, 1, order), 1e-8)[1]
+        pi_n = -span_projector(sig, partial_jets(table, n, 1, order)[None],
+                               1e-8)[1][0]
         pi_n[0] += np.eye(geom.ambient_dim)
         v = np.outer(s.coeffs, b)[:, :, None]
         v[0, :, 0] += a
@@ -398,23 +484,34 @@ def test_gamma_differentiates_along_e_only():
 
 
 def test_one_point_geometry_per_extension_point(monkeypatch):
-    # Gamma and Lambda come from the split's projector jets, so a fresh
-    # extension point costs one splitting evaluation and no stencil
+    # Gamma and Lambda come from the split's projector jets, so fresh
+    # extension points cost one batch of geometries and splits and no
+    # stencil, and a point seen before costs nothing
     entry = get_entry("section4-ruled", {"m": 2})
     spec = SplittingSpec(entry.chart)
     rng = np.random.default_rng(7)
     lam = split_at(spec, entry.sampler(rng)).Lambda
     ext = RuledExtension(spec, projection_frame(lam)[1], lam.dim, 0.08)
-    calls = []
-    real = ruled_extension.point_geometry
+    calls, batches = [], []
+    real, real_at = ruled_extension.point_geometries, SplittingSpec.at
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counting(chart, points, *args):
+        calls.append(len(points))
+        return real(chart, points, *args)
 
-    monkeypatch.setattr(ruled_extension, "point_geometry", counting)
-    ext.eval(entry.sampler(rng), np.zeros(ext.r))
-    assert len(calls) == 1
+    def at(self, geoms, order=1):
+        batches.append(len(geoms))
+        return real_at(self, geoms, order)
+
+    monkeypatch.setattr(ruled_extension, "point_geometries", counting)
+    monkeypatch.setattr(SplittingSpec, "at", at)
+    x, y = entry.sampler(rng), entry.sampler(rng)
+    near, far = np.zeros(ext.r), np.full(ext.r, 0.01)
+    ext.chart.tables([np.concatenate(point) for point in
+                      [(x, near), (y, near), (x, far)]], 0)
+    assert calls == [2] and batches == [2]
+    ext.eval(y, far)
+    assert calls == [2] and batches == [2]
 
 
 def test_record_split_evaluates_no_chart(monkeypatch):
@@ -430,8 +527,8 @@ def test_record_split_evaluates_no_chart(monkeypatch):
         orders.append(order)
         return real(self, y, order)
 
-    monkeypatch.setattr(ImmersionChart, "eval", counting)
-    split = SplittingSpec(entry.chart).at(geom, 1)
+    monkeypatch.setattr(ImmersionChart, "tables", counting)
+    split = SplittingSpec(entry.chart).at([geom], 1)[0]
     assert orders == []
     assert split.d == 2 and split.Lambda.dim == 2
 
@@ -440,15 +537,16 @@ def test_record_split_evaluates_no_chart(monkeypatch):
                                          ("curve-parallel", {})])
 def test_run_evaluates_no_chart_twice_at_a_point(name, params, monkeypatch):
     # each record's geometry is the one source of its chart jet, so no
-    # chart is evaluated twice at the same point and order
+    # chart is evaluated twice at the same point and order, one point at a
+    # time or in a batch
     seen = []
-    real = ImmersionChart.eval
+    real = ImmersionChart._checked_tables
 
-    def counting(self, y, order):
-        seen.append((self, np.asarray(y, dtype=float).tobytes(), order))
-        return real(self, y, order)
+    def counting(self, points, order):
+        seen.extend((self, y.tobytes(), order) for y in points)
+        return real(self, points, order)
 
-    monkeypatch.setattr(ImmersionChart, "eval", counting)
+    monkeypatch.setattr(ImmersionChart, "_checked_tables", counting)
     report = verify.run_verification(verify.RunConfig(name, params,
                                                       samples=3))
     assert report.passed, report.findings
@@ -463,7 +561,7 @@ def test_default_rule_takes_s_from_phi():
     x = np.array([0.110, 0.018, -0.097, 0.032, 0.010, 0.0])
     geom = point_geometry(entry.chart, x, entry.max_normal_order)
     assert nonparallel_data(geom).s == 2
-    split = SplittingSpec(entry.chart).at(geom, 1)
+    split = SplittingSpec(entry.chart).at([geom], 1)[0]
     assert (split.ell, split.Gamma.dim, split.Lambda.dim) == (2, 2, 2)
     assert split.d == 4 == geom.n - 2
 
@@ -511,8 +609,8 @@ def test_exact_commutator_against_fd_oracle():
     assert split.d == 2
     exact = first_partials(split.q_d[:n + 1])
     d_h, d_h2 = (np.linalg.norm(frame_derivative(
-        lambda points: np.array([split_at(spec, y, 0).q_d[0]
-                                 for y in points]),
+        lambda points: np.array([split_y.q_d[0]
+                                 for split_y in splits_at(spec, points, 0)]),
         split.geom.x, np.eye(n), h)
         - exact) for h in (1e-3, 5e-4))
     assert 3.2 <= d_h / d_h2 <= 4.8, (d_h, d_h2)
@@ -528,7 +626,7 @@ def test_extension_evaluated_only_at_vetted_points(monkeypatch):
     expected, seen, current = [], [], []
     lambda_points = set()
     real_exercise = checks.check_split_exercise
-    real_lambda_split = ruled_extension._lambda_split
+    real_lambda_splits = ruled_extension._lambda_splits
     real_at = SplittingSpec.at
 
     def exercise(ctx, index):
@@ -542,17 +640,18 @@ def test_extension_evaluated_only_at_vetted_points(monkeypatch):
         finally:
             current.pop()
 
-    def lambda_split(spec, r, splits, x):
-        lambda_points.add(np.asarray(x, dtype=float).tobytes())
-        return real_lambda_split(spec, r, splits, x)
+    def lambda_splits(spec, r, splits, points):
+        lambda_points.update(x.tobytes()
+                             for x in np.asarray(points, dtype=float))
+        return real_lambda_splits(spec, r, splits, points)
 
-    def at(self, geom, order=1):
+    def at(self, geoms, order=1):
         if current:
-            current[-1].append((geom.x.tobytes(), order))
-        return real_at(self, geom, order)
+            current[-1].extend((geom.x.tobytes(), order) for geom in geoms)
+        return real_at(self, geoms, order)
 
     monkeypatch.setattr(checks, "check_split_exercise", exercise)
-    monkeypatch.setattr(ruled_extension, "_lambda_split", lambda_split)
+    monkeypatch.setattr(ruled_extension, "_lambda_splits", lambda_splits)
     monkeypatch.setattr(SplittingSpec, "at", at)
     report = verify.run_verification(verify.RunConfig(
         "curve-parallel", {}, samples=5, seed=7))
