@@ -211,7 +211,7 @@ def span_projector(sig: JetSignature, rows: np.ndarray, tol: float,
     spaces = [sub.Subspace(vt.shape[2], v[:r].copy())
               for v, r in zip(vt, ranks)]
     by_rank = groups(ranks)
-    if len(by_rank) == 1:
+    if len(by_rank) == 1:  # no gathered copy of the rows, no scatter
         return spaces, _pivot_projector(sig, rows, ranks[0])
     out = np.empty(rows.shape[:2] + (vt.shape[2],) * 2)
     for rank, group in by_rank.items():
@@ -246,7 +246,7 @@ def kernel_projector(sig: JetSignature, pi_u: np.ndarray, pi_t: np.ndarray,
     count, n, big_n = len(tangent), tangent.shape[2], tangent.shape[3]
     # rows over (a, b) of the matrices sum_i c_i [Pi_U (d_i Pi_T) Pi_T]_ab
     # span the complement of K in chart coordinates
-    d_t = np.moveaxis(partial_jets(pi_t, n, 1, sig.order, axis=1), 2, 1)
+    d_t = np.moveaxis(partial_jets(pi_t, n, 1, sig.order), 2, 1)
     rows = np.moveaxis(matrix_product(
         sig, pi_u[:, None, :sig.size],
         matrix_product(sig, d_t, pi_t[:, None, :sig.size])), 1, -1)
@@ -520,11 +520,10 @@ def _normal_flags(frames: np.ndarray, svds: list[tuple], tol: float
     failure = None
     for svals, vt in svds[1:]:
         ranks = sub.numerical_ranks(svals, tol)
-        groups: dict[tuple, list[int]] = {}
-        for p in live:
-            groups.setdefault((len(osculating[p]), ranks[p]), []).append(p)
-        live = []
-        for (low, high), group in groups.items():
+        points, live = live, []
+        for (low, high), at in groups([(len(osculating[p]), ranks[p])
+                                       for p in points]).items():
+            group = [points[i] for i in at]
             inner, outer = np.array([osculating[p] for p in group]), \
                 vt[group, :high]
             outside = inner - (inner @ outer.swapaxes(1, 2)) @ outer
@@ -572,7 +571,7 @@ def tangent_jets(geoms: list[PointGeometry],
     as order-``order`` jets at the points of geometries of one chart and
     tolerance, from the chart jet at order + 1."""
     n = geoms[0].n
-    tangent = partial_jets(chart_table(geoms, order + 1), n, 1, order, axis=1)
+    tangent = partial_jets(chart_table(geoms, order + 1), n, 1, order)
     return tangent, span_projector(signature(n, order), tangent,
                                    geoms[0].tol, [n] * len(geoms))[1]
 

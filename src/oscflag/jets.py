@@ -450,20 +450,20 @@ def matrix_inverse(sig: JetSignature, g: np.ndarray) -> np.ndarray:
 
 
 def partial_jets(table: np.ndarray, num_vars: int, top: int,
-                 order: int, axis: int = 0) -> np.ndarray:
+                 order: int) -> np.ndarray:
     """Order-``order`` jets of every partial of degree 1..``top`` of the
-    function whose coefficients, in the layout of
-    ``signature(num_vars, top + order)``, lie along ``table``'s ``axis``.
+    functions of a batch ``(B, size_full) + trailing axes``, whose
+    coefficients, in the layout of ``signature(num_vars, top + order)``,
+    lie along axis 1, after the point axis.
 
-    In place of that axis come two, ``(signature(num_vars, order).size,
-    #partials)``: the partials by degree and, within a degree, in
-    descending lexicographic order of their exponents, so the first
-    partials come in chart-variable order.
+    Returns ``(B, signature(num_vars, order).size, #partials) + trailing
+    axes``, the partials by degree and, within a degree, in descending
+    lexicographic order of their exponents, so the first partials come in
+    chart-variable order.
     """
     index, scale = _partial_index(num_vars, top, order)
-    picked = np.take(table, index, axis)
-    return picked * scale.reshape((1,) * axis + scale.shape
-                                  + (1,) * (picked.ndim - axis - 2))
+    picked = np.take(table, index, 1)
+    return picked * scale.reshape(scale.shape + (1,) * (picked.ndim - 3))
 
 
 @lru_cache(maxsize=None)

@@ -199,14 +199,14 @@ def s_projector(geoms: list[PointGeometry], order: int,
         up = order + (not kind)
         sig_up = signature(n, up)
         rows = partial_jets(chart_table([geoms[i] for i in group], up + 2),
-                            n, 2, up, axis=1)
+                            n, 2, up)
         _, osc = span_projector(sig_up, rows, tol)
         n1[group] = (osc[:, :sig.size]
                      - span_projector(sig, rows[:, :sig.size, :n], tol)[1])
         if kind:
             pi_s[group] = n1[group]
             continue
-        d_osc = partial_jets(osc, n, 1, order, axis=1).reshape(
+        d_osc = partial_jets(osc, n, 1, order).reshape(
             len(group), sig.size, -1, big_n)
         pi_s[group] = span_projector(
             sig, matrix_product(sig, d_osc, n1[group]), tol,

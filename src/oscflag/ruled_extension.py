@@ -100,8 +100,7 @@ class PointSplit:
 
 
 def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
-               tol: float) -> tuple[list[PointSplit],
-                                    NumericalRankError | None]:
+               tol: float) -> list[PointSplit]:
     """Projector jets of the splitting at the points of geometries of one
     chart and tolerance, from rows ``l_rows`` ``(B, size, m, N)`` spanning L.
 
@@ -122,10 +121,9 @@ def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
     d off alpha_P on the tangent frame as ``nonparallel_data`` reads it; k
     must lie in the band n - d <= k <= n - d + ell.  The points of equal
     ranks share each product chain, and each split equals its batch of one.
-    Returns the splits before the first point that fails and that point's
-    error, None when none fails: LRankError where rank L leaves 0 < ell <
-    N - n or L leaves the normal space, NumericalRankError where d = 0 and
-    GammaBandError where k leaves its band.
+    Raises the error of the first point that fails: LRankError where rank L
+    leaves 0 < ell < N - n or L leaves the normal space, NumericalRankError
+    where d = 0 and GammaBandError where k leaves its band.
     """
     n, big_n = geoms[0].n, geoms[0].ambient_dim
     top = max(order, 1)
@@ -141,7 +139,7 @@ def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
             break
     count = len(spaces)
     if not count:
-        return [], error
+        raise error
     tangent, pi_t, pi_l = tangent[:count], pi_t[:count], pi_l[:count]
     pi_p = -pi_t[:, :sig.size] - pi_l
     pi_p[:, 0] += np.eye(big_n)
@@ -155,7 +153,9 @@ def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
               for i, (geom, l_space, (p_space, d_space))
               in enumerate(zip(geoms, l_spaces, spaces))]
     if order == 0:
-        return splits, error
+        if error is not None:
+            raise error
+        return splits
 
     jac = tangent[:, :lo.size]
     gram_inv = matrix_inverse(lo, matrix_product(lo, jac,
@@ -165,7 +165,7 @@ def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
     q_off = -q_d
     q_off[:, 0] += np.eye(n)
     w_t = matrix_product(lo, q_off, gram_inv)
-    d_p = partial_jets(pi_p, n, 1, order - 1, axis=1).reshape(
+    d_p = partial_jets(pi_p, n, 1, order - 1).reshape(
         count, lo.size, n, -1)
     d_w = np.moveaxis(matrix_product(lo, w_t, d_p)
                       .reshape(count, lo.size, n, big_n, big_n), 2, 1)
@@ -180,13 +180,15 @@ def split_jets(geoms: list[PointGeometry], l_rows: np.ndarray, order: int,
     for split, gamma, pi_lambda in zip(splits, gammas, e_l - pi_gamma):
         k, ell, d = gamma.dim, split.ell, split.d
         if not n - d <= k <= n - d + ell:
-            return out, GammaBandError(
+            raise GammaBandError(
                 f"dim Gamma = {k} outside the band [{n - d}, {n - d + ell}]")
         lam = sub.complement_within(
             gamma, sub.direct_sum(split.e_ambient(), split.L, tol))
         out.append(replace(split, Gamma=gamma, Lambda=lam,
                            pi_lambda=pi_lambda))
-    return out, error
+    if error is not None:
+        raise error
+    return out
 
 
 def _p_and_d(geom: PointGeometry, l_space: sub.Subspace,
@@ -250,10 +252,7 @@ class SplittingSpec:
             raise ShapeError(
                 f"splitting rule returned shape {rows.shape}, expected "
                 f"({len(geoms)}, {size}, m, {big_n})")
-        splits, error = split_jets(geoms, rows, order, self.tol)
-        if error is not None:
-            raise error
-        return splits
+        return split_jets(geoms, rows, order, self.tol)
 
 
 def _lambda_splits(spec: SplittingSpec, r: int, splits: dict,

@@ -38,7 +38,7 @@ def torus_rows(geom, partials, order):
     graded = sorted((m for m in signature(geom.n, 2).monomials if sum(m)),
                     key=lambda m: (sum(m), tuple(-e for e in m)))
     table = geom.chart.eval(geom.x, order + 2).coeffs
-    return partial_jets(table, geom.n, 2, order)[
+    return partial_jets(table[None], geom.n, 2, order)[0][
         :, [graded.index(p) for p in partials]]
 
 
@@ -457,7 +457,7 @@ def turning_rule(amount, a, b):
         u = [jet_variable(n, order, i, geom.x[i]) for i in range(n)]
         s = u[1] + amount * (u[2] * u[2])
         table = geom.chart.eval(geom.x, order + 1).coeffs
-        pi_n = -span_projector(sig, partial_jets(table, n, 1, order)[None],
+        pi_n = -span_projector(sig, partial_jets(table[None], n, 1, order),
                                1e-8)[1][0]
         pi_n[0] += np.eye(geom.ambient_dim)
         v = np.outer(s.coeffs, b)[:, :, None]
